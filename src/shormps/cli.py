@@ -7,11 +7,13 @@ Subcommands:
 * ``profile``      run the modular-exponentiation stage and dump rank profiles
 * ``oracle``       dump the exact measurement distribution for (l, r) or (n, a)
 
-Exit codes: 0 success, 2 invalid input, 3 resource limit exhausted,
-4 internal verification failure.  Reports are deterministic for a fixed
-(flags, seed) pair in single-threaded mode; every sample derives its own
-generator from seed + sample index, so multi-process mode samples the same
-stream.  The environment variable ``SHOR_MPS_THREADS`` caps the size of the
+Exit codes: 0 success, 2 invalid input (a message on stderr, never a
+traceback), 3 resource limit exhausted, 4 internal verification failure,
+including an SVD that LAPACK fails to converge on, also when retried on the
+adjoint.  Reports are deterministic for a fixed (flags, seed) pair in
+single-threaded mode; every sample derives its own generator from
+seed + sample index, so multi-process mode samples the same stream.  The
+environment variable ``SHOR_MPS_THREADS`` (an integer) caps the size of the
 sample worker pool.
 """
 
@@ -49,6 +51,7 @@ from .shor import (
     run_modexp,
     sample_run,
 )
+from .tensor import DecompositionError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -167,9 +170,8 @@ def _one_sample(packed):
     return asdict(rec)
 
 
-def _run_samples(inst, cfg, seed, count) -> list[dict]:
+def _run_samples(inst, cfg, seed, count, workers) -> list[dict]:
     jobs = [(inst, cfg, seed + k) for k in range(count)]
-    workers = int(os.environ.get("SHOR_MPS_THREADS", "1"))
     if workers > 1 and count > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_one_sample, jobs, chunksize=16))
@@ -210,6 +212,16 @@ def cmd_sample(args) -> int:
     if args.format != "json":
         print("error: sample reports are JSON-only", file=sys.stderr)
         return EXIT_INVALID
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_INVALID
+    threads = os.environ.get("SHOR_MPS_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        print(f"error: SHOR_MPS_THREADS must be an integer, got {threads!r}",
+              file=sys.stderr)
+        return EXIT_INVALID
     problem = _validate_semiprime(args.n)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
@@ -225,13 +237,9 @@ def cmd_sample(args) -> int:
     try:
         for layout in layouts:
             cfg = PipelineConfig(
-                layout=layout,
-                max_elements=args.max_elements,
-                retries=args.retries,
-                seed=args.seed,
-                statevector_cap=args.dense_cap,
+                layout=layout, max_elements=args.max_elements, retries=args.retries
             )
-            records = _run_samples(inst, cfg, args.seed, args.samples)
+            records = _run_samples(inst, cfg, args.seed, args.samples, workers)
             per_layout[layout] = {
                 "records": records,
                 "aggregate": _aggregate(records, inst, args.dense_cap),
@@ -368,6 +376,11 @@ def cmd_oracle(args) -> int:
         l, r = args.l, args.r
     else:
         problem = _validate_semiprime(args.n)
+        if not problem:
+            try:
+                SemiprimeInstance.make(args.n, args.a)
+            except ValueError as exc:
+                problem = str(exc)
         if problem:
             print(f"error: {problem}", file=sys.stderr)
             return EXIT_INVALID
@@ -403,7 +416,11 @@ def main(argv=None) -> int:
         "profile": cmd_profile,
         "oracle": cmd_oracle,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except DecompositionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ Conventions fixed here and relied on throughout:
   both flanking weight vectors into the two-site block first and divides them
   back out of the factors afterwards.  All stored weights exceed the
   truncation floor, so the divisions are safe.
-* A trivial split stores all-ones weights on the new bond; rank minimization
-  is deferred to the next SVD to touch that bond.
 * Orthonormality is tracked per site: ``lortho[m]`` says the left-weighted
   tensor lambda[m-1] Gamma[m] has orthonormal columns, ``rortho[m]`` says
   Gamma[m] lambda[m] has orthonormal rows.  These are properties of the
@@ -33,7 +31,7 @@ from math import sqrt
 
 import numpy as np
 
-from .tensor import DEFAULT_SVD_TOL, svd_truncated, trivial_decompose
+from .tensor import DEFAULT_SVD_TOL, svd_truncated
 
 LOWER_REGISTER = "R"
 
@@ -64,10 +62,6 @@ class RankProfile:
 
     def __len__(self):
         return len(self.ranks)
-
-
-def _all_ones(v: np.ndarray) -> bool:
-    return bool(np.all(v == 1.0))
 
 
 _checked_unitaries: set[bytes] = set()
@@ -224,7 +218,7 @@ class MpsState:
         labels = self.labels[m], self.labels[m + 1]
         self.contract_sites(m)
         self.gammas[m] = np.tensordot(g, self.gammas[m], axes=(1, 1)).transpose(1, 0, 2)
-        self.decompose_site(m, (d_l, d_r), method="svd", labels=labels)
+        self.decompose_site(m, (d_l, d_r), labels=labels)
 
     def swap_sites(self, m: int) -> None:
         """Exchange physical systems and labels of sites m, m+1 (SVD split)."""
@@ -236,7 +230,7 @@ class MpsState:
         self.gammas[m] = np.ascontiguousarray(
             g.reshape(chi_l, d_l, d_r, chi_r).swapaxes(1, 2)
         ).reshape(chi_l, d_r * d_l, chi_r)
-        self.decompose_site(m, (d_r, d_l), method="svd", labels=labels)
+        self.decompose_site(m, (d_r, d_l), labels=labels)
 
     # --------------------------------------------------- contraction/decomposition
 
@@ -255,12 +249,11 @@ class MpsState:
         self.rortho[m : m + 2] = [self.rortho[m] and self.rortho[m + 1]]
         self._retally()
 
-    def decompose_site(self, m, phys_split, method="svd", labels=None) -> None:
-        """Split site m with physical dimension d_l*d_r into two sites.
+    def decompose_site(self, m, phys_split, labels=None) -> None:
+        """Split site m with physical dimension d_l*d_r into two sites by SVD.
 
-        ``svd`` produces the exact Schmidt rank and weights across the new
-        bond; ``trivial`` produces the apparent rank min-of-dims split with
-        all-ones weights.
+        The new bond carries the exact Schmidt rank and weights of the
+        two-site block.
         """
         d_l, d_r = phys_split
         g = self.gammas[m]
@@ -276,46 +269,26 @@ class MpsState:
         lam_l = self.lambdas[m - 1] if m > 0 else None
         lam_r = self.lambdas[m] if m < self.n_bonds else None
 
-        if method == "svd":
-            theta = g
-            if lam_l is not None:
-                theta = theta * lam_l[:, None, None]
-            if lam_r is not None:
-                theta = theta * lam_r[None, None, :]
-            dec = svd_truncated(theta.reshape(chi_l * d_l, d_r * chi_r), self.svd_tol)
-            k = dec.rank
-            g_left = dec.left.reshape(chi_l, d_l, k)
-            g_right = dec.right.reshape(k, d_r, chi_r)
-            if lam_l is not None:
-                g_left = g_left / lam_l[:, None, None]
-            if lam_r is not None:
-                g_right = g_right / lam_r[None, None, :]
-            new_lam = dec.weights
-            # left factor is U up to the divided weights, right factor is V
-            flags = (True, False, False, True)
-        elif method == "trivial":
-            dec = trivial_decompose(g.reshape(chi_l * d_l, d_r * chi_r))
-            k = dec.rank
-            g_left = dec.left.reshape(chi_l, d_l, k)
-            g_right = dec.right.reshape(k, d_r, chi_r)
-            new_lam = np.ones(k)
-            left_is_m = dec.left.shape[0] >= dec.right.shape[1]
-            if left_is_m:
-                # right factor is an exact identity block
-                r_ok = m == self.n_bonds or _all_ones(self.lambdas[m])
-                flags = (False, False, False, r_ok)
-            else:
-                # left factor is an exact identity block
-                l_ok = m == 0 or _all_ones(self.lambdas[m - 1])
-                flags = (l_ok, False, False, False)
-        else:
-            raise ValueError(f"unknown decomposition method {method!r}")
+        theta = g
+        if lam_l is not None:
+            theta = theta * lam_l[:, None, None]
+        if lam_r is not None:
+            theta = theta * lam_r[None, None, :]
+        dec = svd_truncated(theta.reshape(chi_l * d_l, d_r * chi_r), self.svd_tol)
+        k = dec.rank
+        g_left = dec.left.reshape(chi_l, d_l, k)
+        g_right = dec.right.reshape(k, d_r, chi_r)
+        if lam_l is not None:
+            g_left = g_left / lam_l[:, None, None]
+        if lam_r is not None:
+            g_right = g_right / lam_r[None, None, :]
 
         self.gammas[m : m + 1] = [g_left, g_right]
-        self.lambdas.insert(m, new_lam)
+        self.lambdas.insert(m, dec.weights)
         self.labels[m : m + 1] = list(labels)
-        self.lortho[m : m + 1] = [flags[0], flags[2]]
-        self.rortho[m : m + 1] = [flags[1], flags[3]]
+        # left factor is U up to the divided weights, right factor is V
+        self.lortho[m : m + 1] = [True, False]
+        self.rortho[m : m + 1] = [False, True]
         self._retally()
 
     # ------------------------------------------------------------------- sweeps
@@ -324,7 +297,7 @@ class MpsState:
         d_l, d_r = self.gammas[m].shape[1], self.gammas[m + 1].shape[1]
         labels = self.labels[m], self.labels[m + 1]
         self.contract_sites(m)
-        self.decompose_site(m, (d_l, d_r), method="svd", labels=labels)
+        self.decompose_site(m, (d_l, d_r), labels=labels)
 
     def sweep(self, direction: str, bonds=None) -> None:
         """Pairwise contract+SVD pass; establishes orthonormality along the way.
@@ -462,7 +435,12 @@ class MpsState:
     # ------------------------------------------------------- structural editing
 
     def remove_separable_site(self, m: int) -> None:
-        """Delete site m once both flanking bonds have dimension 1."""
+        """Delete site m once both flanking bonds have dimension 1.
+
+        The bond left of m is deleted (the right one at the left end).  Its
+        weight and the site's scalar fold into the neighbour across it; the
+        other flanking bond, if any, keeps its weight.
+        """
         if self.n_sites == 1:
             raise ValueError("cannot remove the only site")
         if (m > 0 and self.lambdas[m - 1].size != 1) or (
@@ -471,67 +449,21 @@ class MpsState:
             raise NotSeparableError(f"site {m} still carries bond dimension > 1")
         g = self.gammas[m]
         scalar = g[0, np.argmax(np.abs(g[0, :, 0])), 0]
-        scale = scalar
-        if m > 0:
-            scale = scale * self.lambdas[m - 1][0]
-        if m < self.n_bonds:
-            scale = scale * self.lambdas[m][0]
+        gone = m - 1 if m > 0 else 0
+        kept = self.lambdas[m][0] if 0 < m < self.n_bonds else 1.0
+        scale = scalar * self.lambdas[gone][0]
         neighbor = m - 1 if m > 0 else 1
         self.gammas[neighbor] = self.gammas[neighbor] * scale
-        if abs(abs(scale) - 1.0) > 1e-12:
+        # the neighbour's weighted form away from m changes by scale, the one
+        # toward m by scalar * kept
+        if abs(abs(scale) - 1.0) > 1e-12 or abs(abs(scalar * kept) - 1.0) > 1e-12:
             self.lortho[neighbor] = False
             self.rortho[neighbor] = False
         del self.gammas[m]
         del self.labels[m]
         del self.lortho[m]
         del self.rortho[m]
-        if m > 0:
-            del self.lambdas[m - 1]
-        else:
-            del self.lambdas[0]
-        self._retally()
-
-    def insert_site(self, pos: int, dim: int, value, label=None) -> None:
-        """Insert a separable pass-through site at position pos.
-
-        The new site carries identity structure on the bond it interrupts;
-        its physical part is a basis vector (``value`` an int), the uniform
-        superposition (``value == 'plus'``), or an explicit unit vector.  The
-        interrupted bond's weights stay on the left of the new site; the new
-        right bond carries ones.
-        """
-        if not 0 <= pos <= self.n_sites:
-            raise IndexError(f"insert position {pos} out of range")
-        if isinstance(value, str):
-            if value != "plus":
-                raise ValueError(f"unknown insertion value {value!r}")
-            vec = np.full(dim, 1.0 / sqrt(dim), dtype=self.dtype)
-        elif isinstance(value, (int, np.integer)):
-            vec = np.zeros(dim, dtype=self.dtype)
-            vec[value] = 1.0
-        else:
-            vec = np.asarray(value, dtype=self.dtype)
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-                raise ValueError("inserted physical vector must have unit norm")
-        if 0 < pos < self.n_sites:
-            chi = self.lambdas[pos - 1].size
-            lam_old_ones = _all_ones(self.lambdas[pos - 1])
-        else:
-            chi = 1
-            lam_old_ones = True
-        g = np.einsum("ab,p->apb", np.eye(chi, dtype=self.dtype), vec)
-        self.gammas.insert(pos, g)
-        self.labels.insert(pos, label)
-        if pos == 0:
-            self.lambdas.insert(0, np.ones(1))
-        else:
-            self.lambdas.insert(pos, np.ones(chi))
-        self.lortho.insert(pos, lam_old_ones if pos > 0 else True)
-        self.rortho.insert(pos, True)
-        if 0 < pos < self.n_sites - 1 and not lam_old_ones:
-            # the interrupted weights stayed left of the new site, so the old
-            # right neighbor's left-weighted form changed
-            self.lortho[pos + 1] = False
+        del self.lambdas[gone]
         self._retally()
 
     # -------------------------------------------------------------- scalar mode

@@ -71,26 +71,36 @@ def dense_modexp_state(instance: SemiprimeInstance, cap: int = DENSE_CAP):
 
 
 def exact_distribution(l: int, r: int, cap: int = DENSE_CAP) -> DistributionTable:
-    """Exact law of the measured value s, by direct summation of the k-series.
+    """Exact law of the measured value s, in closed form.
 
-    Pr(s) is proportional to |sum_k exp(2 pi i k r s / 2^(2l))|^2 with k
-    ranging over the m = floor((2^(2l)-1)/r) + 1 admissible values, and the
-    normalization is exactly 1/(2^(2l) m) by Parseval.
+    With Q = 2^(2l), q = floor(Q/r) and t = Q mod r, the t residue classes
+    x0 < t hold q+1 exponents and the other r-t hold q, so
+
+        Pr(s) = [t F_{q+1}(theta) + (r-t) F_q(theta)] / Q^2,
+        theta = 2 pi (r s mod Q) / Q,
+
+    where F_k(theta) = sin^2(k theta/2) / sin^2(theta/2) is the Fejer kernel
+    and F_k(0) = k^2 (Shor, SIAM J. Comput. 26, 1484 (1997)).
     """
     if l < 1 or r < 1:
         raise ValueError("need l >= 1 and r >= 1")
     big_q = 1 << (2 * l)
     if big_q > cap:
         raise DenseCapError(f"table of {big_q} entries exceeds cap {cap}")
-    m = (big_q - 1) // r + 1
-    k = np.arange(m)
-    probs = np.empty(big_q)
-    chunk = max(1, (1 << 22) // m)
-    for lo in range(0, big_q, chunk):
-        s = np.arange(lo, min(lo + chunk, big_q))
-        phases = np.exp((2j * np.pi * r / big_q) * np.outer(s, k))
-        probs[lo : lo + s.size] = np.abs(phases.sum(axis=1)) ** 2
-    return DistributionTable(probs / (big_q * m))
+    q, t = divmod(big_q, r)
+    u = np.arange(big_q, dtype=np.int64) * (r % big_q) % big_q  # r s mod Q
+    peak = u == 0
+    den = np.sin(np.pi / big_q * u) ** 2
+    den[peak] = 1.0
+
+    def fejer(k: int) -> np.ndarray:
+        # sin^2 has period pi, so k u reduces mod Q exactly before the sine
+        f = np.sin(np.pi / big_q * (k * u % big_q)) ** 2 / den
+        f[peak] = float(k) ** 2
+        return f
+
+    probs = (t * fejer(q + 1) + (r - t) * fejer(q)) / float(big_q) ** 2
+    return DistributionTable(probs)
 
 
 def dense_schmidt_rank(state: StateVector, left_axes, tol: float = 1e-10) -> int:

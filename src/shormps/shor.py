@@ -24,9 +24,9 @@ the first subsequent rise marks the boundary qubit.
 The controlled-U gate itself is never materialized: controlled multiplication
 permutes the residue basis, so each gate copies amplitude blocks under the
 residue map (cost linear in the affected tensor), extending R's residue index
-as new residues appear.  Right-side splits leave behind exact identity
-factors, which keeps that whole side right-orthonormal by construction, so
-measuring R locally only needs the single sweep across the left block.
+as new residues appear.  Both layouts measure R the same way and run no sweep
+first: right after modexp the sites left of R are not left-orthonormal, so
+R's density matrix comes from contracting the closed network.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ class MemoryLimitError(RuntimeError):
         self.needed = needed
         self.limit = limit
 
+    def __reduce__(self):
+        # rebuilt from its fields when a sample worker process raises it
+        return type(self), (self.stage, self.needed, self.limit)
+
 
 class PipelineStateError(RuntimeError):
     """Pipeline stage invoked on a state in the wrong mode or layout."""
@@ -65,28 +69,25 @@ class PipelineStateError(RuntimeError):
 
 # ------------------------------------------------------------------------ gates
 
-def hadamard(complex_mode: bool = False) -> np.ndarray:
-    h = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
-    return h.astype(np.complex128) if complex_mode else h
-
-
-def phase_gate(x: int) -> np.ndarray:
-    """|1> picks up exp(-i pi / 2^x)."""
-    return np.diag([1.0, np.exp(-1j * np.pi / 2.0**x)])
+def hadamard() -> np.ndarray:
+    return np.array(
+        [[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=np.complex128
+    )
 
 
 def controlled_phase(x: int) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, np.exp(-1j * np.pi / 2.0**x)]).astype(np.complex128)
 
 
-def swap_gate(complex_mode: bool = False) -> np.ndarray:
-    s = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
-    return s.astype(np.complex128) if complex_mode else s
+def swap_gate() -> np.ndarray:
+    return np.array(
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
+    )
 
 
 def fused_cphase_swap(x: int) -> np.ndarray:
     """Controlled phase immediately followed by a swap, as one two-site gate."""
-    return swap_gate(True) @ controlled_phase(x)
+    return swap_gate() @ controlled_phase(x)
 
 
 # ------------------------------------------------------------------- structures
@@ -126,15 +127,12 @@ class PipelineConfig:
     layout: str = "dynamic"
     max_elements: int = 1 << 30
     retries: int = 2
-    seed: int | None = None
-    plateau_window: int = 1  # unchanged gates required to flag the plateau
-    statevector_cap: int = 1 << 26
     collect_profiles: bool = True
 
     def __post_init__(self):
         if self.layout not in ("static", "dynamic"):
             raise ValueError(f"unknown layout {self.layout!r}")
-        if self.max_elements <= 0 or self.retries < 0 or self.plateau_window < 1:
+        if self.max_elements <= 0 or self.retries < 0:
             raise ValueError("bad pipeline configuration")
 
 
@@ -186,8 +184,8 @@ def apply_controlled_modexp(
 
     The combined insert/gate/split acts directly on R's tensor: the control-1
     block is R's tensor with its residue axis permuted by the multiplier map,
-    and the trivial split leaves an identity factor behind (on the lower
-    register for left-side gates, on the new qubit for right-side gates).
+    and the split leaves an identity factor behind (on the lower register for
+    left-side gates, on the new qubit for right-side gates).
     """
     mult = mod_pow(instance.a, 1 << i, instance.n)
     rpos = state.position_of(LOWER_REGISTER)
@@ -263,13 +261,13 @@ def run_modexp_dynamic(
 ) -> int:
     """Plateau-detecting layout; returns the measured two-adic exponent.
 
-    Qubits go to the left of R until the rank toward R has stalled and then
-    risen; the first riser is relocated across R with one adjacent swap, and
-    every later qubit is created directly on the right side.
+    Qubits go to the left of R until the rank toward R has stalled (one gate
+    that leaves it unchanged) and then risen; the first riser is relocated
+    across R with one adjacent swap, and every later qubit is created directly
+    on the right side.
     """
     config = config or PipelineConfig(layout="dynamic")
     plateau = False
-    unchanged = 0
     alpha_hat = 0
     right_side = False
     for i in reversed(range(instance.upper_qubits)):
@@ -280,15 +278,12 @@ def run_modexp_dynamic(
         d_before = lower.dim
         apply_controlled_modexp(state, lower, instance, i, "B", config.max_elements)
         if lower.dim == d_before:
-            unchanged += 1
-            plateau = plateau or unchanged >= config.plateau_window
-        else:
-            unchanged = 0
-            if plateau:
-                # rank rose after the plateau: this qubit starts the right block
-                state.swap_sites(state.position_of(LOWER_REGISTER) - 1)
-                right_side = True
-                alpha_hat += 1
+            plateau = True
+        elif plateau:
+            # rank rose after the plateau: this qubit starts the right block
+            state.swap_sites(state.position_of(LOWER_REGISTER) - 1)
+            right_side = True
+            alpha_hat += 1
     return alpha_hat
 
 
@@ -305,18 +300,15 @@ def measure_lower_register(
     state: MpsState,
     lower: LowerRegisterIndex,
     rng=None,
-    layout: str = "dynamic",
     forced_residue: int | None = None,
 ) -> int:
     """Measure R, collapse entanglement outward, and remove the site.
 
-    The dynamic layout sweeps across the left block first so the density
-    matrix can be read locally (the right block is orthonormal by
-    construction); the static layout contracts the full network instead.
+    One path for both layouts: ``measure_qudit`` reads R's density matrix
+    locally when the orthonormality flags allow it and otherwise contracts
+    the closed network, which is the case right after modexp.
     """
     rpos = state.position_of(LOWER_REGISTER)
-    if layout == "dynamic" and rpos > 0:
-        state.sweep("right", range(rpos))
     forced = lower.index[forced_residue] if forced_residue is not None else None
     outcome = state.measure_qudit(rpos, rng, forced=forced)
     residue = lower.residues[outcome]
@@ -353,7 +345,7 @@ def apply_lnn_qft(state: MpsState, rng=None, forced_bits=None) -> list[int]:
         raise PipelineStateError("lower register must be measured and removed first")
     _sort_descending(state)
     bits: list[int] = []
-    h = hadamard(complex_mode=True)
+    h = hadamard()
     while True:
         state.apply_single_qudit_gate(0, h)
         for pos in range(state.n_sites - 1):
@@ -391,7 +383,7 @@ def assemble_s(bits, l: int) -> int:
 
 def _profile(state: MpsState, stage: str) -> RankProfile:
     # post-stage bond dimensions are exact Schmidt ranks for this pipeline:
-    # every split is either rank-revealing or a residue-counting trivial split
+    # every split is either rank-revealing or a residue-counting identity split
     return RankProfile(stage=stage, ranks=state.bond_dims(), layout=tuple(state.labels))
 
 
@@ -442,10 +434,7 @@ def _sample_once(instance, config, rng, lucky, retries_used) -> SampleRecord:
     if config.collect_profiles:
         profiles.append(_profile(state, "modexp"))
 
-    residue = staged(
-        "measure",
-        lambda: measure_lower_register(state, lower, rng, layout=config.layout),
-    )
+    residue = staged("measure", lambda: measure_lower_register(state, lower, rng))
     if config.collect_profiles:
         profiles.append(_profile(state, "measure"))
 

@@ -1,11 +1,10 @@
 """Dense matrix decompositions underlying the tensor-network operations.
 
 Matrices are plain numpy arrays in float64 (real mode) or complex128
-(complex mode); the dtype is the runtime scalar tag.  Two decompositions are
-provided: a rank-revealing SVD whose truncation only drops numerically-zero
-singular values (the simulation is exact, so retained bond dimensions equal
-true Schmidt ranks), and the trivial split of a matrix into itself and an
-identity block.
+(complex mode); the dtype is the runtime scalar tag.  The one decomposition
+is a rank-revealing SVD whose truncation only drops numerically-zero singular
+values (the simulation is exact, so retained bond dimensions equal true
+Schmidt ranks).
 """
 
 from __future__ import annotations
@@ -20,17 +19,21 @@ DEFAULT_SVD_TOL = 1e-12
 
 
 class DecompositionError(RuntimeError):
-    """SVD failed to converge; carries the offending matrix dimensions."""
+    """SVD failed to converge, also on the adjoint; carries the matrix dimensions."""
 
     def __init__(self, rows: int, cols: int):
         super().__init__(f"SVD did not converge on a {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
 
+    def __reduce__(self):
+        # rebuilt from its fields when a sample worker process raises it
+        return type(self), (self.rows, self.cols)
+
 
 @dataclass
 class DecompResult:
-    """Factorization M = left @ diag(weights) @ right (weights empty => M = left @ right)."""
+    """Factorization M = left @ diag(weights) @ right."""
 
     left: np.ndarray
     weights: np.ndarray
@@ -43,12 +46,18 @@ def svd_truncated(m: np.ndarray, tol: float = DEFAULT_SVD_TOL) -> DecompResult:
 
     Column signs are canonicalized (largest-magnitude entry of each left
     singular vector made positive real) so serialized outputs are stable
-    across backends.
+    across backends.  When LAPACK fails to converge on M, the SVD of M^H is
+    taken instead and its factors are mapped back: M^H = U S V^H gives
+    M = V S U^H.
     """
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(*m.shape) from exc
+    except np.linalg.LinAlgError:
+        try:
+            u2, s, vh2 = np.linalg.svd(m.conj().T, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(*m.shape) from exc
+        u, vh = vh2.conj().T, u2.conj().T
     rank = max(1, int(np.sum(s > tol * s[0])))
     u, s, vh = u[:, :rank], s[:rank], vh[:rank]
     # sign canonicalization
@@ -60,21 +69,6 @@ def svd_truncated(m: np.ndarray, tol: float = DEFAULT_SVD_TOL) -> DecompResult:
     return DecompResult(u, s, vh, rank)
 
 
-def trivial_decompose(m: np.ndarray) -> DecompResult:
-    """Split M into (M, I) when it has at least as many rows as columns, else (I, M).
-
-    The apparent rank is min(rows, cols); no rank minimization is performed.
-    """
-    rows, cols = m.shape
-    eye = np.eye(min(rows, cols), dtype=m.dtype)
-    empty = np.empty(0)
-    if rows >= cols:
-        return DecompResult(m, empty, eye, cols)
-    return DecompResult(eye, empty, m, rows)
-
-
 def reconstruct(d: DecompResult) -> np.ndarray:
     """Multiply a decomposition back together (testing aid)."""
-    if d.weights.size:
-        return (d.left * d.weights[None, :]) @ d.right
-    return d.left @ d.right
+    return (d.left * d.weights[None, :]) @ d.right

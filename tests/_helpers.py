@@ -3,7 +3,7 @@
 import numpy as np
 
 from shormps import oracle
-from shormps.mps import LOWER_REGISTER
+from shormps.mps import LOWER_REGISTER, MpsState
 
 
 def mps_as_canonical_dense(state, lower, instance, cap=1 << 26):
@@ -31,3 +31,20 @@ def rank_oracle_for_bond(state, instance, bond):
     return oracle.residue_rank_oracle(
         instance, upper, include_lower=LOWER_REGISTER in left
     )
+
+
+def identity_split_pair(block):
+    """Two-site state from a (d_l, d_r) amplitude block, split as (block, I).
+
+    The bond gets the apparent rank d_r with all-ones weights instead of the
+    Schmidt rank: the left site holds the block itself and is in general not
+    left-orthonormal, while the right site is an identity and so is
+    right-orthonormal.
+    """
+    block = np.asarray(block)
+    d_l, d_r = block.shape
+    identity = np.eye(d_r, dtype=block.dtype).reshape(d_r, d_r, 1)
+    state = MpsState([block.reshape(1, d_l, d_r), identity], [np.ones(d_r)], [0, 1],
+                     np.iscomplexobj(block))
+    state.rortho[1] = True
+    return state

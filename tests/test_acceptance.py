@@ -105,7 +105,7 @@ def test_criterion_5_post_measurement_structure():
     interleaved-measurement transform ends fully separable."""
     inst, state, lower, _ = run_modexp_state(21, 2, "dynamic")
     rng = np.random.default_rng(11)
-    shor.measure_lower_register(state, lower, rng, layout="dynamic")
+    shor.measure_lower_register(state, lower, rng)
     ranks = state.schmidt_ranks("post-measure").ranks
     rpos_gone = LOWER_REGISTER not in state.labels
     a_side_ok = ranks[-1] == 1  # the right-block qubit is separable

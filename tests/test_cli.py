@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shormps import cli
@@ -80,6 +81,41 @@ class TestSample:
         assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "1",
                         "--format", "csv"]) == 2
 
+    def test_svd_failure_exit_code(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", broken)
+        code = run_cli(["sample", "--n", "21", "--a", "2", "--samples", "1"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: SVD did not converge") and err.count("\n") == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, threads",
+        [
+            (["sample", "--n", "21", "--a", "2", "--samples", "0"], None),
+            (["sample", "--n", "21", "--a", "2", "--samples", "-3"], None),
+            (["sample", "--n", "21", "--a", "2", "--samples", "2"], "two"),
+            (["oracle", "--n", "21", "--a", "3"], None),
+        ],
+    )
+    def test_exit_2_with_message(self, argv, threads, monkeypatch, capsys):
+        if threads is not None:
+            monkeypatch.setenv("SHOR_MPS_THREADS", threads)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_oracle_gcd_message_matches_sample(self, capsys):
+        assert run_cli(["sample", "--n", "21", "--a", "3", "--samples", "1"]) == 2
+        from_sample = capsys.readouterr().err
+        assert run_cli(["oracle", "--n", "21", "--a", "3"]) == 2
+        assert capsys.readouterr().err == from_sample
+
 
 class TestVerifyPublished:
     def test_all_rows_pass(self, tmp_path, capsys):
@@ -126,7 +162,7 @@ class TestOracle:
         assert run_cli(["oracle", "--n", "21", "--a", "2", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["l"] == 5 and report["r"] == 6
-        assert report["probs"][0] == pytest.approx(171 / 1024, abs=1e-12)
+        assert report["probs"][0] == pytest.approx(174764 / 1048576, abs=1e-12)
         assert sum(report["probs"]) == pytest.approx(1.0, abs=1e-10)
 
     def test_explicit_l_with_instance(self, tmp_path):
@@ -134,7 +170,7 @@ class TestOracle:
         assert run_cli(["oracle", "--l", "5", "--n", "21", "--a", "2",
                         "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["l"] == 5 and report["probs"][0] == pytest.approx(171 / 1024)
+        assert report["l"] == 5 and report["probs"][0] == pytest.approx(174764 / 1048576)
 
     def test_comb_csv(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -164,6 +200,12 @@ class TestParallelSampling:
                 del rec["stage_seconds"]
             reports.append(report)
         assert reports[0] == reports[1]
+
+    def test_worker_pool_memory_limit_exit_code(self, monkeypatch):
+        monkeypatch.setenv("SHOR_MPS_THREADS", "2")
+        code = run_cli(["sample", "--n", "21", "--a", "2", "--samples", "2",
+                        "--seed", "0", "--max-elements", "10", "--retries", "0"])
+        assert code == 3
 
 
 class TestConsoleEntry:

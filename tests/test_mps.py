@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _helpers import identity_split_pair
 
 from shormps.mps import (
     MpsState,
@@ -125,26 +126,24 @@ class TestContractDecompose:
     def test_decompose_bell_site(self):
         g = np.array([SQ2, 0, 0, SQ2]).reshape(1, 4, 1)
         state = MpsState([g], [], ["bell"])
-        state.decompose_site(0, (2, 2), method="svd", labels=(0, 1))
+        state.decompose_site(0, (2, 2), labels=(0, 1))
         assert state.bond_dims() == (2,)
         np.testing.assert_allclose(state.lambdas[0], [SQ2, SQ2], atol=1e-12)
 
     def test_decompose_product_site_rank_one(self):
         state = MpsState.product_state((4,), (1,), labels=["m"])  # |0> x |1>
-        state.decompose_site(0, (2, 2), method="svd", labels=(0, 1))
+        state.decompose_site(0, (2, 2), labels=(0, 1))
         assert state.bond_dims() == (1,)
 
     def test_round_trip_preserves_contraction(self, rng):
         state, amps = random_circuit_state(rng, n=4)
         ref = state.to_state_vector()
         state.contract_sites(1)
-        state.decompose_site(1, (2, 2), method="svd", labels=(1, 2))
+        state.decompose_site(1, (2, 2), labels=(1, 2))
         np.testing.assert_allclose(state.to_state_vector(), ref, atol=1e-12)
 
     def test_trivial_split_apparent_rank(self):
-        state = MpsState.product_state((2, 2), (0, 0))
-        state.contract_sites(0)
-        state.decompose_site(0, (2, 2), method="trivial", labels=(0, 1))
+        state = identity_split_pair([[1.0, 0.0], [0.0, 0.0]])  # |00>
         assert state.bond_dims() == (2,)  # apparent, not minimized
         np.testing.assert_array_equal(state.to_state_vector(), [1, 0, 0, 0])
 
@@ -251,10 +250,8 @@ class TestDensityMatrices:
         np.testing.assert_allclose(state.reduced_density_local(0), np.eye(2) / 2, atol=1e-12)
 
     def test_local_requires_canonical(self):
-        g = np.array([SQ2, 0, 0, SQ2]).reshape(1, 4, 1)
-        state = MpsState([g], [], ["bell"])
-        state.decompose_site(0, (2, 2), method="trivial", labels=(0, 1))
-        # the trivial split leaves the left factor non-orthonormal
+        state = identity_split_pair(np.diag([SQ2, SQ2]))  # Bell pair
+        # the identity split leaves the left factor non-orthonormal
         with pytest.raises(NotCanonicalError):
             state.reduced_density_local(1)
         # ... but the identity right factor still licenses the left site
@@ -293,17 +290,13 @@ class TestSweep:
         assert state.bond_dims() == (1, 1)
 
     def test_inflated_bond_restored(self):
-        state = MpsState.product_state((2, 2), (0, 0))
-        state.contract_sites(0)
-        state.decompose_site(0, (2, 2), method="trivial", labels=(0, 1))
+        state = identity_split_pair([[1.0, 0.0], [0.0, 0.0]])  # |00>
         assert state.bond_dims() == (2,)
         state.canonicalize()
         assert state.bond_dims() == (1,)
 
     def test_bell_trivial_then_sweep_keeps_two(self):
-        state = bell_pair()
-        state.contract_sites(0)
-        state.decompose_site(0, (2, 2), method="trivial", labels=(0, 1))
+        state = identity_split_pair(np.diag([SQ2, SQ2]))  # Bell pair
         state.canonicalize()
         assert state.bond_dims() == (2,)
 
@@ -393,28 +386,18 @@ class TestStructuralEdits:
         got = state.to_state_vector()
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
-    def test_insert_plus_at_edge(self):
-        state = MpsState.product_state((2, 2), (0, 1))
-        state.insert_site(2, 2, "plus", label="new")
-        assert state.bond_dims() == (1, 1)
-        np.testing.assert_allclose(state.gammas[2].ravel(), [SQ2, SQ2], atol=1e-15)
-
-    def test_insert_inside_bell(self):
-        state = bell_pair()
-        state.insert_site(1, 2, 0, label="mid")
-        assert state.bond_dims() == (2, 2)
-        # pre-existing systems unchanged: contract out the inserted |0>
-        vec = state.to_state_vector().reshape(2, 2, 2)[:, 0, :].ravel()
-        np.testing.assert_allclose(vec, [SQ2, 0, 0, SQ2], atol=1e-12)
-
-    def test_insert_project_remove_restores(self, rng):
-        # mid-chain pass-throughs keep routing entanglement, so use the edge
-        state, _ = random_circuit_state(rng, n=3)
-        ref = state.to_state_vector()
-        state.insert_site(3, 2, "plus", label="tmp")
-        state.measure_qudit(3, forced=0)
-        state.remove_separable_site(3)
-        np.testing.assert_allclose(state.to_state_vector(), ref, atol=1e-10)
+    def test_remove_middle_site_keeps_kept_bond_weight(self):
+        # a middle site whose right bond weight is not 1: that weight stays on
+        # the bond, so only the deleted bond's weight may fold into the neighbour
+        state = MpsState.product_state((2, 2, 2), (0, 1, 0))
+        state.lambdas[1] = np.array([2.0])
+        state.gammas[2] = state.gammas[2] / 2
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        expected = state.to_state_vector().reshape(2, 2, 2)[:, 1, :].ravel()
+        state.remove_separable_site(1)
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(state.to_state_vector(), expected, atol=1e-12)
+        state.check_consistent()
 
 
 class TestScalarMode:
@@ -488,7 +471,7 @@ class TestNormInvariant:
         assert abs(state.norm() - 1) < 1e-10
         state.contract_sites(0)
         assert abs(state.norm() - 1) < 1e-10
-        state.decompose_site(0, (2, 2), method="svd", labels=(0, 1))
+        state.decompose_site(0, (2, 2), labels=(0, 1))
         assert abs(state.norm() - 1) < 1e-10
         state.sweep("right")
         state.sweep("left")
@@ -503,8 +486,10 @@ class TestAccountant:
         assert state.elements_live == 4
         state.contract_sites(0)
         assert state.elements_live == 4
-        state.decompose_site(0, (2, 2), method="trivial", labels=(0, 1))
+        state = identity_split_pair([[1.0, 0.0], [0.0, 0.0]])
         assert state.elements_live == 2 * 2 + 2 * 2
+        state.contract_sites(0)
+        assert state.elements_live == 4
         assert state.elements_peak >= 8
 
     def test_peak_window_reset(self):

@@ -10,8 +10,21 @@ from shormps.numtheory import SemiprimeInstance
 class TestExactDistribution:
     def test_l5_r6_peak_at_zero(self):
         table = oracle.exact_distribution(5, 6)
-        # 171 admissible k terms, Parseval normalization
-        assert table.probs[0] == pytest.approx(171 / 1024, abs=1e-12)
+        # Q = 1024 = 170 * 6 + 4: four residue classes of 171 terms, two of 170
+        assert table.probs[0] == pytest.approx(174764 / 1048576, abs=1e-12)
+
+    @pytest.mark.parametrize("l, r", [(4, 4), (5, 6), (5, 7), (6, 10)])
+    def test_matches_brute_force_dft(self, l, r):
+        # measuring the residue picks class x0 with weight m/Q; each class is
+        # an evenly spaced comb whose DFT gives Pr(s | x0)
+        big_q = 1 << (2 * l)
+        want = np.zeros(big_q)
+        for x0 in range(r):
+            comb = np.zeros(big_q)
+            comb[x0::r] = 1.0
+            want += np.abs(np.fft.fft(comb)) ** 2
+        want /= float(big_q) ** 2
+        np.testing.assert_allclose(oracle.exact_distribution(l, r).probs, want, atol=1e-13)
 
     def test_comb_when_r_divides(self):
         table = oracle.exact_distribution(4, 4)

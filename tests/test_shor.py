@@ -22,15 +22,16 @@ def run_layout(instance, layout, max_elements=1 << 30):
 
 class TestGates:
     def test_phase_gate_action(self):
-        state = MpsState.product_state((2,), (1,), complex_mode=True)
-        state.apply_single_qudit_gate(0, shor.phase_gate(1))
+        # only |11> picks up exp(-i pi / 2^x)
+        state = MpsState.product_state((2, 2), (1, 1), complex_mode=True)
+        state.apply_two_site_gate(0, shor.controlled_phase(1))
         np.testing.assert_allclose(
-            state.to_state_vector(), [0, np.exp(-1j * np.pi / 2)], atol=1e-15
+            state.to_state_vector(), [0, 0, 0, np.exp(-1j * np.pi / 2)], atol=1e-15
         )
 
     def test_fused_gate_is_cphase_then_swap(self):
         fused = shor.fused_cphase_swap(2)
-        seq = shor.swap_gate(True) @ shor.controlled_phase(2)
+        seq = shor.swap_gate() @ shor.controlled_phase(2)
         np.testing.assert_array_equal(fused, seq)
         # acts like controlled phase up to qubit relabeling
         amp = fused @ np.array([0, 0, 0, 1], dtype=complex)
@@ -169,7 +170,7 @@ class TestMeasureLowerRegister:
     def test_dynamic_post_measurement_structure(self, rng):
         inst = fresh(21, 2)
         state, lower, _ = run_layout(inst, "dynamic")
-        residue = shor.measure_lower_register(state, lower, rng, layout="dynamic")
+        residue = shor.measure_lower_register(state, lower, rng)
         assert residue in {1, 2, 4, 8, 16, 11}
         assert LOWER_REGISTER not in state.labels
         ranks = state.schmidt_ranks("after-measure").ranks
@@ -179,17 +180,28 @@ class TestMeasureLowerRegister:
     def test_static_measurement_agrees(self, rng):
         inst = fresh(21, 2)
         state, lower, _ = run_layout(inst, "static")
-        residue = shor.measure_lower_register(state, lower, rng, layout="static")
+        residue = shor.measure_lower_register(state, lower, rng)
         assert residue in {1, 2, 4, 8, 16, 11}
         assert max(state.schmidt_ranks("after-measure").ranks) == 3
 
     def test_forced_residue(self, rng):
         inst = fresh(21, 2)
         state, lower, _ = run_layout(inst, "dynamic")
-        residue = shor.measure_lower_register(
-            state, lower, rng, layout="dynamic", forced_residue=11
-        )
+        residue = shor.measure_lower_register(state, lower, rng, forced_residue=11)
         assert residue == 11
+
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    @pytest.mark.parametrize("n, a", [(21, 2), (247, 2)])
+    def test_post_measure_bonds_are_schmidt_ranks(self, n, a, layout):
+        inst = fresh(n, a)
+        base, lower, _ = run_layout(inst, layout)
+        for residue in lower.residues:
+            state = base.copy()
+            got = shor.measure_lower_register(state, lower, forced_residue=residue)
+            assert got == residue
+            assert LOWER_REGISTER not in state.labels
+            assert state.bond_dims() == state.schmidt_ranks("measure").ranks
+            assert abs(state.norm() - 1.0) < 1e-10
 
 
 class TestLnnQft:
@@ -211,7 +223,7 @@ class TestLnnQft:
         for _ in range(40):
             state = MpsState.product_state((2, 2), (0, 0), labels=[1, 0],
                                            complex_mode=True)
-            state.apply_single_qudit_gate(0, shor.hadamard(True))
+            state.apply_single_qudit_gate(0, shor.hadamard())
             bits = shor.apply_lnn_qft(state, rng)
             s = shor.assemble_s(bits, 1)
             assert s in (0, 2)

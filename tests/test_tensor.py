@@ -1,9 +1,9 @@
 """Decomposition layer: reconstruction, rank revelation, orthonormality."""
 
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from shormps import tensor
 
@@ -55,36 +55,41 @@ class TestSvdTruncated:
         assert np.all(d.left[lead, np.arange(d.rank)].real > 0)
 
 
-class TestTrivialDecompose:
-    def test_tall(self, rng):
-        m = rng.standard_normal((4, 2))
-        d = tensor.trivial_decompose(m)
-        assert d.rank == 2 and d.weights.size == 0
-        np.testing.assert_array_equal(d.left, m)
-        np.testing.assert_array_equal(d.right, np.eye(2))
+class TestSvdRetry:
+    """LAPACK non-convergence: one retry on the adjoint, then DecompositionError."""
 
-    def test_wide(self, rng):
-        m = rng.standard_normal((2, 4))
-        d = tensor.trivial_decompose(m)
-        assert d.rank == 2
-        np.testing.assert_array_equal(d.left, np.eye(2))
-        np.testing.assert_array_equal(d.right, m)
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)])
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_retry_on_adjoint_reconstructs(self, rng, monkeypatch, shape, complex_mode):
+        svd = np.linalg.svd
+        calls = []
 
-    def test_square_tie_keeps_left(self, rng):
-        m = rng.standard_normal((3, 3))
-        d = tensor.trivial_decompose(m)
-        np.testing.assert_array_equal(d.left, m)
-        np.testing.assert_array_equal(d.right, np.eye(3))
+        def flaky(a, *args, **kwargs):
+            calls.append(a.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
 
-    @settings(max_examples=40)
-    @given(st.integers(1, 12), st.integers(1, 12))
-    def test_exact_reconstruction_and_rank_bound(self, rows, cols):
-        rng = np.random.default_rng(rows * 100 + cols)
-        m = rng.standard_normal((rows, cols))
-        d = tensor.trivial_decompose(m)
-        err = np.linalg.norm(tensor.reconstruct(d) - m)
-        assert err <= 1e-14 * max(1.0, np.linalg.norm(m))
-        assert d.rank >= tensor.svd_truncated(m + 0).rank if np.linalg.norm(m) else True
+        m = random_matrix(rng, *shape, complex_mode)
+        monkeypatch.setattr(tensor.np.linalg, "svd", flaky)
+        d = tensor.svd_truncated(m)
+        assert calls == [shape, shape[::-1]]
+        np.testing.assert_allclose(tensor.reconstruct(d), m, atol=1e-12)
+        np.testing.assert_allclose(d.left.conj().T @ d.left, np.eye(d.rank), atol=1e-12)
+        lead = np.abs(d.left).argmax(axis=0)
+        assert np.all(d.left[lead, np.arange(d.rank)].real > 0)
+
+    def test_both_attempts_fail(self, rng, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(tensor.np.linalg, "svd", broken)
+        with pytest.raises(tensor.DecompositionError) as err:
+            tensor.svd_truncated(random_matrix(rng, 3, 4, False))
+        assert (err.value.rows, err.value.cols) == (3, 4)
+        # a sample worker process hands the error back pickled
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (copy.rows, copy.cols, str(copy)) == (3, 4, str(err.value))
 
 
 class TestDensePlumbing:

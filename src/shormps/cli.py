@@ -226,19 +226,21 @@ def cmd_sample(args) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_INVALID
+    layouts = ["static", "dynamic"] if args.layout == "both" else [args.layout]
     try:
         inst, lucky = _instance_from_args(args)
+        configs = {
+            layout: PipelineConfig(layout=layout, max_elements=args.max_elements,
+                                   retries=args.retries)
+            for layout in layouts
+        }
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    layouts = ["static", "dynamic"] if args.layout == "both" else [args.layout]
     started = perf_counter()
     per_layout = {}
     try:
-        for layout in layouts:
-            cfg = PipelineConfig(
-                layout=layout, max_elements=args.max_elements, retries=args.retries
-            )
+        for layout, cfg in configs.items():
             records = _run_samples(inst, cfg, args.seed, args.samples, workers)
             per_layout[layout] = {
                 "records": records,
@@ -308,18 +310,19 @@ def cmd_profile(args) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_INVALID
+    layouts = ["static", "dynamic"] if args.layout == "both" else [args.layout]
     try:
         inst, _ = _instance_from_args(args)
+        configs = {layout: PipelineConfig(layout=layout, max_elements=args.max_elements)
+                   for layout in layouts}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    layouts = ["static", "dynamic"] if args.layout == "both" else [args.layout]
     profiles: list[tuple[str, RankProfile]] = []
     elements = {}
     try:
-        for layout in layouts:
+        for layout, cfg in configs.items():
             state, lower = build_initial(inst)
-            cfg = PipelineConfig(layout=layout, max_elements=args.max_elements)
             run_modexp(state, lower, inst, cfg)
             profiles.append(
                 (layout, RankProfile("modexp", state.bond_dims(), tuple(state.labels)))

@@ -64,19 +64,10 @@ class RankProfile:
         return len(self.ranks)
 
 
-_checked_unitaries: set[bytes] = set()
-
-
 def _require_unitary(g: np.ndarray, tol: float = 1e-10) -> None:
-    key = g.dtype.str.encode() + str(g.shape).encode() + g.tobytes()
-    if key in _checked_unitaries:
-        return
     d = g.shape[0]
     if g.shape != (d, d) or not np.allclose(g.conj().T @ g, np.eye(d), atol=tol):
         raise ValueError("gate is not unitary within tolerance")
-    if len(_checked_unitaries) > 4096:
-        _checked_unitaries.clear()
-    _checked_unitaries.add(key)
 
 
 class MpsState:

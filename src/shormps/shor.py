@@ -27,6 +27,11 @@ residue map (cost linear in the affected tensor), extending R's residue index
 as new residues appear.  Both layouts measure R the same way and run no sweep
 first: right after modexp the sites left of R are not left-orthonormal, so
 R's density matrix comes from contracting the closed network.
+
+The Fourier transform is semiclassical: the most significant remaining qubit
+sits at an end of the chain, its controlled phases from the qubits already
+measured collapse into one single-site phase ahead of its Hadamard, and it is
+measured as soon as that phase is known.  No two-site gate runs after modexp.
 """
 
 from __future__ import annotations
@@ -75,21 +80,6 @@ def hadamard() -> np.ndarray:
     )
 
 
-def controlled_phase(x: int) -> np.ndarray:
-    return np.diag([1.0, 1.0, 1.0, np.exp(-1j * np.pi / 2.0**x)]).astype(np.complex128)
-
-
-def swap_gate() -> np.ndarray:
-    return np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-    )
-
-
-def fused_cphase_swap(x: int) -> np.ndarray:
-    """Controlled phase immediately followed by a swap, as one two-site gate."""
-    return swap_gate() @ controlled_phase(x)
-
-
 # ------------------------------------------------------------------- structures
 
 class LowerRegisterIndex:
@@ -132,8 +122,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.layout not in ("static", "dynamic"):
             raise ValueError(f"unknown layout {self.layout!r}")
-        if self.max_elements <= 0 or self.retries < 0:
-            raise ValueError("bad pipeline configuration")
+        if self.max_elements <= 0:
+            raise ValueError(f"max_elements must be positive, got {self.max_elements}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be non-negative, got {self.retries}")
 
 
 @dataclass
@@ -166,10 +158,10 @@ def build_initial(instance: SemiprimeInstance) -> tuple[MpsState, LowerRegisterI
     return state, LowerRegisterIndex()
 
 
-def _guard(state: MpsState, delta: int, limit: int) -> None:
+def _guard(stage: str, state: MpsState, delta: int, limit: int) -> None:
     needed = state.elements_live + delta
     if needed > limit:
-        raise MemoryLimitError("modexp", needed, limit)
+        raise MemoryLimitError(stage, needed, limit)
 
 
 def apply_controlled_modexp(
@@ -198,8 +190,8 @@ def apply_controlled_modexp(
             raise PipelineStateError("left-side gate requires R at the right end")
         perm = lower.extend(mult, instance.n)
         d_new = lower.dim
-        _guard(state, unit * (2 * chi_l * d_new + d_new * d_new - gamma_r.size),
-               max_elements)
+        _guard("modexp", state,
+               unit * (2 * chi_l * d_new + d_new * d_new - gamma_r.size), max_elements)
         q = np.zeros((chi_l, 2, d_new), dtype=gamma_r.dtype)
         q[:, 0, :d_old] = gamma_r[:, :, 0] * SQRT_HALF
         q[:, 1, perm] = gamma_r[:, :, 0] * SQRT_HALF
@@ -218,6 +210,7 @@ def apply_controlled_modexp(
         d_new = lower.dim
         lam_r = state.lambdas[rpos]
         _guard(
+            "modexp",
             state,
             unit * (chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r - gamma_r.size),
             max_elements,
@@ -318,49 +311,38 @@ def measure_lower_register(
 
 # ------------------------------------------------------------------------- QFT
 
-def _sort_descending(state: MpsState) -> None:
-    """Adjacent-swap sort so qubit significance decreases left to right."""
-    n = state.n_sites
-    done = False
-    while not done:
-        done = True
-        for m in range(n - 1):
-            if state.labels[m] < state.labels[m + 1]:
-                state.swap_sites(m)
-                done = False
-
-
 def apply_lnn_qft(state: MpsState, rng=None, forced_bits=None) -> list[int]:
-    """Nearest-neighbour Fourier transform with measurement interleaving.
+    """Semiclassical Fourier transform: one single-site gate per qubit.
 
-    Each block Hadamards the most significant remaining qubit and cascades it
-    rightward with fused controlled-phase + swap gates (phase exponent equal
-    to the significance gap); the qubit is then measured immediately, swept,
-    and dropped.  Returns the bits in measurement order; the final state is
-    completely separable.
+    The most significant remaining qubit j must be an end site of the chain,
+    as it is in both layouts.  Its controlled phases with the qubits k > j act
+    after their measurement, so they reduce to the classically controlled
+    single-qubit phase diag(1, exp(-i pi sum_k b_k / 2^(k-j))) ahead of its
+    Hadamard (Griffiths & Niu, PRL 76, 3228 (1996)).  The qubit is measured as
+    soon as that gate is applied, then dropped.  Returns the bits in
+    measurement order; the final state is a single separable site.
     """
     if not state.complex_mode:
         raise PipelineStateError("QFT stage requires complex scalars; promote first")
     if LOWER_REGISTER in state.labels:
         raise PipelineStateError("lower register must be measured and removed first")
-    _sort_descending(state)
-    bits: list[int] = []
     h = hadamard()
+    measured: list[int] = []
+    bits: list[int] = []
     while True:
-        state.apply_single_qudit_gate(0, h)
-        for pos in range(state.n_sites - 1):
-            x = state.labels[pos] - state.labels[pos + 1]
-            state.apply_two_site_gate(pos, fused_cphase_swap(x))
-            state.labels[pos], state.labels[pos + 1] = (
-                state.labels[pos + 1],
-                state.labels[pos],
-            )
-        last = state.n_sites - 1
+        j = max(state.labels)
+        m = state.position_of(j)
+        if m not in (0, state.n_sites - 1):
+            # a measured middle site stays entangled through both of its bonds
+            raise PipelineStateError(f"qubit {j} is not at an end of the chain")
+        phase = sum(b / 2.0 ** (k - j) for k, b in zip(measured, bits))
+        state.apply_single_qudit_gate(m, h @ np.diag([1.0, np.exp(-1j * np.pi * phase)]))
         forced = forced_bits[len(bits)] if forced_bits is not None else None
-        bits.append(state.measure_qudit(last, rng, forced=forced))
+        bits.append(state.measure_qudit(m, rng, forced=forced))
+        measured.append(j)
         if state.n_sites == 1:
             return bits
-        state.remove_separable_site(last)
+        state.remove_separable_site(m)
 
 
 def assemble_s(bits, l: int) -> int:
@@ -439,6 +421,8 @@ def _sample_once(instance, config, rng, lucky, retries_used) -> SampleRecord:
         profiles.append(_profile(state, "measure"))
 
     def qft():
+        # promotion doubles the tally; the transform's gates and collapses grow no bond
+        _guard("qft", state, state.elements_live, config.max_elements)
         state.promote_to_complex()
         return apply_lnn_qft(state, rng)
 

@@ -77,6 +77,17 @@ class TestSample:
                         "--seed", "0", "--max-elements", "10", "--retries", "0"])
         assert code == 3
 
+    def test_memory_limit_bounds_qft(self, tmp_path, capsys):
+        # modexp peaks at 214 elements; promoting the post-measure state needs 248
+        argv = ["sample", "--n", "21", "--a", "2", "--layout", "dynamic", "--samples",
+                "5", "--seed", "0", "--retries", "0", "--max-elements"]
+        assert run_cli(argv + ["230"]) == 3
+        assert capsys.readouterr().err.startswith("error: qft: ")
+        out = tmp_path / "r.json"
+        assert run_cli(argv + ["248", "--out", str(out)]) == 0
+        aggregate = json.loads(out.read_text())["layouts"]["dynamic"]["aggregate"]
+        assert max(aggregate["peak_elements_per_stage"].values()) <= 248
+
     def test_csv_rejected_for_sample(self):
         assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "1",
                         "--format", "csv"]) == 2
@@ -100,6 +111,9 @@ class TestBadInput:
             (["sample", "--n", "21", "--a", "2", "--samples", "-3"], None),
             (["sample", "--n", "21", "--a", "2", "--samples", "2"], "two"),
             (["oracle", "--n", "21", "--a", "3"], None),
+            (["sample", "--n", "21", "--a", "2", "--retries", "-1"], None),
+            (["sample", "--n", "21", "--a", "2", "--max-elements", "0"], None),
+            (["profile", "--n", "21", "--a", "2", "--max-elements", "0"], None),
         ],
     )
     def test_exit_2_with_message(self, argv, threads, monkeypatch, capsys):

@@ -1,8 +1,10 @@
-"""Pipeline stages: modexp layouts, plateau detection, measurement, LNN QFT."""
+"""Pipeline stages: modexp layouts, plateau detection, measurement, and the
+semiclassical QFT, which measures each qubit as soon as its phase is known."""
 
 import numpy as np
 import pytest
 from _helpers import mps_as_canonical_dense, rank_oracle_for_bond
+from test_mps import random_circuit_state
 
 from shormps import oracle, shor
 from shormps.mps import LOWER_REGISTER, MpsState
@@ -18,24 +20,6 @@ def run_layout(instance, layout, max_elements=1 << 30):
     cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
     alpha_hat = shor.run_modexp(state, lower, instance, cfg)
     return state, lower, alpha_hat
-
-
-class TestGates:
-    def test_phase_gate_action(self):
-        # only |11> picks up exp(-i pi / 2^x)
-        state = MpsState.product_state((2, 2), (1, 1), complex_mode=True)
-        state.apply_two_site_gate(0, shor.controlled_phase(1))
-        np.testing.assert_allclose(
-            state.to_state_vector(), [0, 0, 0, np.exp(-1j * np.pi / 2)], atol=1e-15
-        )
-
-    def test_fused_gate_is_cphase_then_swap(self):
-        fused = shor.fused_cphase_swap(2)
-        seq = shor.swap_gate() @ shor.controlled_phase(2)
-        np.testing.assert_array_equal(fused, seq)
-        # acts like controlled phase up to qubit relabeling
-        amp = fused @ np.array([0, 0, 0, 1], dtype=complex)
-        assert amp[3] == pytest.approx(np.exp(-1j * np.pi / 4))
 
 
 class TestBuildInitial:
@@ -210,6 +194,12 @@ class TestLnnQft:
         with pytest.raises(shor.PipelineStateError):
             shor.apply_lnn_qft(state, rng)
 
+    def test_requires_leading_qubit_at_an_end(self, rng):
+        state = MpsState.product_state((2,) * 3, (0,) * 3, labels=[0, 2, 1],
+                                       complex_mode=True)
+        with pytest.raises(shor.PipelineStateError):
+            shor.apply_lnn_qft(state, rng)
+
     def test_zero_register_fully_separable(self, rng):
         state = MpsState.product_state((2,) * 4, (0,) * 4, labels=[3, 2, 1, 0],
                                        complex_mode=True)
@@ -235,6 +225,35 @@ class TestLnnQft:
                                        complex_mode=True)
         bits = shor.apply_lnn_qft(state, forced_bits=[1, 0, 1, 1])
         assert bits == [1, 0, 1, 1]
+
+    def test_phase_sign_on_complex_input(self):
+        # Shor's post-measure states are real, so only a complex input pins the
+        # sign: Pr(s) = |sum_x psi(x) exp(-2 pi i x s / 8)|^2 / 8
+        state, _ = random_circuit_state(np.random.default_rng(5), n=3)
+        state.labels = [2, 1, 0]
+        x = np.arange(8)
+        law = np.abs(np.exp(-2j * np.pi * np.outer(x, x) / 8) @ state.to_state_vector())
+        law = law**2 / 8
+        rng = np.random.default_rng(6)
+        draws = 4000
+        counts = np.zeros(8)
+        for _ in range(draws):
+            bits = shor.apply_lnn_qft(state.copy(), rng)
+            counts[sum(b << k for k, b in enumerate(bits))] += 1
+        assert 0.5 * np.abs(counts / draws - law).sum() < 0.06
+
+    def test_no_two_site_operation_after_modexp(self, rng, monkeypatch):
+        inst = fresh(21, 2)
+        state, lower, _ = run_layout(inst, "dynamic")
+
+        def banned(*args):
+            raise AssertionError("two-site operation after modexp")
+
+        monkeypatch.setattr(MpsState, "apply_two_site_gate", banned)
+        monkeypatch.setattr(MpsState, "swap_sites", banned)
+        shor.measure_lower_register(state, lower, rng)
+        state.promote_to_complex()
+        assert len(shor.apply_lnn_qft(state, rng)) == 2 * inst.l
 
 
 class TestAssembleS:

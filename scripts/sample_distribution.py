@@ -19,7 +19,7 @@ def main() -> None:
     args = ap.parse_args()
 
     inst = SemiprimeInstance.make(args.n, args.a)
-    cfg = shor.PipelineConfig(layout=args.layout, collect_profiles=False)
+    cfg = shor.PipelineConfig(layout=args.layout)
     counts = np.zeros(1 << (2 * inst.l))
     wins = 0
     for k in range(args.samples):

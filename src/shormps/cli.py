@@ -173,8 +173,10 @@ def _one_sample(packed):
 def _run_samples(inst, cfg, seed, count, workers) -> list[dict]:
     jobs = [(inst, cfg, seed + k) for k in range(count)]
     if workers > 1 and count > 1:
+        # about four chunks per worker, so a short run still spreads out
+        chunk = -(-count // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_one_sample, jobs, chunksize=16))
+            return list(pool.map(_one_sample, jobs, chunksize=chunk))
     return [_one_sample(j) for j in jobs]
 
 

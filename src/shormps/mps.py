@@ -41,7 +41,7 @@ class NotCanonicalError(RuntimeError):
 
 
 class NotSeparableError(RuntimeError):
-    """Site removal requested while a flanking bond has dimension > 1."""
+    """Site removal requested while the site holds more than one basis value."""
 
 
 class NormalizationError(RuntimeError):
@@ -379,12 +379,13 @@ class MpsState:
     # -------------------------------------------------------------- measurement
 
     def measure_qudit(self, m: int, rng=None, forced: int | None = None) -> int:
-        """Sample (or force) site m, project, renormalize, and collapse outward.
+        """Sample (or force) site m, project onto the outcome, and renormalize.
 
         Probabilities come from the diagonal of the reduced density matrix;
         tiny negative entries within the floating-point floor are clamped to
-        zero before sampling.  The site keeps its physical dimension, holding
-        a one-hot vector, until explicitly removed.
+        zero before sampling.  No bond is touched: the site keeps its physical
+        dimension, holding a single nonzero slice, until removed, and stored
+        bond dimensions may exceed the Schmidt ranks until a sweep.
         """
         rho = self.reduced_density(m)
         probs = np.real(np.diag(rho)).copy()
@@ -410,50 +411,35 @@ class MpsState:
         self.lortho[m] = False
         self.rortho[m] = False
         self._retally()
-        # propagate the collapse outward, stopping where ranks stop changing
-        for k in range(m, self.n_bonds):
-            before = self.lambdas[k].size
-            self._resvd_bond(k)
-            if self.lambdas[k].size == before:
-                break
-        for k in range(m - 1, -1, -1):
-            before = self.lambdas[k].size
-            self._resvd_bond(k)
-            if self.lambdas[k].size == before:
-                break
         return outcome
 
     # ------------------------------------------------------- structural editing
 
     def remove_separable_site(self, m: int) -> None:
-        """Delete site m once both flanking bonds have dimension 1.
+        """Delete site m, which holds a single basis value, at any bond dimension.
 
-        The bond left of m is deleted (the right one at the left end).  Its
-        weight and the site's scalar fold into the neighbour across it; the
-        other flanking bond, if any, keeps its weight.
+        The site's slice at that value, times the weight of the bond toward
+        the neighbour, is contracted into the left neighbour (the right one at
+        the left end), and that bond goes.  The other flanking bond, if any,
+        keeps its weight.
         """
         if self.n_sites == 1:
             raise ValueError("cannot remove the only site")
-        if (m > 0 and self.lambdas[m - 1].size != 1) or (
-            m < self.n_bonds and self.lambdas[m].size != 1
-        ):
-            raise NotSeparableError(f"site {m} still carries bond dimension > 1")
         g = self.gammas[m]
-        scalar = g[0, np.argmax(np.abs(g[0, :, 0])), 0]
-        gone = m - 1 if m > 0 else 0
-        kept = self.lambdas[m][0] if 0 < m < self.n_bonds else 1.0
-        scale = scalar * self.lambdas[gone][0]
+        held = np.flatnonzero(np.any(g != 0, axis=(0, 2)))
+        if held.size != 1:
+            raise NotSeparableError(f"site {m} holds {held.size} basis values, not one")
+        piece = g[:, held[0], :]
         neighbor = m - 1 if m > 0 else 1
-        self.gammas[neighbor] = self.gammas[neighbor] * scale
-        # the neighbour's weighted form away from m changes by scale, the one
-        # toward m by scalar * kept
-        if abs(abs(scale) - 1.0) > 1e-12 or abs(abs(scalar * kept) - 1.0) > 1e-12:
-            self.lortho[neighbor] = False
-            self.rortho[neighbor] = False
-        del self.gammas[m]
-        del self.labels[m]
-        del self.lortho[m]
-        del self.rortho[m]
+        gone = min(m, neighbor)  # the bond between site m and its neighbour
+        lam = self.lambdas[gone]
+        if m > 0:
+            merged = np.tensordot(self.gammas[neighbor], lam[:, None] * piece, axes=(2, 0))
+        else:
+            merged = np.tensordot(piece * lam[None, :], self.gammas[neighbor], axes=(1, 0))
+        self.gammas[neighbor] = merged
+        self.lortho[neighbor] = self.rortho[neighbor] = False
+        del self.gammas[m], self.labels[m], self.lortho[m], self.rortho[m]
         del self.lambdas[gone]
         self._retally()
 

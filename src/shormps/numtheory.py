@@ -15,13 +15,6 @@ from dataclasses import dataclass
 # Supported modulus ceiling.  Every benchmarked instance is far below this.
 MAX_MODULUS = 1 << 62
 
-# Documented expectations for the two-adic exponent alpha of the order r when
-# the base a is drawn uniformly: alpha attains its maximum with probability at
-# least 1/2, and for random prime pairs the maximum has expectation 8/3.
-# These are reporting constants, not computed quantities.
-PROB_ALPHA_ATTAINS_MAX = 0.5
-EXPECTED_MAX_ALPHA = 8.0 / 3.0
-
 # Default cap on black-box order search (no factor knowledge).
 ORDER_ITERATION_CAP = 1 << 26
 

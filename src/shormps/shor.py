@@ -24,14 +24,17 @@ the first subsequent rise marks the boundary qubit.
 The controlled-U gate itself is never materialized: controlled multiplication
 permutes the residue basis, so each gate copies amplitude blocks under the
 residue map (cost linear in the affected tensor), extending R's residue index
-as new residues appear.  Both layouts measure R the same way and run no sweep
-first: right after modexp the sites left of R are not left-orthonormal, so
-R's density matrix comes from contracting the closed network.
+as new residues appear.  Both layouts measure R the same way: right after
+modexp the sites left of R are not left-orthonormal, so R's density matrix
+comes from contracting the closed network.  Measuring only projects; R's
+slice is contracted into its neighbour, and two sweeps then reveal every
+bond's Schmidt rank, the only place after modexp where an SVD runs.
 
 The Fourier transform is semiclassical: the most significant remaining qubit
 sits at an end of the chain, its controlled phases from the qubits already
 measured collapse into one single-site phase ahead of its Hadamard, and it is
-measured as soon as that phase is known.  No two-site gate runs after modexp.
+measured as soon as that phase is known and contracted into its neighbour.
+No two-site gate or SVD runs in it.
 """
 
 from __future__ import annotations
@@ -117,7 +120,6 @@ class PipelineConfig:
     layout: str = "dynamic"
     max_elements: int = 1 << 30
     retries: int = 2
-    collect_profiles: bool = True
 
     def __post_init__(self):
         if self.layout not in ("static", "dynamic"):
@@ -295,18 +297,22 @@ def measure_lower_register(
     rng=None,
     forced_residue: int | None = None,
 ) -> int:
-    """Measure R, collapse entanglement outward, and remove the site.
+    """Measure R, contract it into its neighbour, and reveal the ranks.
 
-    One path for both layouts: ``measure_qudit`` reads R's density matrix
-    locally when the orthonormality flags allow it and otherwise contracts
-    the closed network, which is the case right after modexp.
+    One path for both layouts: ``measure_qudit`` reads R's density matrix by
+    contracting the closed network, since the sites left of R are not
+    left-orthonormal right after modexp, and only projects.  Then a
+    left-to-right sweep from R's old place to the right end and a
+    right-to-left sweep over the whole chain leave every bond at its Schmidt
+    rank and every site right of the left end right-orthonormal.
     """
     rpos = state.position_of(LOWER_REGISTER)
     forced = lower.index[forced_residue] if forced_residue is not None else None
     outcome = state.measure_qudit(rpos, rng, forced=forced)
-    residue = lower.residues[outcome]
     state.remove_separable_site(rpos)
-    return residue
+    state.sweep("right", range(rpos - 1, state.n_bonds))
+    state.sweep("left")
+    return lower.residues[outcome]
 
 
 # ------------------------------------------------------------------------- QFT
@@ -319,8 +325,10 @@ def apply_lnn_qft(state: MpsState, rng=None, forced_bits=None) -> list[int]:
     after their measurement, so they reduce to the classically controlled
     single-qubit phase diag(1, exp(-i pi sum_k b_k / 2^(k-j))) ahead of its
     Hadamard (Griffiths & Niu, PRL 76, 3228 (1996)).  The qubit is measured as
-    soon as that gate is applied, then dropped.  Returns the bits in
-    measurement order; the final state is a single separable site.
+    soon as that gate is applied, then dropped; a left-end qubit of the
+    right-orthonormal chain that ``measure_lower_register`` leaves is read
+    locally.  Returns the bits in measurement order; the final state is a
+    single separable site.
     """
     if not state.complex_mode:
         raise PipelineStateError("QFT stage requires complex scalars; promote first")
@@ -333,7 +341,7 @@ def apply_lnn_qft(state: MpsState, rng=None, forced_bits=None) -> list[int]:
         j = max(state.labels)
         m = state.position_of(j)
         if m not in (0, state.n_sites - 1):
-            # a measured middle site stays entangled through both of its bonds
+            # both layouts keep it at an end; anything else is a layout error
             raise PipelineStateError(f"qubit {j} is not at an end of the chain")
         phase = sum(b / 2.0 ** (k - j) for k, b in zip(measured, bits))
         state.apply_single_qudit_gate(m, h @ np.diag([1.0, np.exp(-1j * np.pi * phase)]))
@@ -413,22 +421,19 @@ def _sample_once(instance, config, rng, lucky, retries_used) -> SampleRecord:
     peaks["build"] = state.elements_peak
 
     alpha_hat = staged("modexp", lambda: run_modexp(state, lower, instance, config))
-    if config.collect_profiles:
-        profiles.append(_profile(state, "modexp"))
+    profiles.append(_profile(state, "modexp"))
 
     residue = staged("measure", lambda: measure_lower_register(state, lower, rng))
-    if config.collect_profiles:
-        profiles.append(_profile(state, "measure"))
+    profiles.append(_profile(state, "measure"))
 
     def qft():
-        # promotion doubles the tally; the transform's gates and collapses grow no bond
+        # promotion doubles the tally; nothing in the transform raises it
         _guard("qft", state, state.elements_live, config.max_elements)
         state.promote_to_complex()
         return apply_lnn_qft(state, rng)
 
     bits = staged("qft", qft)
-    if config.collect_profiles:
-        profiles.append(_profile(state, "qft"))
+    profiles.append(_profile(state, "qft"))
 
     t0 = time.perf_counter()
     s = assemble_s(bits, instance.l)

@@ -122,7 +122,7 @@ def test_criterion_6_sampling_distribution():
     """20k samples of (21, 2): TVD < 0.03; (15, 7): exact four-peak comb."""
     t0 = time.perf_counter()
     inst = SemiprimeInstance.make(21, 2)
-    cfg = shor.PipelineConfig(layout="dynamic", collect_profiles=False)
+    cfg = shor.PipelineConfig(layout="dynamic")
     counts = np.zeros(1024)
     for k in range(20_000):
         counts[shor.sample_run(inst, cfg, np.random.default_rng(k)).measured_s] += 1
@@ -150,7 +150,7 @@ def test_criterion_6_sampling_distribution():
 def test_criterion_7_factor_recovery():
     """At least 10 factor recoveries over 50 seeded runs of (21, 2)."""
     inst = SemiprimeInstance.make(21, 2)
-    cfg = shor.PipelineConfig(layout="dynamic", collect_profiles=False)
+    cfg = shor.PipelineConfig(layout="dynamic")
     wins = sum(
         shor.sample_run(inst, cfg, np.random.default_rng(k)).factors == (3, 7)
         for k in range(50)

@@ -215,6 +215,30 @@ class TestParallelSampling:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    def test_short_run_reaches_every_worker(self, monkeypatch):
+        seen = {}
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen["workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                jobs = list(jobs)
+                seen["chunks"] = -(-len(jobs) // chunksize)
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("SHOR_MPS_THREADS", "2")
+        assert run_cli(["sample", "--n", "15", "--a", "7", "--samples", "8",
+                        "--seed", "5"]) == 0
+        assert seen["workers"] == 2 and seen["chunks"] >= 2
+
     def test_worker_pool_memory_limit_exit_code(self, monkeypatch):
         monkeypatch.setenv("SHOR_MPS_THREADS", "2")
         code = run_cli(["sample", "--n", "21", "--a", "2", "--samples", "2",

@@ -326,7 +326,7 @@ class TestMeasurement:
         state = bell_pair()
         out = state.measure_qudit(0, forced=1)
         assert out == 1
-        assert state.bond_dims() == (1,)
+        assert state.schmidt_ranks("measured").ranks == (1,)
         np.testing.assert_allclose(state.to_state_vector(), [0, 0, 0, 1], atol=1e-12)
 
     def test_plus_frequencies_5_sigma(self, rng):
@@ -343,7 +343,7 @@ class TestMeasurement:
     def test_ghz3_middle_forced_zero(self):
         state = ghz(3)
         state.measure_qudit(1, forced=0)
-        assert state.bond_dims() == (1, 1)
+        assert state.schmidt_ranks("measured").ranks == (1, 1)
         np.testing.assert_allclose(state.to_state_vector()[0], 1.0, atol=1e-12)
 
     def test_chi_square_multilevel(self, rng):
@@ -385,6 +385,22 @@ class TestStructuralEdits:
         state.remove_separable_site(2)
         got = state.to_state_vector()
         np.testing.assert_allclose(got, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    def test_remove_projected_site_at_any_bond_dimension(self, rng, m):
+        # the one-hot slice contracts into a neighbour across bonds that keep
+        # dimension > 1
+        state, amps = random_circuit_state(rng, n=5, depth=16)
+        assert min(state.bond_dims()) > 1
+        keep = np.array([0.0, 1.0])
+        state.gammas[m] = state.gammas[m] * keep[None, :, None]
+        state.gammas[m] = state.gammas[m] / state.norm()
+        expected = amps.reshape(2**m, 2, -1)[:, 1, :].ravel()
+        expected = expected / np.linalg.norm(expected)
+        state.remove_separable_site(m)
+        state.check_consistent()
+        assert state.n_sites == 4 and min(state.bond_dims()) > 1
+        np.testing.assert_allclose(state.to_state_vector(), expected, atol=1e-10)
 
     def test_remove_middle_site_keeps_kept_bond_weight(self):
         # a middle site whose right bond weight is not 1: that weight stays on

@@ -125,10 +125,6 @@ class TestAlphaStatistics:
             alpha, _ = nt.two_adic_split(r)
             assert alpha <= nt.alpha_statistics(p, q)[2]
 
-    def test_documented_constants(self):
-        assert nt.PROB_ALPHA_ATTAINS_MAX == 0.5
-        assert nt.EXPECTED_MAX_ALPHA == pytest.approx(8 / 3)
-
 
 class TestConvergents:
     def test_171_over_1024(self):

@@ -6,7 +6,7 @@ import pytest
 from _helpers import mps_as_canonical_dense, rank_oracle_for_bond
 from test_mps import random_circuit_state
 
-from shormps import oracle, shor
+from shormps import mps, oracle, shor
 from shormps.mps import LOWER_REGISTER, MpsState
 from shormps.numtheory import SemiprimeInstance, multiplicative_order, two_adic_split
 
@@ -255,6 +255,24 @@ class TestLnnQft:
         state.promote_to_complex()
         assert len(shor.apply_lnn_qft(state, rng)) == 2 * inst.l
 
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    @pytest.mark.parametrize("n, a", [(21, 2), (247, 2)])
+    def test_transform_runs_no_svd(self, n, a, layout, rng, monkeypatch):
+        # the measurement leaves the chain right-orthonormal, so the static
+        # layout reads every qubit locally and no qubit's removal needs an SVD
+        inst = fresh(n, a)
+        state, lower, _ = run_layout(inst, layout)
+        shor.measure_lower_register(state, lower, rng)
+        state.promote_to_complex()
+
+        def banned(*args):
+            raise AssertionError("SVD or whole-chain read in the transform")
+
+        monkeypatch.setattr(mps, "svd_truncated", banned)
+        if layout == "static":
+            monkeypatch.setattr(MpsState, "reduced_density_nonlocal", banned)
+        assert len(shor.apply_lnn_qft(state, rng)) == 2 * inst.l
+
 
 class TestAssembleS:
     def test_all_zero(self):
@@ -289,7 +307,7 @@ class TestSampleRun:
 
     def test_factor_recovery_rate(self):
         inst = fresh(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic", collect_profiles=False)
+        cfg = shor.PipelineConfig(layout="dynamic")
         wins = sum(
             shor.sample_run(inst, cfg, np.random.default_rng(1000 + k)).factors
             == (3, 7)
@@ -299,14 +317,14 @@ class TestSampleRun:
 
     def test_comb_instance_s_support(self):
         inst = fresh(15, 7)  # order 4 divides 2^(2l): exact four-peak comb
-        cfg = shor.PipelineConfig(layout="dynamic", collect_profiles=False)
+        cfg = shor.PipelineConfig(layout="dynamic")
         for k in range(60):
             rec = shor.sample_run(inst, cfg, np.random.default_rng(k))
             assert rec.measured_s in (0, 256, 512, 768)
 
     def test_static_layout_end_to_end(self):
         inst = fresh(15, 7)
-        cfg = shor.PipelineConfig(layout="static", collect_profiles=False)
+        cfg = shor.PipelineConfig(layout="static")
         for k in range(20):
             rec = shor.sample_run(inst, cfg, np.random.default_rng(k))
             assert rec.layout == "static" and rec.alpha_hat is None
@@ -339,7 +357,7 @@ class TestSampleRun:
 class TestEndToEndDistribution:
     def test_tvd_smoke_n21(self):
         inst = fresh(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic", collect_profiles=False)
+        cfg = shor.PipelineConfig(layout="dynamic")
         counts = np.zeros(1024)
         draws = 2000
         for k in range(draws):

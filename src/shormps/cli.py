@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .mps import RankProfile
 from .numtheory import (
+    MAX_MODULUS,
     ORDER_ITERATION_CAP,
     OrderProfile,
     OrderSearchCapError,
@@ -126,6 +127,9 @@ def _dump_json(obj) -> str:
 def _validate_semiprime(n: int) -> str | None:
     if n < 9 or n % 2 == 0:
         return f"n must be an odd integer >= 9, got {n}"
+    if n >= MAX_MODULUS:
+        # first: the prime-power test's float roots overflow on huge n
+        return "n exceeds the supported 62-bit range"
     if is_probable_prime(n):
         return f"n = {n} is prime"
     if is_prime_power(n):

@@ -4,12 +4,13 @@ The modular-exponentiation stage entangles upper-register qubits with a
 single lower-register qudit R whose effective dimension grows as new residues
 appear.  Two qudit layouts are provided:
 
-* static: every upper qubit is inserted on one side of R, so the ranks grow
-  toward R and culminate in the full order r at the innermost bond.
-* dynamic: qubits are inserted on the left of R until the rank toward R
-  stalls; once a later gate raises it again, that qubit and all remaining
-  ones are placed on the right of R instead.  The left block's rank stays at
-  the odd part of r, and the right block's bonds double per qubit.
+* static: every upper qubit is created left of R, so the ranks grow toward R
+  and culminate in the full order r at the innermost bond.
+* dynamic: qubits are created left of R until the rank toward R has stalled
+  and the next gate would raise it; that qubit and all remaining ones are
+  created right of R instead.  The left block's rank stays at the odd part of
+  r, and the right block's bonds double per qubit.  Every qubit is created on
+  the side where it stays, so modexp moves no site and runs no SVD.
 
 Plateau detection needs no prior knowledge of the order: for this circuit
 family the rank toward R after k left-side gates is exactly min(2^k, beta)
@@ -18,8 +19,14 @@ multiplies residues by a^(2^i); after the k most significant qubits the
 reachable residues are a^(m * 2^(2l-k)) for m < 2^k, a set of size
 min(2^k, order of a^(2^(2l-k))) = min(2^k, beta) while 2l-k stays at least
 the two-adic exponent of r.  The sequence therefore doubles strictly, then
-stays flat at beta: one plateau, detectable from a single unchanged gate, and
-the first subsequent rise marks the boundary qubit.
+stays flat at beta: one plateau, detectable from a single unchanged gate.
+
+The side of each later qubit is decided before its gate.  At a plateau the
+residues reached so far are the subgroup H generated by the last multiplier
+(its order beta is odd, so its powers below 2^k already close it).  A new
+multiplier m maps H onto m*H, which is H itself when m lies in H and a
+disjoint coset otherwise, so the gate raises the rank exactly when m is not
+yet a reached residue; that qubit starts the right block.
 
 The controlled-U gate itself is never materialized: controlled multiplication
 permutes the residue basis, so each gate copies amplitude blocks under the
@@ -174,12 +181,16 @@ def apply_controlled_modexp(
     side: str,
     max_elements: int = 1 << 62,
 ) -> None:
-    """Insert upper qubit i in |+> next to R and apply controlled U^(2^i).
+    """Create upper qubit i in |+> next to R and apply controlled U^(2^i).
 
     The combined insert/gate/split acts directly on R's tensor: the control-1
     block is R's tensor with its residue axis permuted by the multiplier map,
-    and the split leaves an identity factor behind (on the lower register for
-    left-side gates, on the new qubit for right-side gates).
+    and the split leaves an identity factor behind.  Side ``"B"`` needs R at
+    the right end; the qubit goes left of R and R keeps the identity.  Side
+    ``"A"`` puts the qubit right of R, which keeps the gate; the new bond
+    between them gets unit weights, and the bond formerly right of R (unit
+    weights, since every site there was created this way) now lies right of
+    the qubit.  No SVD runs on either side.
     """
     mult = mod_pow(instance.a, 1 << i, instance.n)
     rpos = state.position_of(LOWER_REGISTER)
@@ -206,27 +217,22 @@ def apply_controlled_modexp(
         state.lortho[rpos + 1] = False
         state.rortho[rpos + 1] = True  # identity block at the chain end
     elif side == "A":
-        if rpos == state.n_sites - 1:
-            raise PipelineStateError("right-side gate requires qubits right of R")
         perm = lower.extend(mult, instance.n)
         d_new = lower.dim
-        lam_r = state.lambdas[rpos]
         _guard(
             "modexp",
             state,
             unit * (chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r - gamma_r.size),
             max_elements,
         )
-        scaled = gamma_r if np.all(lam_r == 1.0) else gamma_r * lam_r[None, None, :]
         r_new = np.zeros((chi_l, d_new, 2 * chi_r), dtype=gamma_r.dtype)
-        r_new[:, :d_old, :chi_r] = scaled * SQRT_HALF
-        r_new[:, perm, chi_r:] = scaled * SQRT_HALF
+        r_new[:, :d_old, :chi_r] = gamma_r * SQRT_HALF
+        r_new[:, perm, chi_r:] = gamma_r * SQRT_HALF
         state.gammas[rpos] = r_new
-        state.lambdas[rpos] = np.ones(2 * chi_r)
+        state.lambdas.insert(rpos, np.ones(2 * chi_r))
         q = np.eye(2 * chi_r, dtype=gamma_r.dtype).reshape(2 * chi_r, 2, chi_r)
         state.gammas.insert(rpos + 1, q)
         state.labels.insert(rpos + 1, i)
-        state.lambdas.insert(rpos + 1, np.ones(chi_r))
         state.lortho[rpos] = False
         state.rortho[rpos] = False
         state.lortho.insert(rpos + 1, False)
@@ -236,57 +242,28 @@ def apply_controlled_modexp(
     state._retally()
 
 
-def run_modexp_static(
-    state: MpsState,
-    lower: LowerRegisterIndex,
-    instance: SemiprimeInstance,
-    config: PipelineConfig | None = None,
-) -> None:
-    """All upper qubits on one side of R, most significant first."""
-    config = config or PipelineConfig(layout="static")
-    for i in reversed(range(instance.upper_qubits)):
-        apply_controlled_modexp(state, lower, instance, i, "B", config.max_elements)
+def run_modexp(state, lower, instance, config) -> int | None:
+    """Controlled multiplications for qubits 2l-1 ... 0, most significant first.
 
-
-def run_modexp_dynamic(
-    state: MpsState,
-    lower: LowerRegisterIndex,
-    instance: SemiprimeInstance,
-    config: PipelineConfig | None = None,
-) -> int:
-    """Plateau-detecting layout; returns the measured two-adic exponent.
-
-    Qubits go to the left of R until the rank toward R has stalled (one gate
-    that leaves it unchanged) and then risen; the first riser is relocated
-    across R with one adjacent swap, and every later qubit is created directly
-    on the right side.
+    The static layout creates every qubit left of R and returns None.  The
+    dynamic layout flags the plateau after one gate that leaves ``lower.dim``
+    unchanged; the first later qubit whose multiplier is not yet a reached
+    residue, and every qubit after it, is created right of R.  It returns the
+    number of right-side qubits, the measured two-adic exponent of r.
     """
-    config = config or PipelineConfig(layout="dynamic")
+    dynamic = config.layout == "dynamic"
     plateau = False
     alpha_hat = 0
-    right_side = False
     for i in reversed(range(instance.upper_qubits)):
-        if right_side:
-            apply_controlled_modexp(state, lower, instance, i, "A", config.max_elements)
-            alpha_hat += 1
-            continue
         d_before = lower.dim
-        apply_controlled_modexp(state, lower, instance, i, "B", config.max_elements)
-        if lower.dim == d_before:
-            plateau = True
-        elif plateau:
-            # rank rose after the plateau: this qubit starts the right block
-            state.swap_sites(state.position_of(LOWER_REGISTER) - 1)
-            right_side = True
+        side = "B"
+        if dynamic and (alpha_hat or (
+                plateau and mod_pow(instance.a, 1 << i, instance.n) not in lower.index)):
+            side = "A"
             alpha_hat += 1
-    return alpha_hat
-
-
-def run_modexp(state, lower, instance, config) -> int | None:
-    if config.layout == "static":
-        run_modexp_static(state, lower, instance, config)
-        return None
-    return run_modexp_dynamic(state, lower, instance, config)
+        apply_controlled_modexp(state, lower, instance, i, side, config.max_elements)
+        plateau = plateau or lower.dim == d_before
+    return alpha_hat if dynamic else None
 
 
 # ------------------------------------------------------------------ measurement

@@ -14,6 +14,10 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+# 402 digits: beyond the float range of the prime-power test's roots
+HUGE_N = "1" + "0" * 400 + "1"
+
+
 class TestSample:
     def test_basic_report(self, tmp_path):
         out = tmp_path / "r.json"
@@ -78,7 +82,7 @@ class TestSample:
         assert code == 3
 
     def test_memory_limit_bounds_qft(self, tmp_path, capsys):
-        # modexp peaks at 214 elements; promoting the post-measure state needs 248
+        # modexp peaks at 182 elements; promoting the post-measure state needs 248
         argv = ["sample", "--n", "21", "--a", "2", "--layout", "dynamic", "--samples",
                 "5", "--seed", "0", "--retries", "0", "--max-elements"]
         assert run_cli(argv + ["230"]) == 3
@@ -114,6 +118,9 @@ class TestBadInput:
             (["sample", "--n", "21", "--a", "2", "--retries", "-1"], None),
             (["sample", "--n", "21", "--a", "2", "--max-elements", "0"], None),
             (["profile", "--n", "21", "--a", "2", "--max-elements", "0"], None),
+            (["sample", "--n", HUGE_N, "--a", "2"], None),
+            (["profile", "--n", HUGE_N, "--a", "2"], None),
+            (["oracle", "--n", HUGE_N, "--a", "2"], None),
         ],
     )
     def test_exit_2_with_message(self, argv, threads, monkeypatch, capsys):

@@ -2,9 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shormps import oracle
 from shormps.numtheory import SemiprimeInstance
+
+
+def brute_force_dft(l, r):
+    # measuring the residue picks class x0 with weight m/Q; each class is an
+    # evenly spaced comb whose DFT gives Pr(s | x0)
+    big_q = 1 << (2 * l)
+    want = np.zeros(big_q)
+    for x0 in range(r):
+        comb = np.zeros(big_q)
+        comb[x0::r] = 1.0
+        want += np.abs(np.fft.fft(comb)) ** 2
+    return want / float(big_q) ** 2
 
 
 class TestExactDistribution:
@@ -15,16 +29,15 @@ class TestExactDistribution:
 
     @pytest.mark.parametrize("l, r", [(4, 4), (5, 6), (5, 7), (6, 10)])
     def test_matches_brute_force_dft(self, l, r):
-        # measuring the residue picks class x0 with weight m/Q; each class is
-        # an evenly spaced comb whose DFT gives Pr(s | x0)
-        big_q = 1 << (2 * l)
-        want = np.zeros(big_q)
-        for x0 in range(r):
-            comb = np.zeros(big_q)
-            comb[x0::r] = 1.0
-            want += np.abs(np.fft.fft(comb)) ** 2
-        want /= float(big_q) ** 2
-        np.testing.assert_allclose(oracle.exact_distribution(l, r).probs, want, atol=1e-13)
+        np.testing.assert_allclose(oracle.exact_distribution(l, r).probs,
+                                   brute_force_dft(l, r), atol=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 40))
+    def test_matches_brute_force_dft_for_random_l_and_r(self, l, r):
+        # r may exceed Q = 2^(2l), leaving classes with no exponent at all
+        np.testing.assert_allclose(oracle.exact_distribution(l, r).probs,
+                                   brute_force_dft(l, r), atol=1e-13)
 
     def test_comb_when_r_divides(self):
         table = oracle.exact_distribution(4, 4)

@@ -1,14 +1,25 @@
 """Pipeline stages: modexp layouts, plateau detection, measurement, and the
 semiclassical QFT, which measures each qubit as soon as its phase is known."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 from _helpers import mps_as_canonical_dense, rank_oracle_for_bond
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_mps import random_circuit_state
 
 from shormps import mps, oracle, shor
 from shormps.mps import LOWER_REGISTER, MpsState
-from shormps.numtheory import SemiprimeInstance, multiplicative_order, two_adic_split
+from shormps.numtheory import (
+    SemiprimeInstance,
+    is_probable_prime,
+    multiplicative_order,
+    two_adic_split,
+)
+
+ODD_PRIMES = [p for p in range(3, 60) if is_probable_prime(p)]
 
 
 def fresh(n, a, l=None):
@@ -60,6 +71,48 @@ class TestControlledModexp:
         with pytest.raises(shor.MemoryLimitError) as err:
             shor.apply_controlled_modexp(state, lower, inst, 9, "B", max_elements=5)
         assert err.value.stage == "modexp"
+
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    @pytest.mark.parametrize("n, a", [(21, 2), (15, 2), (15, 14), (33, 2), (247, 2)])
+    def test_modexp_is_pure_index_scatter(self, n, a, layout, monkeypatch):
+        # every qubit is created on its final side of R: nothing is moved,
+        # contracted or decomposed
+        def banned(*args):
+            raise AssertionError("SVD, contraction or swap in modexp")
+
+        monkeypatch.setattr(mps, "svd_truncated", banned)
+        monkeypatch.setattr(MpsState, "contract_sites", banned)
+        monkeypatch.setattr(MpsState, "swap_sites", banned)
+        _, lower, _ = run_layout(fresh(n, a), layout)
+        assert lower.dim == multiplicative_order(a, n)
+
+
+@st.composite
+def semiprime_and_base(draw):
+    p, q = draw(st.lists(st.sampled_from(ODD_PRIMES), min_size=2, max_size=2, unique=True))
+    n = p * q
+    return n, draw(st.integers(2, n - 1).filter(lambda a: gcd(a, n) == 1))
+
+
+class TestModexpProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(semiprime_and_base())
+    def test_dynamic_right_block_is_two_adic_exponent(self, case):
+        n, a = case
+        state, lower, alpha_hat = run_layout(fresh(n, a), "dynamic")
+        r = multiplicative_order(a, n)
+        assert alpha_hat == two_adic_split(r)[0]
+        assert lower.dim == r
+        assert state.n_sites - 1 - state.position_of(LOWER_REGISTER) == alpha_hat
+
+    @settings(max_examples=60, deadline=None)
+    @given(semiprime_and_base())
+    def test_every_bond_matches_residue_oracle(self, case):
+        inst = fresh(*case)
+        for layout in ("static", "dynamic"):
+            state, _, _ = run_layout(inst, layout)
+            for bond, rank in enumerate(state.bond_dims()):
+                assert rank == rank_oracle_for_bond(state, inst, bond), (layout, bond)
 
 
 class TestStaticModexp:
@@ -128,6 +181,17 @@ class TestDynamicModexp:
         state, lower, _ = run_layout(inst, "dynamic")
         for bond, rank in enumerate(state.schmidt_ranks("modexp").ranks):
             assert rank == rank_oracle_for_bond(state, inst, bond)
+
+    @pytest.mark.parametrize("n, a, live", [(21, 2, 182), (33, 2, 564)])
+    def test_peak_is_final_state_and_bounded(self, n, a, live):
+        # each gate keeps all it allocates, so the final tally is the peak
+        inst = fresh(n, a)
+        state, _, _ = run_layout(inst, "dynamic")
+        assert state.elements_peak == state.elements_live == live
+        run_layout(inst, "dynamic", max_elements=live)
+        with pytest.raises(shor.MemoryLimitError) as err:
+            run_layout(inst, "dynamic", max_elements=live - 1)
+        assert err.value.stage == "modexp"
 
     def test_alpha_hat_equals_true_two_adic_exponent(self):
         for n, a in [(21, 2), (15, 7), (15, 2), (15, 14), (21, 5), (247, 2)]:

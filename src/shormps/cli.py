@@ -8,22 +8,20 @@ Subcommands:
 * ``oracle``       dump the exact measurement distribution for (l, r) or (n, a)
 
 Exit codes: 0 success, 2 invalid input (a message on stderr, never a
-traceback), 3 resource limit exhausted, 4 internal verification failure,
-including an SVD that LAPACK fails to converge on, also when retried on the
-adjoint.  Reports are deterministic for a fixed (flags, seed) pair in
-single-threaded mode; every sample derives its own generator from
-seed + sample index, so multi-process mode samples the same stream.  The
-environment variable ``SHOR_MPS_THREADS`` (an integer) caps the size of the
-sample worker pool.
+traceback), 3 resource limit exhausted (the element guard or the order
+search cap), 4 internal verification failure, including an SVD that LAPACK
+fails to converge on, also when retried on the adjoint.  Reports are
+deterministic for a fixed (flags, seed) pair.  Sample k draws from its own
+generator seeded with seed + k, so ``--seed s --samples m`` and
+``--seed s+m --samples m`` run as separate processes give the records of
+``--seed s --samples 2m``, timings apart.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from time import perf_counter
 
@@ -90,7 +88,6 @@ def _parser() -> argparse.ArgumentParser:
     common(ps)
     ps.add_argument("--samples", type=int, default=1)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--retries", type=int, default=2)
     ps.add_argument("--dense-cap", type=int, default=1 << 26)
 
     pv = sub.add_parser("verify-paper", help="recompute the published (r, alpha, beta)")
@@ -138,8 +135,6 @@ def _validate_semiprime(n: int) -> str | None:
 
 
 def _instance_from_args(args) -> tuple[SemiprimeInstance, list[int]]:
-    if (args.p is None) != (args.q is None):
-        raise ValueError("supply both --p and --q or neither")
     a = args.a
     lucky: list[int] = []
     if a is None:
@@ -167,22 +162,6 @@ def _order_profile_echo(inst: SemiprimeInstance) -> dict | None:
 
 
 # ---------------------------------------------------------------------- sample
-
-def _one_sample(packed):
-    inst, cfg, seed = packed
-    rec = sample_run(inst, cfg, np.random.default_rng(seed))
-    return asdict(rec)
-
-
-def _run_samples(inst, cfg, seed, count, workers) -> list[dict]:
-    jobs = [(inst, cfg, seed + k) for k in range(count)]
-    if workers > 1 and count > 1:
-        # about four chunks per worker, so a short run still spreads out
-        chunk = -(-count // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_one_sample, jobs, chunksize=chunk))
-    return [_one_sample(j) for j in jobs]
-
 
 def _aggregate(records: list[dict], inst, dense_cap) -> dict:
     hist: dict[int, int] = {}
@@ -221,12 +200,8 @@ def cmd_sample(args) -> int:
     if args.samples < 1:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return EXIT_INVALID
-    threads = os.environ.get("SHOR_MPS_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        print(f"error: SHOR_MPS_THREADS must be an integer, got {threads!r}",
-              file=sys.stderr)
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_INVALID
     problem = _validate_semiprime(args.n)
     if problem:
@@ -236,8 +211,7 @@ def cmd_sample(args) -> int:
     try:
         inst, lucky = _instance_from_args(args)
         configs = {
-            layout: PipelineConfig(layout=layout, max_elements=args.max_elements,
-                                   retries=args.retries)
+            layout: PipelineConfig(layout=layout, max_elements=args.max_elements)
             for layout in layouts
         }
     except ValueError as exc:
@@ -247,7 +221,8 @@ def cmd_sample(args) -> int:
     per_layout = {}
     try:
         for layout, cfg in configs.items():
-            records = _run_samples(inst, cfg, args.seed, args.samples, workers)
+            records = [asdict(sample_run(inst, cfg, np.random.default_rng(args.seed + k)))
+                       for k in range(args.samples)]
             per_layout[layout] = {
                 "records": records,
                 "aggregate": _aggregate(records, inst, args.dense_cap),
@@ -267,7 +242,6 @@ def cmd_sample(args) -> int:
             "seed": args.seed,
             "layout": args.layout,
             "max_elements": args.max_elements,
-            "retries": args.retries,
             "dense_cap": args.dense_cap,
         },
         "order_profile": _order_profile_echo(inst),
@@ -394,7 +368,11 @@ def cmd_oracle(args) -> int:
             print(f"error: {problem}", file=sys.stderr)
             return EXIT_INVALID
         l = args.l if args.l is not None else register_bits(args.n)
-        r = multiplicative_order(args.a, args.n)
+        try:
+            r = multiplicative_order(args.a, args.n)
+        except OrderSearchCapError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
     try:
         table = exact_distribution(l, r, cap=args.dense_cap)
     except (ValueError, DenseCapError) as exc:

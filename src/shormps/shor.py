@@ -57,7 +57,6 @@ from .numtheory import (
     SemiprimeInstance,
     continued_fraction_convergents,
     mod_pow,
-    random_coprime,
     recover_factors,
 )
 
@@ -72,10 +71,6 @@ class MemoryLimitError(RuntimeError):
         self.stage = stage
         self.needed = needed
         self.limit = limit
-
-    def __reduce__(self):
-        # rebuilt from its fields when a sample worker process raises it
-        return type(self), (self.stage, self.needed, self.limit)
 
 
 class PipelineStateError(RuntimeError):
@@ -126,15 +121,12 @@ class LowerRegisterIndex:
 class PipelineConfig:
     layout: str = "dynamic"
     max_elements: int = 1 << 30
-    retries: int = 2
 
     def __post_init__(self):
         if self.layout not in ("static", "dynamic"):
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.max_elements <= 0:
             raise ValueError(f"max_elements must be positive, got {self.max_elements}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be non-negative, got {self.retries}")
 
 
 @dataclass
@@ -149,8 +141,6 @@ class SampleRecord:
     convergents: list[tuple[int, int]]
     verified_r: int | None
     factors: tuple[int, int] | None
-    lucky_factors: list[int]
-    retries_used: int
     rank_profiles: list[RankProfile]
     peak_elements: dict[str, int]
     stage_seconds: dict[str, float]
@@ -359,27 +349,9 @@ def sample_run(
 ) -> SampleRecord:
     """One end-to-end sample: modexp, lower measurement, QFT, classical step.
 
-    A memory-limit trip redraws the base a (up to ``config.retries`` times)
-    before giving up, since a fresh base usually lands a larger separable
-    block.
+    Every stage runs on ``instance`` as given.  A stage that would exceed
+    ``config.max_elements`` raises ``MemoryLimitError``.
     """
-    lucky: list[int] = []
-    attempt = 0
-    inst = instance
-    while True:
-        try:
-            return _sample_once(inst, config, rng, lucky, attempt)
-        except MemoryLimitError:
-            if attempt >= config.retries:
-                raise
-            attempt += 1
-            a = random_coprime(instance.n, rng, on_lucky_factor=lucky.append)
-            inst = SemiprimeInstance.make(
-                instance.n, a, p=instance.p, q=instance.q, l=instance.l
-            )
-
-
-def _sample_once(instance, config, rng, lucky, retries_used) -> SampleRecord:
     profiles: list[RankProfile] = []
     peaks: dict[str, int] = {}
     seconds: dict[str, float] = {}
@@ -434,8 +406,6 @@ def _sample_once(instance, config, rng, lucky, retries_used) -> SampleRecord:
         convergents=convs,
         verified_r=verified,
         factors=factors,
-        lucky_factors=list(lucky),
-        retries_used=retries_used,
         rank_profiles=profiles,
         peak_elements=peaks,
         stage_seconds=seconds,

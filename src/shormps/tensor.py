@@ -26,10 +26,6 @@ class DecompositionError(RuntimeError):
         self.rows = rows
         self.cols = cols
 
-    def __reduce__(self):
-        # rebuilt from its fields when a sample worker process raises it
-        return type(self), (self.rows, self.cols)
-
 
 @dataclass
 class DecompResult:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from shormps import cli
+from shormps.numtheory import OrderSearchCapError
 
 
 def run_cli(argv):
@@ -78,13 +79,22 @@ class TestSample:
 
     def test_memory_limit_exit_code(self):
         code = run_cli(["sample", "--n", "21", "--a", "2", "--samples", "1",
-                        "--seed", "0", "--max-elements", "10", "--retries", "0"])
+                        "--seed", "0", "--max-elements", "10"])
         assert code == 3
+
+    def test_memory_limit_keeps_requested_base(self, capsys):
+        # a guard trip ends the run; no other base is sampled in its place
+        code = run_cli(["sample", "--n", "247", "--a", "2", "--samples", "1",
+                        "--seed", "0", "--max-elements", "1000"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: modexp: 1119 elements would exceed the limit 1000\n"
 
     def test_memory_limit_bounds_qft(self, tmp_path, capsys):
         # modexp peaks at 182 elements; promoting the post-measure state needs 248
         argv = ["sample", "--n", "21", "--a", "2", "--layout", "dynamic", "--samples",
-                "5", "--seed", "0", "--retries", "0", "--max-elements"]
+                "5", "--seed", "0", "--max-elements"]
         assert run_cli(argv + ["230"]) == 3
         assert capsys.readouterr().err.startswith("error: qft: ")
         out = tmp_path / "r.json"
@@ -109,13 +119,15 @@ class TestSample:
 
 class TestBadInput:
     @pytest.mark.parametrize(
-        "argv, threads",
+        "argv, message",
         [
             (["sample", "--n", "21", "--a", "2", "--samples", "0"], None),
             (["sample", "--n", "21", "--a", "2", "--samples", "-3"], None),
-            (["sample", "--n", "21", "--a", "2", "--samples", "2"], "two"),
+            (["sample", "--n", "21", "--a", "2", "--seed", "-1"],
+             "--seed must be non-negative, got -1"),
             (["oracle", "--n", "21", "--a", "3"], None),
-            (["sample", "--n", "21", "--a", "2", "--retries", "-1"], None),
+            (["sample", "--n", "21", "--a", "2", "--p", "3", "--samples", "1"],
+             "supply both factors or neither"),
             (["sample", "--n", "21", "--a", "2", "--max-elements", "0"], None),
             (["profile", "--n", "21", "--a", "2", "--max-elements", "0"], None),
             (["sample", "--n", HUGE_N, "--a", "2"], None),
@@ -123,13 +135,14 @@ class TestBadInput:
             (["oracle", "--n", HUGE_N, "--a", "2"], None),
         ],
     )
-    def test_exit_2_with_message(self, argv, threads, monkeypatch, capsys):
-        if threads is not None:
-            monkeypatch.setenv("SHOR_MPS_THREADS", threads)
+    def test_exit_2_with_message(self, argv, message, capsys):
+        # message: the exact error line, or None to accept any one-line error
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if message is not None:
+            assert captured.err == f"error: {message}\n"
 
     def test_oracle_gcd_message_matches_sample(self, capsys):
         assert run_cli(["sample", "--n", "21", "--a", "3", "--samples", "1"]) == 2
@@ -206,51 +219,15 @@ class TestOracle:
     def test_missing_args(self):
         assert run_cli(["oracle", "--l", "4"]) == 2
 
+    def test_order_search_cap_exit_code(self, monkeypatch, capsys):
+        def capped(a, n, *args, **kwargs):
+            raise OrderSearchCapError(f"order of {a} mod {n} exceeds iteration cap 8")
 
-class TestParallelSampling:
-    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
-        reports = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("SHOR_MPS_THREADS", workers)
-            out = tmp_path / f"r{workers}.json"
-            assert run_cli(["sample", "--n", "15", "--a", "7", "--samples", "8",
-                            "--seed", "5", "--out", str(out)]) == 0
-            report = json.loads(out.read_text())
-            del report["elapsed_seconds"]
-            for rec in report["layouts"]["dynamic"]["records"]:
-                del rec["stage_seconds"]
-            reports.append(report)
-        assert reports[0] == reports[1]
-
-    def test_short_run_reaches_every_worker(self, monkeypatch):
-        seen = {}
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen["workers"] = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                jobs = list(jobs)
-                seen["chunks"] = -(-len(jobs) // chunksize)
-                return map(fn, jobs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setenv("SHOR_MPS_THREADS", "2")
-        assert run_cli(["sample", "--n", "15", "--a", "7", "--samples", "8",
-                        "--seed", "5"]) == 0
-        assert seen["workers"] == 2 and seen["chunks"] >= 2
-
-    def test_worker_pool_memory_limit_exit_code(self, monkeypatch):
-        monkeypatch.setenv("SHOR_MPS_THREADS", "2")
-        code = run_cli(["sample", "--n", "21", "--a", "2", "--samples", "2",
-                        "--seed", "0", "--max-elements", "10", "--retries", "0"])
-        assert code == 3
+        monkeypatch.setattr(cli, "multiplicative_order", capped)
+        assert run_cli(["oracle", "--n", "21", "--a", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: order of 2 mod 21 exceeds iteration cap 8\n"
 
 
 class TestConsoleEntry:

@@ -88,8 +88,8 @@ class TestControlledModexp:
 
 
 @st.composite
-def semiprime_and_base(draw):
-    p, q = draw(st.lists(st.sampled_from(ODD_PRIMES), min_size=2, max_size=2, unique=True))
+def semiprime_and_base(draw, primes=ODD_PRIMES):
+    p, q = draw(st.lists(st.sampled_from(primes), min_size=2, max_size=2, unique=True))
     n = p * q
     return n, draw(st.integers(2, n - 1).filter(lambda a: gcd(a, n) == 1))
 
@@ -396,15 +396,28 @@ class TestSampleRun:
 
     def test_memory_limit_surfaces(self):
         inst = fresh(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic", max_elements=10, retries=0)
+        cfg = shor.PipelineConfig(layout="dynamic", max_elements=10)
         with pytest.raises(shor.MemoryLimitError):
             shor.sample_run(inst, cfg, np.random.default_rng(0))
 
-    def test_retries_redraw_base(self):
-        inst = fresh(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic", max_elements=10, retries=2)
-        with pytest.raises(shor.MemoryLimitError):
-            shor.sample_run(inst, cfg, np.random.default_rng(0))
+    @settings(max_examples=40, deadline=None)
+    @given(semiprime_and_base([p for p in ODD_PRIMES if p < 40]),
+           st.sampled_from(["static", "dynamic"]), st.integers(0, 2**32 - 1))
+    def test_memory_guard_is_tight_and_keeps_the_base(self, case, layout, seed):
+        inst = fresh(*case)
+
+        def run(max_elements=1 << 30):
+            cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
+            return shor.sample_run(inst, cfg, np.random.default_rng(seed))
+
+        free = run()
+        peak = max(free.peak_elements.values())
+        tight = run(peak)
+        assert (tight.a, tight.measured_s) == (inst.a, free.measured_s)
+        with pytest.raises(shor.MemoryLimitError) as err:
+            run(peak - 1)
+        assert err.value.needed == peak
+        assert err.value.stage == ("modexp" if free.peak_elements["modexp"] == peak else "qft")
 
     def test_determinism(self):
         inst = fresh(21, 2)

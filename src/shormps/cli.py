@@ -9,12 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input (a message on stderr, never a
 traceback), 3 resource limit exhausted (the element guard or the order
-search cap), 4 internal verification failure, including an SVD that LAPACK
-fails to converge on, also when retried on the adjoint.  Reports are
-deterministic for a fixed (flags, seed) pair.  Sample k draws from its own
-generator seeded with seed + k, so ``--seed s --samples m`` and
-``--seed s+m --samples m`` run as separate processes give the records of
-``--seed s --samples 2m``, timings apart.
+search cap), 4 verification failure (``verify-paper`` finds a published row
+it cannot reproduce).  Reports are deterministic for a fixed (flags, seed)
+pair.  Sample k draws from its own generator seeded with seed + k, so
+``--seed s --samples m`` and ``--seed s+m --samples m`` run as separate
+processes give the records of ``--seed s --samples 2m``, timings apart.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .shor import (
     run_modexp,
     sample_run,
 )
-from .tensor import DecompositionError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -163,7 +161,17 @@ def _order_profile_echo(inst: SemiprimeInstance) -> dict | None:
 
 # ---------------------------------------------------------------------- sample
 
-def _aggregate(records: list[dict], inst, dense_cap) -> dict:
+def _reference_law(inst, dense_cap):
+    """The order and the exact law of s, or None when either costs too much."""
+    try:
+        r = multiplicative_order(inst.a, inst.n, inst.p, inst.q,
+                                 iteration_cap=min(1 << 22, ORDER_ITERATION_CAP))
+        return r, exact_distribution(inst.l, r, cap=dense_cap)
+    except (OrderSearchCapError, DenseCapError):
+        return None
+
+
+def _aggregate(records: list[dict], law) -> dict:
     hist: dict[int, int] = {}
     for rec in records:
         hist[rec["measured_s"]] = hist.get(rec["measured_s"], 0) + 1
@@ -179,17 +187,13 @@ def _aggregate(records: list[dict], inst, dense_cap) -> dict:
         "peak_elements_per_stage": peaks,
         "tvd_vs_oracle": None,
     }
-    try:
-        r = multiplicative_order(inst.a, inst.n, inst.p, inst.q,
-                                 iteration_cap=min(1 << 22, ORDER_ITERATION_CAP))
-        table = exact_distribution(inst.l, r, cap=dense_cap)
+    if law is not None:
+        r, table = law
         counts = np.zeros(len(table))
         for s, c in hist.items():
             counts[s] = c
         agg["tvd_vs_oracle"] = tvd(table, counts)
         agg["order_r"] = r
-    except (OrderSearchCapError, DenseCapError):
-        pass
     return agg
 
 
@@ -218,18 +222,21 @@ def cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     started = perf_counter()
-    per_layout = {}
     try:
-        for layout, cfg in configs.items():
-            records = [asdict(sample_run(inst, cfg, np.random.default_rng(args.seed + k)))
-                       for k in range(args.samples)]
-            per_layout[layout] = {
-                "records": records,
-                "aggregate": _aggregate(records, inst, args.dense_cap),
-            }
+        records = {
+            layout: [asdict(sample_run(inst, cfg, np.random.default_rng(args.seed + k)))
+                     for k in range(args.samples)]
+            for layout, cfg in configs.items()
+        }
     except MemoryLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    # the order and the law depend on the instance alone
+    law = _reference_law(inst, args.dense_cap)
+    per_layout = {
+        layout: {"records": recs, "aggregate": _aggregate(recs, law)}
+        for layout, recs in records.items()
+    }
     report = {
         "schema": 1,
         "tool": "shor-mps",
@@ -403,11 +410,7 @@ def main(argv=None) -> int:
         "profile": cmd_profile,
         "oracle": cmd_oracle,
     }[args.command]
-    try:
-        return handler(args)
-    except DecompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    return handler(args)
 
 
 if __name__ == "__main__":

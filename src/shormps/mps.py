@@ -64,6 +64,32 @@ class RankProfile:
         return len(self.ranks)
 
 
+def draw_outcome(probs: np.ndarray, rng=None, forced: int | None = None,
+                 where: str = "") -> int:
+    """Sample (or force) an outcome of a probability vector of unit mass.
+
+    Tiny negative entries within the floating-point floor are clamped to zero
+    in place.  The mass must be 1 within 1e-6 and a forced outcome must have
+    positive probability.  A sample draws ``u = rng.random() * mass`` and
+    takes the first outcome whose cumulative probability exceeds it.
+    """
+    neg = probs < 0
+    if np.any(probs[neg] < -1e-12):
+        raise NormalizationError(f"probabilities at {where} have entries < -1e-12")
+    probs[neg] = 0.0
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise NormalizationError(f"probability mass {total} at {where}")
+    if forced is not None:
+        outcome = int(forced)
+        if probs[outcome] <= 0:
+            raise ValueError(f"forced outcome {outcome} has zero probability")
+        return outcome
+    u = rng.random() * total
+    outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    return min(outcome, probs.size - 1)
+
+
 def _require_unitary(g: np.ndarray, tol: float = 1e-10) -> None:
     d = g.shape[0]
     if g.shape != (d, d) or not np.allclose(g.conj().T @ g, np.eye(d), atol=tol):
@@ -381,29 +407,14 @@ class MpsState:
     def measure_qudit(self, m: int, rng=None, forced: int | None = None) -> int:
         """Sample (or force) site m, project onto the outcome, and renormalize.
 
-        Probabilities come from the diagonal of the reduced density matrix;
-        tiny negative entries within the floating-point floor are clamped to
-        zero before sampling.  No bond is touched: the site keeps its physical
-        dimension, holding a single nonzero slice, until removed, and stored
-        bond dimensions may exceed the Schmidt ranks until a sweep.
+        Probabilities come from the diagonal of the reduced density matrix
+        and are drawn by ``draw_outcome``.  No bond is touched: the site keeps
+        its physical dimension, holding a single nonzero slice, until removed,
+        and stored bond dimensions may exceed the Schmidt ranks until a sweep.
         """
         rho = self.reduced_density(m)
         probs = np.real(np.diag(rho)).copy()
-        neg = probs < 0
-        if np.any(probs[neg] < -1e-12):
-            raise NormalizationError(f"density diagonal at site {m} has entries < -1e-12")
-        probs[neg] = 0.0
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-6:
-            raise NormalizationError(f"probability mass {total} at site {m}")
-        if forced is not None:
-            outcome = int(forced)
-            if probs[outcome] <= 0:
-                raise ValueError(f"forced outcome {outcome} has zero probability")
-        else:
-            u = rng.random() * total
-            outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-            outcome = min(outcome, probs.size - 1)
+        outcome = draw_outcome(probs, rng, forced, where=f"site {m}")
         g = self.gammas[m]
         proj = np.zeros_like(g)
         proj[:, outcome, :] = g[:, outcome, :] / sqrt(probs[outcome])

@@ -31,17 +31,33 @@ yet a reached residue; that qubit starts the right block.
 The controlled-U gate itself is never materialized: controlled multiplication
 permutes the residue basis, so each gate copies amplitude blocks under the
 residue map (cost linear in the affected tensor), extending R's residue index
-as new residues appear.  Both layouts measure R the same way: right after
-modexp the sites left of R are not left-orthonormal, so R's density matrix
-comes from contracting the closed network.  Measuring only projects; R's
-slice is contracted into its neighbour, and two sweeps then reveal every
-bond's Schmidt rank, the only place after modexp where an SVD runs.
+as new residues appear.  Each gate's residue map is kept: after modexp they
+are all that sampling needs.
 
-The Fourier transform is semiclassical: the most significant remaining qubit
-sits at an end of the chain, its controlled phases from the qubits already
-measured collapse into one single-site phase ahead of its Hadamard, and it is
-measured as soon as that phase is known and contracted into its neighbour.
-No two-site gate or SVD runs in it.
+Sampling after modexp is graded by residue (Ferris & Vidal, PRB 85, 165146
+(2012); the residue grading plays the role of the conserved charge of Singh,
+Pfeifer & Vidal, PRA 82, 050301 (2010)).  Once R reads the residue t, the
+upper register is uniform over the x < Q with a^x = t.  Cut the qubits into
+those at or above j and those below, so x = u + v, and group the left states
+by c = a^u.  The right state of group c is the indicator of the v < 2^j with
+c * a^v = t, so distinct groups have disjoint supports on both sides: the
+chain is canonical up to diagonal weights, with R_j[c] = #{v : c * a^v = t}
+the squared norm of group c's right state.  Gates and measurements on the
+qubits at or above j act on each group's left state alone, so once those
+qubits are read the state is sum_c w[c] |right state of c>, one complex
+weight per group, and the outcome o of qubit j has probability
+sum_c |w_o[c]|^2 R_j[c], with no cross terms.  R is drawn
+from the forward counts f[c] = #{x < Q : a^x = c}, and the Fourier transform
+is semiclassical (Griffiths & Niu, PRL 76, 3228 (1996)): the most significant
+unread qubit's controlled phases from the qubits already read collapse into
+one single-site phase ahead of its Hadamard.  A sample therefore costs
+O(l * r) and runs no SVD, density read or dense contraction, and every bond's
+Schmidt rank is a label count, read off the same counts.
+
+``measure_lower_register`` and ``apply_lnn_qft`` do the same on the dense
+chain, with a whole-chain density read, rank-revealing sweeps and
+single-site measurements.  No sample reaches them; they are the reference
+the graded sampler is tested against.
 """
 
 from __future__ import annotations
@@ -52,7 +68,7 @@ from math import sqrt
 
 import numpy as np
 
-from .mps import LOWER_REGISTER, MpsState, RankProfile
+from .mps import LOWER_REGISTER, MpsState, RankProfile, draw_outcome
 from .numtheory import (
     SemiprimeInstance,
     continued_fraction_convergents,
@@ -88,11 +104,17 @@ def hadamard() -> np.ndarray:
 # ------------------------------------------------------------------- structures
 
 class LowerRegisterIndex:
-    """Residues of the lower register in first-appearance order."""
+    """Residues of the lower register in first-appearance order.
+
+    ``maps`` keeps the multiplier map of every gate applied so far, in gate
+    order (qubit 2l-1 first); map k has one entry per residue reached before
+    gate k, so its length is R's dimension before that gate.
+    """
 
     def __init__(self):
         self.residues: list[int] = [1]
         self.index: dict[int, int] = {1: 0}
+        self.maps: list[np.ndarray] = []
 
     @property
     def dim(self) -> int:
@@ -105,7 +127,9 @@ class LowerRegisterIndex:
         maps old residue indices to the indices of their images.
         """
         count = len(self.residues)
-        perm = np.empty(count, dtype=np.intp)
+        # int32 keeps the maps small: at n=16351, intp maps held across
+        # modexp raised its peak RSS by 30 MB
+        perm = np.empty(count, dtype=np.int32)
         for j in range(count):
             t = self.residues[j] * mult % n
             k = self.index.get(t)
@@ -114,6 +138,7 @@ class LowerRegisterIndex:
                 self.residues.append(t)
                 self.index[t] = k
             perm[j] = k
+        self.maps.append(perm)
         return perm
 
 
@@ -157,8 +182,7 @@ def build_initial(instance: SemiprimeInstance) -> tuple[MpsState, LowerRegisterI
     return state, LowerRegisterIndex()
 
 
-def _guard(stage: str, state: MpsState, delta: int, limit: int) -> None:
-    needed = state.elements_live + delta
+def _guard(stage: str, needed: int, limit: int) -> None:
     if needed > limit:
         raise MemoryLimitError(stage, needed, limit)
 
@@ -193,8 +217,9 @@ def apply_controlled_modexp(
             raise PipelineStateError("left-side gate requires R at the right end")
         perm = lower.extend(mult, instance.n)
         d_new = lower.dim
-        _guard("modexp", state,
-               unit * (2 * chi_l * d_new + d_new * d_new - gamma_r.size), max_elements)
+        _guard("modexp",
+               state.elements_live + unit * (2 * chi_l * d_new + d_new * d_new - gamma_r.size),
+               max_elements)
         q = np.zeros((chi_l, 2, d_new), dtype=gamma_r.dtype)
         q[:, 0, :d_old] = gamma_r[:, :, 0] * SQRT_HALF
         q[:, 1, perm] = gamma_r[:, :, 0] * SQRT_HALF
@@ -211,8 +236,8 @@ def apply_controlled_modexp(
         d_new = lower.dim
         _guard(
             "modexp",
-            state,
-            unit * (chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r - gamma_r.size),
+            state.elements_live
+            + unit * (chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r - gamma_r.size),
             max_elements,
         )
         r_new = np.zeros((chi_l, d_new, 2 * chi_r), dtype=gamma_r.dtype)
@@ -256,7 +281,122 @@ def run_modexp(state, lower, instance, config) -> int | None:
     return alpha_hat if dynamic else None
 
 
-# ------------------------------------------------------------------ measurement
+# --------------------------------------------------------------- graded sampler
+
+def _dims_after(lower: LowerRegisterIndex) -> list[int]:
+    # R's dimension after each gate: the next gate's map is that long
+    return [perm.size for perm in lower.maps[1:]] + [lower.dim]
+
+
+def forward_counts(lower: LowerRegisterIndex) -> np.ndarray:
+    """f[c] = #{x < Q : a^x = c} over R's residue index, from modexp's maps.
+
+    Each gate keeps every exponent (control bit 0) and moves a copy through
+    its multiplier map (control bit 1): f <- pad(f) + scatter(f, P).
+    """
+    f = np.ones(1)
+    for perm, dim in zip(lower.maps, _dims_after(lower)):
+        grown = np.zeros(dim)
+        grown[: f.size] = f
+        grown[perm] += f
+        f = grown
+    return f
+
+
+def right_counts(lower: LowerRegisterIndex, target: int) -> list[np.ndarray]:
+    """R_j[c] = #{v < 2^j : c * a^v = residue ``target``}, for j = 0 ... 2l.
+
+    R_j runs over the residues reached by the qubits at or above j, so its
+    length is R's dimension after gate j.  R_0 is one-hot at ``target`` and
+    R_{j+1} = R_j[:D_{j+1}] + R_j[P_j], P_j being qubit j's multiplier map.
+    """
+    right = [np.zeros(lower.dim)]
+    right[0][target] = 1.0
+    for perm in reversed(lower.maps):
+        r_j = right[-1]
+        right.append(r_j[: perm.size] + r_j[perm])
+    return right
+
+
+def measure_residue(lower: LowerRegisterIndex, rng) -> tuple[int, list[np.ndarray]]:
+    """Draw R from the forward counts; return its residue and right counts."""
+    counts = forward_counts(lower)
+    t = draw_outcome(counts / counts.sum(), rng, where="R")
+    return lower.residues[t], right_counts(lower, t)
+
+
+def residue_branches(w, perm, right_j, phase):
+    """Both outcomes of qubit j for residue vectors ``w`` (last axis).
+
+    ``w`` runs over the residues reached by the qubits above j.  Bit 0 keeps
+    each residue and bit 1 moves it through j's multiplier map ``perm``; the
+    gate H diag(1, exp(-i pi phase)) then mixes the two at each residue.
+    Returns the branches, axes (..., outcome, residue), and their
+    probabilities sum_c |branch[c]|^2 R_j[c], axes (..., outcome).  Leading
+    axes of ``w`` and ``phase`` broadcast.
+    """
+    split = np.zeros(w.shape[:-1] + (2, right_j.size), dtype=np.complex128)
+    split[..., 0, : w.shape[-1]] = w
+    split[..., 1, perm] = w
+    split[..., 1, :] *= np.exp(-1j * np.pi * np.asarray(phase))[..., None]
+    branches = hadamard() @ split
+    return branches, (branches.real**2 + branches.imag**2) @ right_j
+
+
+def graded_fourier(lower: LowerRegisterIndex, right: list[np.ndarray], rng) -> list[int]:
+    """Semiclassical Fourier transform of the upper register, graded by residue.
+
+    Reads qubits 2l-1 ... 0, most significant first, as ``apply_lnn_qft``
+    does, keeping one complex weight per residue reached by the qubits read
+    so far.  Returns the bits in measurement order.
+    """
+    w = np.array([1.0 / sqrt(right[-1][0])], dtype=np.complex128)
+    top = len(lower.maps) - 1
+    bits: list[int] = []
+    for perm, right_j in zip(lower.maps, reversed(right[:-1])):
+        j = top - len(bits)
+        phase = sum(b / 2.0 ** (top - k - j) for k, b in enumerate(bits))
+        branches, probs = residue_branches(w, perm, right_j, phase)
+        bit = draw_outcome(probs, rng, where=f"qubit {j}")
+        w = branches[bit] / sqrt(probs[bit])
+        bits.append(bit)
+    return bits
+
+
+def graded_ranks(
+    lower: LowerRegisterIndex,
+    instance: SemiprimeInstance,
+    alpha_hat: int | None,
+    residue: int,
+    right: list[np.ndarray],
+) -> tuple[int, ...]:
+    """Schmidt ranks of the upper-register chain once R has read ``residue``.
+
+    A bond that splits the qubits into U and V has rank
+    #{c in S_U : residue / c in S_V}, S_U being the residues a^u over U's
+    bits.  Where U is the qubits at or above j, as on the static chain and on
+    every dynamic bond up to the right block, that is the support of R_j.
+    The dynamic right block holds qubits 0, 1, ..., alpha-1 from left to
+    right; its few bonds are counted over the residues directly.
+    """
+    alpha = alpha_hat or 0
+    top = len(right) - 1
+    ranks = [int(np.count_nonzero(right[j])) for j in range(top - 1, max(alpha, 1) - 1, -1)]
+    n = instance.n
+    inv = pow(instance.a, -1, n)
+    d_upper = right[alpha].size  # residues reached by the qubits >= alpha
+    for k in range(alpha - 1):
+        # U: qubits >= alpha and 0..k; V: qubits k+1..alpha-1
+        counted = set()
+        for v in range(0, 1 << alpha, 2 << k):
+            c = residue * pow(inv, v, n) % n
+            if any(lower.index[c * pow(inv, y, n) % n] < d_upper for y in range(2 << k)):
+                counted.add(c)
+        ranks.append(len(counted))
+    return tuple(ranks)
+
+
+# ----------------------------------------------------- dense reference stages
 
 def measure_lower_register(
     state: MpsState,
@@ -266,12 +406,13 @@ def measure_lower_register(
 ) -> int:
     """Measure R, contract it into its neighbour, and reveal the ranks.
 
-    One path for both layouts: ``measure_qudit`` reads R's density matrix by
-    contracting the closed network, since the sites left of R are not
-    left-orthonormal right after modexp, and only projects.  Then a
-    left-to-right sweep from R's old place to the right end and a
-    right-to-left sweep over the whole chain leave every bond at its Schmidt
-    rank and every site right of the left end right-orthonormal.
+    The dense reference of ``measure_residue`` and ``graded_ranks``.
+    ``measure_qudit`` reads R's density matrix by contracting the closed
+    network, since the sites left of R are not left-orthonormal right after
+    modexp, and only projects.  Then a left-to-right sweep from R's old place
+    to the right end and a right-to-left sweep over the whole chain leave
+    every bond at its Schmidt rank and every site right of the left end
+    right-orthonormal.
     """
     rpos = state.position_of(LOWER_REGISTER)
     forced = lower.index[forced_residue] if forced_residue is not None else None
@@ -282,13 +423,12 @@ def measure_lower_register(
     return lower.residues[outcome]
 
 
-# ------------------------------------------------------------------------- QFT
-
 def apply_lnn_qft(state: MpsState, rng=None, forced_bits=None) -> list[int]:
     """Semiclassical Fourier transform: one single-site gate per qubit.
 
-    The most significant remaining qubit j must be an end site of the chain,
-    as it is in both layouts.  Its controlled phases with the qubits k > j act
+    The dense reference of ``graded_fourier``.  The most significant
+    remaining qubit j must be an end site of the chain, as it is in both
+    layouts.  Its controlled phases with the qubits k > j act
     after their measurement, so they reduce to the classically controlled
     single-qubit phase diag(1, exp(-i pi sum_k b_k / 2^(k-j))) ahead of its
     Hadamard (Griffiths & Niu, PRL 76, 3228 (1996)).  The qubit is measured as
@@ -347,42 +487,52 @@ def _profile(state: MpsState, stage: str) -> RankProfile:
 def sample_run(
     instance: SemiprimeInstance, config: PipelineConfig, rng
 ) -> SampleRecord:
-    """One end-to-end sample: modexp, lower measurement, QFT, classical step.
+    """One end-to-end sample: modexp, R, the Fourier transform, classical step.
 
-    Every stage runs on ``instance`` as given.  A stage that would exceed
-    ``config.max_elements`` raises ``MemoryLimitError``.
+    Modexp builds the dense chain, whose ranks and element peak are recorded
+    and which is then released.  R and the Fourier transform are drawn from
+    modexp's residue maps alone (see the module docstring): after R reads t,
+    the bond above qubit j has one Schmidt label per residue c that both
+    sides reach, with squared weight proportional to the left count
+    #{u : a^u = c} times the right count R_j[c], so one complex weight per
+    residue carries the state from qubit to qubit.  The "measure" ranks are
+    those label counts and the "qft" chain ends as one site.
+
+    Every stage runs on ``instance`` as given.  A stage whose arrays would
+    exceed ``config.max_elements`` raises ``MemoryLimitError``: modexp counts
+    its site tensors, "measure" the forward and right counts it builds, and
+    "qft" the right counts plus its complex residue vector and branch pair.
     """
-    profiles: list[RankProfile] = []
-    peaks: dict[str, int] = {}
     seconds: dict[str, float] = {}
 
-    def staged(name, fn):
-        state.reset_peak()
+    def timed(name, fn):
         t0 = time.perf_counter()
         out = fn()
         seconds[name] = time.perf_counter() - t0
-        peaks[name] = state.elements_peak
         return out
 
-    t0 = time.perf_counter()
-    state, lower = build_initial(instance)
-    seconds["build"] = time.perf_counter() - t0
-    peaks["build"] = state.elements_peak
+    state, lower = timed("build", lambda: build_initial(instance))
+    peaks = {"build": state.elements_peak}
+    alpha_hat = timed("modexp", lambda: run_modexp(state, lower, instance, config))
+    peaks["modexp"] = state.elements_peak
+    profiles = [_profile(state, "modexp")]
+    labels = tuple(lab for lab in state.labels if lab != LOWER_REGISTER)
+    del state  # only the residue maps in ``lower`` are read from here on
 
-    alpha_hat = staged("modexp", lambda: run_modexp(state, lower, instance, config))
-    profiles.append(_profile(state, "modexp"))
+    dims = _dims_after(lower)
+    held = sum(dims) + 1  # right counts R_0 ... R_2l
+    peaks["measure"] = lower.dim + held
+    _guard("measure", peaks["measure"], config.max_elements)
+    residue, right = timed("measure", lambda: measure_residue(lower, rng))
+    ranks = graded_ranks(lower, instance, alpha_hat, residue, right)
+    profiles.append(RankProfile(stage="measure", ranks=ranks, layout=labels))
 
-    residue = staged("measure", lambda: measure_lower_register(state, lower, rng))
-    profiles.append(_profile(state, "measure"))
-
-    def qft():
-        # promotion doubles the tally; nothing in the transform raises it
-        _guard("qft", state, state.elements_live, config.max_elements)
-        state.promote_to_complex()
-        return apply_lnn_qft(state, rng)
-
-    bits = staged("qft", qft)
-    profiles.append(_profile(state, "qft"))
+    # complex units: the residue vector and its two branches
+    peaks["qft"] = held + max(2 * (perm.size + 2 * d) for perm, d in zip(lower.maps, dims))
+    _guard("qft", peaks["qft"], config.max_elements)
+    bits = timed("qft", lambda: graded_fourier(lower, right, rng))
+    # qubit 0 is read last and is the only site left
+    profiles.append(RankProfile(stage="qft", ranks=(), layout=(0,)))
 
     t0 = time.perf_counter()
     s = assemble_s(bits, instance.l)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from shormps import cli
+from shormps import cli, oracle, shor
 from shormps.numtheory import OrderSearchCapError
 
 
@@ -91,30 +91,68 @@ class TestSample:
         assert captured.out == ""
         assert captured.err == "error: modexp: 1119 elements would exceed the limit 1000\n"
 
-    def test_memory_limit_bounds_qft(self, tmp_path, capsys):
-        # modexp peaks at 182 elements; promoting the post-measure state needs 248
+    def test_memory_limit_bounds_qft(self, tmp_path, capsys, monkeypatch):
+        # the graded stages hold less than modexp's final chain (182 elements
+        # here), so no single limit passes modexp and trips them; lifting
+        # modexp's own limit exposes their guards: "measure" holds 39
+        # elements of residue counts, "qft" 63 with its complex vectors
+        modexp = shor.run_modexp
+        monkeypatch.setattr(shor, "run_modexp", lambda state, lower, inst, cfg:
+                            modexp(state, lower, inst, shor.PipelineConfig(cfg.layout)))
         argv = ["sample", "--n", "21", "--a", "2", "--layout", "dynamic", "--samples",
                 "5", "--seed", "0", "--max-elements"]
-        assert run_cli(argv + ["230"]) == 3
-        assert capsys.readouterr().err.startswith("error: qft: ")
+        assert run_cli(argv + ["38"]) == 3
+        assert capsys.readouterr().err == "error: measure: 39 elements would exceed the limit 38\n"
+        assert run_cli(argv + ["62"]) == 3
+        assert capsys.readouterr().err == "error: qft: 63 elements would exceed the limit 62\n"
         out = tmp_path / "r.json"
-        assert run_cli(argv + ["248", "--out", str(out)]) == 0
-        aggregate = json.loads(out.read_text())["layouts"]["dynamic"]["aggregate"]
-        assert max(aggregate["peak_elements_per_stage"].values()) <= 248
+        assert run_cli(argv + ["63", "--out", str(out)]) == 0
+        peaks = json.loads(out.read_text())["layouts"]["dynamic"]["aggregate"][
+            "peak_elements_per_stage"]
+        assert (peaks["measure"], peaks["qft"]) == (39, 63)
+
+    def test_memory_limit_bounds_the_whole_run(self, tmp_path, capsys):
+        # the sample peak is modexp's: a limit at it passes, one below trips modexp
+        argv = ["sample", "--n", "21", "--a", "2", "--layout", "dynamic", "--samples",
+                "5", "--seed", "0", "--max-elements"]
+        assert run_cli(argv + ["181"]) == 3
+        assert capsys.readouterr().err.startswith("error: modexp: 182 elements")
+        out = tmp_path / "r.json"
+        assert run_cli(argv + ["182", "--out", str(out)]) == 0
+        peaks = json.loads(out.read_text())["layouts"]["dynamic"]["aggregate"][
+            "peak_elements_per_stage"]
+        assert max(peaks.values()) == peaks["modexp"] == 182
+
+    def test_reference_law_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return oracle.exact_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_distribution", counted)
+        out = tmp_path / "r.json"
+        assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "3", "--seed", "1",
+                        "--layout", "both", "--out", str(out)]) == 0
+        assert calls == [(5, 6)]
+        report = json.loads(out.read_text())
+        for layout in ("static", "dynamic"):
+            aggregate = report["layouts"][layout]["aggregate"]
+            assert aggregate["order_r"] == 6 and aggregate["tvd_vs_oracle"] is not None
 
     def test_csv_rejected_for_sample(self):
         assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "1",
                         "--format", "csv"]) == 2
 
-    def test_svd_failure_exit_code(self, monkeypatch, capsys):
+    def test_sample_runs_no_svd(self, monkeypatch, tmp_path):
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", broken)
-        code = run_cli(["sample", "--n", "21", "--a", "2", "--samples", "1"])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: SVD did not converge") and err.count("\n") == 1
+        out = tmp_path / "r.json"
+        assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "3",
+                        "--layout", "both", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["layouts"]["static"]["records"]) == 3
 
 
 class TestBadInput:

@@ -338,6 +338,119 @@ class TestLnnQft:
         assert len(shor.apply_lnn_qft(state, rng)) == 2 * inst.l
 
 
+def dense_reference(inst, layout, rng, forced_residue=None):
+    """The dense path: R by a whole-chain read and rank-revealing sweeps, then
+    the semiclassical transform on the promoted chain."""
+    state, lower, _ = run_layout(inst, layout)
+    residue = shor.measure_lower_register(state, lower, rng, forced_residue)
+    profile = (state.bond_dims(), tuple(state.labels))
+    state.promote_to_complex()
+    return residue, profile, shor.assemble_s(shor.apply_lnn_qft(state, rng), inst.l)
+
+
+def graded_law(lower):
+    """Pr(s), summed over every outcome path of the graded sampler: each R
+    residue, then both bits of every qubit, renormalized as the sampler does."""
+    counts = shor.forward_counts(lower)
+    big_q = counts.sum()
+    law = np.zeros(int(big_q))
+    for t in range(lower.dim):
+        right = shor.right_counts(lower, t)
+        w = np.full((1, 1), 1.0 / np.sqrt(right[-1][0]), dtype=np.complex128)
+        prob = np.array([counts[t] / big_q])
+        phase = np.zeros(1)
+        s = np.zeros(1, dtype=np.int64)
+        for depth, (perm, right_j) in enumerate(zip(lower.maps, reversed(right[:-1]))):
+            branches, probs = shor.residue_branches(w, perm, right_j, phase)
+            path, bit = np.nonzero(probs > 0)
+            w = branches[path, bit] / np.sqrt(probs[path, bit])[:, None]
+            prob = prob[path] * probs[path, bit]
+            phase = (phase[path] + bit) / 2
+            s = s[path] + (bit << depth)
+        np.add.at(law, s, prob)
+    return law
+
+
+class TestGradedSampler:
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    @pytest.mark.parametrize("n, a", [(15, 7), (21, 2), (33, 2), (247, 2)])
+    def test_same_samples_as_dense_reference(self, n, a, layout):
+        inst = fresh(n, a)
+        state, lower, alpha_hat = run_layout(inst, layout)
+        labels = tuple(lab for lab in state.labels if lab != LOWER_REGISTER)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            residue, right = shor.measure_residue(lower, rng)
+            ranks = shor.graded_ranks(lower, inst, alpha_hat, residue, right)
+            s = shor.assemble_s(shor.graded_fourier(lower, right, rng), inst.l)
+            want = dense_reference(inst, layout, np.random.default_rng(seed))
+            assert (residue, (ranks, labels), s) == want, seed
+
+    def test_branch_gate_convention(self):
+        # sampled states are real, so only a complex weight pins the phase sign
+        w = np.array([0.6, 0.8j])
+        right_j = np.array([1.0, 2.0, 3.0])
+        branches, probs = shor.residue_branches(w, np.array([1, 2]), right_j, 0.25)
+        split = np.array([[0.6, 0.8j, 0.0], [0.0, 0.6, 0.8j]])
+        want = shor.hadamard() @ np.diag([1.0, np.exp(-0.25j * np.pi)]) @ split
+        np.testing.assert_allclose(branches, want, atol=1e-15)
+        np.testing.assert_allclose(probs, np.abs(want) ** 2 @ right_j, atol=1e-15)
+
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    @pytest.mark.parametrize("n, a", [(21, 2), (247, 2)])
+    def test_sample_runs_no_dense_work_after_modexp(self, n, a, layout, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("SVD, density read or promotion in a sample")
+
+        monkeypatch.setattr(mps, "svd_truncated", banned)
+        for name in ("reduced_density_nonlocal", "reduced_density_local",
+                     "promote_to_complex", "measure_qudit", "sweep"):
+            monkeypatch.setattr(MpsState, name, banned)
+        cfg = shor.PipelineConfig(layout=layout)
+        rec = shor.sample_run(fresh(n, a), cfg, np.random.default_rng(3))
+        assert rec.rank_profiles[-1] == mps.RankProfile("qft", (), (0,))
+
+    def test_counts(self):
+        inst = fresh(21, 2)
+        _, lower, _ = run_layout(inst, "static")
+        x = np.arange(1 << (2 * inst.l))
+        residues = np.array([lower.index[pow(2, int(k), 21)] for k in x])
+        assert np.array_equal(shor.forward_counts(lower), np.bincount(residues))
+        t = lower.index[11]
+        right = shor.right_counts(lower, t)
+        for j in (0, 3, 2 * inst.l):
+            want = [sum(c * pow(2, v, 21) % 21 == 11 for v in range(1 << j))
+                    for c in lower.residues[: right[j].size]]
+            assert right[j].tolist() == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(semiprime_and_base([p for p in ODD_PRIMES if p < 30]).filter(lambda c: c[0] < 128))
+    def test_path_sum_is_exact_law(self, case):
+        # the sampler reads only modexp's maps, which both layouts share; the
+        # enumeration costs O(r * l * Q * r), so n stays below 2^7
+        inst = fresh(*case)
+        _, lower, _ = run_layout(inst, "static")
+        _, other, _ = run_layout(inst, "dynamic")
+        assert len(lower.maps) == len(other.maps)
+        assert all(np.array_equal(p, q) for p, q in zip(lower.maps, other.maps))
+        r = multiplicative_order(inst.a, inst.n)
+        want = oracle.exact_distribution(inst.l, r).probs
+        assert np.max(np.abs(graded_law(lower) - want)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(semiprime_and_base([p for p in ODD_PRIMES if p < 20]), st.data())
+    def test_ranks_match_dense_reference(self, case, data):
+        inst = fresh(*case)
+        for layout in ("static", "dynamic"):
+            _, lower, alpha_hat = run_layout(inst, layout)
+            residue = data.draw(st.sampled_from(lower.residues))
+            right = shor.right_counts(lower, lower.index[residue])
+            ranks = shor.graded_ranks(lower, inst, alpha_hat, residue, right)
+            _, (want, _), _ = dense_reference(inst, layout, np.random.default_rng(0),
+                                              forced_residue=residue)
+            assert ranks == want, layout
+
+
 class TestAssembleS:
     def test_all_zero(self):
         assert shor.assemble_s([0] * 10, 5) == 0
@@ -417,7 +530,8 @@ class TestSampleRun:
         with pytest.raises(shor.MemoryLimitError) as err:
             run(peak - 1)
         assert err.value.needed == peak
-        assert err.value.stage == ("modexp" if free.peak_elements["modexp"] == peak else "qft")
+        # the graded stages hold less than modexp's final chain
+        assert err.value.stage == "modexp" and free.peak_elements["modexp"] == peak
 
     def test_determinism(self):
         inst = fresh(21, 2)

@@ -16,22 +16,23 @@ from shormps.numtheory import SemiprimeInstance
 def profile(n: int, a: int) -> None:
     inst = SemiprimeInstance.make(n, a)
     for layout in ("static", "dynamic"):
-        state, lower = shor.build_initial(inst)
+        lower = shor.LowerRegisterIndex()
         cfg = shor.PipelineConfig(layout=layout)
-        alpha_hat = shor.run_modexp(state, lower, inst, cfg)
+        alpha_hat, prof, tally = shor.run_modexp(lower, inst, cfg)
+        labels = prof.layout
         print(f"\n{layout} layout  (lower-register dim {lower.dim}"
               + (f", detected exponent {alpha_hat}" if alpha_hat is not None else "")
-              + f", live elements {state.elements_live})")
+              + f", live elements {tally})")
         print(" bond  left-label  right-label  rank  oracle")
-        for bond, rank in enumerate(state.bond_dims()):
-            left = state.labels[: bond + 1]
+        for bond, rank in enumerate(prof.ranks):
+            left = labels[: bond + 1]
             upper = [lab for lab in left if lab != LOWER_REGISTER]
             expect = oracle.residue_rank_oracle(
                 inst, upper, include_lower=LOWER_REGISTER in left
             )
             mark = "" if expect == rank else "  <-- MISMATCH"
-            print(f" {bond:4d}  {str(state.labels[bond]):>10}"
-                  f"  {str(state.labels[bond + 1]):>11}  {rank:5d}  {expect:5d}{mark}")
+            print(f" {bond:4d}  {str(labels[bond]):>10}"
+                  f"  {str(labels[bond + 1]):>11}  {rank:5d}  {expect:5d}{mark}")
 
 
 if __name__ == "__main__":

@@ -43,9 +43,9 @@ from .numtheory import (
 )
 from .oracle import DenseCapError, exact_distribution, tvd
 from .shor import (
+    LowerRegisterIndex,
     MemoryLimitError,
     PipelineConfig,
-    build_initial,
     run_modexp,
     sample_run,
 )
@@ -309,14 +309,13 @@ def cmd_profile(args) -> int:
     elements = {}
     try:
         for layout, cfg in configs.items():
-            state, lower = build_initial(inst)
-            run_modexp(state, lower, inst, cfg)
-            profiles.append(
-                (layout, RankProfile("modexp", state.bond_dims(), tuple(state.labels)))
-            )
+            lower = LowerRegisterIndex()
+            _, profile, tally = run_modexp(lower, inst, cfg)
+            profiles.append((layout, profile))
+            # the tally only grows, so the final one is the peak
             elements[layout] = {
-                "live": state.elements_live,
-                "peak": state.elements_peak,
+                "live": tally,
+                "peak": tally,
                 "lower_register_dim": lower.dim,
             }
     except MemoryLimitError as exc:
@@ -328,7 +327,8 @@ def cmd_profile(args) -> int:
             f" dynamic live {elements['dynamic']['live']}"
             f" (peak {elements['dynamic']['peak']})"
             f" vs static live {elements['static']['live']}"
-            f" (peak {elements['static']['peak']})"
+            f" (peak {elements['static']['peak']})",
+            file=sys.stderr,
         )
     if args.format == "csv":
         lines = ["stage,bond,rank,layout"]

@@ -28,11 +28,18 @@ multiplier m maps H onto m*H, which is H itself when m lies in H and a
 disjoint coset otherwise, so the gate raises the rank exactly when m is not
 yet a reached residue; that qubit starts the right block.
 
-The controlled-U gate itself is never materialized: controlled multiplication
-permutes the residue basis, so each gate copies amplitude blocks under the
-residue map (cost linear in the affected tensor), extending R's residue index
-as new residues appear.  Each gate's residue map is kept: after modexp they
-are all that sampling needs.
+The controlled-U gate itself is never materialized, and neither is the
+chain.  Controlled multiplication permutes the residue basis, so each gate
+only scatters R's amplitude blocks through the residue map, extending R's
+residue index as new residues appear: every nonzero entry of every site is
+a power of 1/sqrt(2), placed by the maps.  The modexp chain is therefore
+fixed by the gates' residue maps, the side of each qubit and the bond
+ranks, a charge-graded store in the sense of Singh, Pfeifer & Vidal
+(PRA 82, 050301 (2010)), and that is all ``run_modexp`` keeps.  Left of R the left states of
+distinct residue labels have disjoint supports, so the bond to R is a
+Schmidt rank equal to the number of labels; right of R each qubit doubles
+the bond.  The dense chain, built site by site, is kept in the test suite as
+an independent reference.
 
 Sampling after modexp is graded by residue (Ferris & Vidal, PRB 85, 165146
 (2012); the residue grading plays the role of the conserved charge of Singh,
@@ -54,10 +61,10 @@ one single-site phase ahead of its Hadamard.  A sample therefore costs
 O(l * r) and runs no SVD, density read or dense contraction, and every bond's
 Schmidt rank is a label count, read off the same counts.
 
-``measure_lower_register`` and ``apply_lnn_qft`` do the same on the dense
+``measure_lower_register`` and ``apply_lnn_qft`` do the same on a dense
 chain, with a whole-chain density read, rank-revealing sweeps and
-single-site measurements.  No sample reaches them; they are the reference
-the graded sampler is tested against.
+single-site measurements.  No sample reaches them; with the test suite's
+dense modexp they are the reference the graded pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -173,112 +180,72 @@ class SampleRecord:
 
 # ----------------------------------------------------------------------- modexp
 
-def build_initial(instance: SemiprimeInstance) -> tuple[MpsState, LowerRegisterIndex]:
-    """Lower-register qudit alone, in state |1> with effective dimension 1.
-
-    Upper qubits are created lazily as their gates are applied.
-    """
-    state = MpsState.product_state((1,), (0,), labels=[LOWER_REGISTER])
-    return state, LowerRegisterIndex()
-
-
 def _guard(stage: str, needed: int, limit: int) -> None:
     if needed > limit:
         raise MemoryLimitError(stage, needed, limit)
 
 
-def apply_controlled_modexp(
-    state: MpsState,
-    lower: LowerRegisterIndex,
-    instance: SemiprimeInstance,
-    i: int,
-    side: str,
-    max_elements: int = 1 << 62,
-) -> None:
-    """Create upper qubit i in |+> next to R and apply controlled U^(2^i).
+def _chain_tally(labels, bonds, d_lower: int) -> int:
+    """The paper's element count sum_k b_k d_k b_(k+1) of a chain's site tensors.
 
-    The combined insert/gate/split acts directly on R's tensor: the control-1
-    block is R's tensor with its residue axis permuted by the multiplier map,
-    and the split leaves an identity factor behind.  Side ``"B"`` needs R at
-    the right end; the qubit goes left of R and R keeps the identity.  Side
-    ``"A"`` puts the qubit right of R, which keeps the gate; the new bond
-    between them gets unit weights, and the bond formerly right of R (unit
-    weights, since every site there was created this way) now lies right of
-    the qubit.  No SVD runs on either side.
+    ``bonds`` sit between consecutive ``labels``; the chain ends count as
+    bonds of dimension 1.  R has dimension ``d_lower``, every qubit 2.
     """
-    mult = mod_pow(instance.a, 1 << i, instance.n)
-    rpos = state.position_of(LOWER_REGISTER)
-    gamma_r = state.gammas[rpos]
-    chi_l, d_old, chi_r = gamma_r.shape
-
-    unit = 2 if state.complex_mode else 1
-    if side == "B":
-        if rpos != state.n_sites - 1:
-            raise PipelineStateError("left-side gate requires R at the right end")
-        perm = lower.extend(mult, instance.n)
-        d_new = lower.dim
-        _guard("modexp",
-               state.elements_live + unit * (2 * chi_l * d_new + d_new * d_new - gamma_r.size),
-               max_elements)
-        q = np.zeros((chi_l, 2, d_new), dtype=gamma_r.dtype)
-        q[:, 0, :d_old] = gamma_r[:, :, 0] * SQRT_HALF
-        q[:, 1, perm] = gamma_r[:, :, 0] * SQRT_HALF
-        state.gammas[rpos] = np.eye(d_new, dtype=gamma_r.dtype).reshape(d_new, d_new, 1)
-        state.gammas.insert(rpos, q)
-        state.labels.insert(rpos, i)
-        state.lambdas.insert(rpos, np.ones(d_new))
-        state.lortho.insert(rpos, False)
-        state.rortho.insert(rpos, False)
-        state.lortho[rpos + 1] = False
-        state.rortho[rpos + 1] = True  # identity block at the chain end
-    elif side == "A":
-        perm = lower.extend(mult, instance.n)
-        d_new = lower.dim
-        _guard(
-            "modexp",
-            state.elements_live
-            + unit * (chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r - gamma_r.size),
-            max_elements,
-        )
-        r_new = np.zeros((chi_l, d_new, 2 * chi_r), dtype=gamma_r.dtype)
-        r_new[:, :d_old, :chi_r] = gamma_r * SQRT_HALF
-        r_new[:, perm, chi_r:] = gamma_r * SQRT_HALF
-        state.gammas[rpos] = r_new
-        state.lambdas.insert(rpos, np.ones(2 * chi_r))
-        q = np.eye(2 * chi_r, dtype=gamma_r.dtype).reshape(2 * chi_r, 2, chi_r)
-        state.gammas.insert(rpos + 1, q)
-        state.labels.insert(rpos + 1, i)
-        state.lortho[rpos] = False
-        state.rortho[rpos] = False
-        state.lortho.insert(rpos + 1, False)
-        state.rortho.insert(rpos + 1, True)  # identity block, unit weights beyond
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    state._retally()
+    edges = [1, *bonds, 1]
+    return sum(edges[k] * (d_lower if lab == LOWER_REGISTER else 2) * edges[k + 1]
+               for k, lab in enumerate(labels))
 
 
-def run_modexp(state, lower, instance, config) -> int | None:
+def run_modexp(
+    lower: LowerRegisterIndex, instance: SemiprimeInstance, config: PipelineConfig
+) -> tuple[int | None, RankProfile, int]:
     """Controlled multiplications for qubits 2l-1 ... 0, most significant first.
 
-    The static layout creates every qubit left of R and returns None.  The
-    dynamic layout flags the plateau after one gate that leaves ``lower.dim``
-    unchanged; the first later qubit whose multiplier is not yet a reached
-    residue, and every qubit after it, is created right of R.  It returns the
-    number of right-side qubits, the measured two-adic exponent of r.
+    Each gate creates upper qubit i in |+> next to R and scatters R's
+    amplitude blocks through the multiplier map that ``lower.extend``
+    returns, so the chain is fixed by ``lower.maps``, each qubit's side and
+    the bond ranks.  Only the labels and ranks are kept.  Side B puts the
+    qubit left of R, with a bond of R's new dimension between them; side A
+    puts it right of R, where the new bond next to R is twice R's old right
+    bond (1 at the chain end).  Every bond is a Schmidt rank (see the module
+    docstring) and equals the residue rank oracle.
+
+    The static layout creates every qubit left of R.  The dynamic layout
+    flags the plateau after one gate that leaves ``lower.dim`` unchanged;
+    the first later qubit whose multiplier is not yet a reached residue, and
+    every qubit after it, is created right of R.
+
+    After each gate the dense-equivalent tally of the chain's site tensors
+    is checked against ``config.max_elements``.  The tally only grows, so
+    the last one is the peak.  Returns the number of right-side qubits (the
+    measured two-adic exponent of r; None for the static layout), the rank
+    profile and that tally.
     """
     dynamic = config.layout == "dynamic"
     plateau = False
     alpha_hat = 0
+    labels: list = [LOWER_REGISTER]
+    bonds: list[int] = []
+    tally = 1
     for i in reversed(range(instance.upper_qubits)):
         d_before = lower.dim
-        side = "B"
-        if dynamic and (alpha_hat or (
-                plateau and mod_pow(instance.a, 1 << i, instance.n) not in lower.index)):
-            side = "A"
+        mult = mod_pow(instance.a, 1 << i, instance.n)
+        side_a = dynamic and (alpha_hat or (plateau and mult not in lower.index))
+        lower.extend(mult, instance.n)
+        if side_a:
             alpha_hat += 1
-        apply_controlled_modexp(state, lower, instance, i, side, config.max_elements)
+            rpos = labels.index(LOWER_REGISTER)
+            chi_r = bonds[rpos] if rpos < len(bonds) else 1
+            labels.insert(rpos + 1, i)
+            bonds.insert(rpos, 2 * chi_r)
+        else:
+            labels.insert(len(labels) - 1, i)
+            bonds.append(lower.dim)
+        tally = _chain_tally(labels, bonds, lower.dim)
+        _guard("modexp", tally, config.max_elements)
         plateau = plateau or lower.dim == d_before
-    return alpha_hat if dynamic else None
+    profile = RankProfile(stage="modexp", ranks=tuple(bonds), layout=tuple(labels))
+    return (alpha_hat if dynamic else None), profile, tally
 
 
 # --------------------------------------------------------------- graded sampler
@@ -478,30 +445,25 @@ def assemble_s(bits, l: int) -> int:
 
 # ------------------------------------------------------------------ full sample
 
-def _profile(state: MpsState, stage: str) -> RankProfile:
-    # post-stage bond dimensions are exact Schmidt ranks for this pipeline:
-    # every split is either rank-revealing or a residue-counting identity split
-    return RankProfile(stage=stage, ranks=state.bond_dims(), layout=tuple(state.labels))
-
-
 def sample_run(
     instance: SemiprimeInstance, config: PipelineConfig, rng
 ) -> SampleRecord:
     """One end-to-end sample: modexp, R, the Fourier transform, classical step.
 
-    Modexp builds the dense chain, whose ranks and element peak are recorded
-    and which is then released.  R and the Fourier transform are drawn from
-    modexp's residue maps alone (see the module docstring): after R reads t,
-    the bond above qubit j has one Schmidt label per residue c that both
-    sides reach, with squared weight proportional to the left count
+    Modexp keeps only its residue maps and the chain's labels and bond ranks
+    (``run_modexp``); no site tensor is built.  R and the Fourier transform
+    are drawn from those maps alone (see the module docstring): after R
+    reads t, the bond above qubit j has one Schmidt label per residue c that
+    both sides reach, with squared weight proportional to the left count
     #{u : a^u = c} times the right count R_j[c], so one complex weight per
     residue carries the state from qubit to qubit.  The "measure" ranks are
     those label counts and the "qft" chain ends as one site.
 
     Every stage runs on ``instance`` as given.  A stage whose arrays would
     exceed ``config.max_elements`` raises ``MemoryLimitError``: modexp counts
-    its site tensors, "measure" the forward and right counts it builds, and
-    "qft" the right counts plus its complex residue vector and branch pair.
+    the elements its chain's site tensors would hold if stored densely,
+    "measure" the forward and right counts it builds, and "qft" the right
+    counts plus its complex residue vector and branch pair.
     """
     seconds: dict[str, float] = {}
 
@@ -511,13 +473,12 @@ def sample_run(
         seconds[name] = time.perf_counter() - t0
         return out
 
-    state, lower = timed("build", lambda: build_initial(instance))
-    peaks = {"build": state.elements_peak}
-    alpha_hat = timed("modexp", lambda: run_modexp(state, lower, instance, config))
-    peaks["modexp"] = state.elements_peak
-    profiles = [_profile(state, "modexp")]
-    labels = tuple(lab for lab in state.labels if lab != LOWER_REGISTER)
-    del state  # only the residue maps in ``lower`` are read from here on
+    lower = timed("build", LowerRegisterIndex)
+    peaks = {"build": 1}  # R alone, of dimension 1
+    alpha_hat, modexp_profile, peaks["modexp"] = timed(
+        "modexp", lambda: run_modexp(lower, instance, config))
+    profiles = [modexp_profile]
+    labels = tuple(lab for lab in modexp_profile.layout if lab != LOWER_REGISTER)
 
     dims = _dims_after(lower)
     held = sum(dims) + 1  # right counts R_0 ... R_2l

@@ -1,9 +1,142 @@
-"""Shared test utilities: bridging MPS layouts to the canonical dense ordering."""
+"""Shared test utilities: the dense modexp reference, and bridges from MPS
+layouts to the canonical dense ordering.
+
+``shor.run_modexp`` keeps only the residue maps, labels and bond ranks of the
+modexp chain.  The functions below build that chain's site tensors
+explicitly, gate by gate, as an independent reference for its ranks, tallies,
+guard and amplitudes, and as the input of the dense measurement and
+transform in ``shor``.
+"""
 
 import numpy as np
 
-from shormps import oracle
+from shormps import oracle, shor
 from shormps.mps import LOWER_REGISTER, MpsState
+from shormps.numtheory import SemiprimeInstance, mod_pow
+
+
+# ------------------------------------------------------------ dense modexp
+
+def build_initial(instance: SemiprimeInstance) -> tuple[MpsState, shor.LowerRegisterIndex]:
+    """Lower-register qudit alone, in state |1> with effective dimension 1.
+
+    Upper qubits are created lazily as their gates are applied.
+    """
+    state = MpsState.product_state((1,), (0,), labels=[LOWER_REGISTER])
+    return state, shor.LowerRegisterIndex()
+
+
+def apply_controlled_modexp(
+    state: MpsState,
+    lower: shor.LowerRegisterIndex,
+    instance: SemiprimeInstance,
+    i: int,
+    side: str,
+    max_elements: int = 1 << 62,
+) -> None:
+    """Create upper qubit i in |+> next to R and apply controlled U^(2^i).
+
+    The combined insert/gate/split acts directly on R's tensor: the control-1
+    block is R's tensor with its residue axis permuted by the multiplier map,
+    and the split leaves an identity factor behind.  Side ``"B"`` needs R at
+    the right end; the qubit goes left of R and R keeps the identity.  Side
+    ``"A"`` puts the qubit right of R, which keeps the gate; the new bond
+    between them gets unit weights, and the bond formerly right of R (unit
+    weights, since every site there was created this way) now lies right of
+    the qubit.  No SVD runs on either side.
+    """
+    mult = mod_pow(instance.a, 1 << i, instance.n)
+    rpos = state.position_of(LOWER_REGISTER)
+    gamma_r = state.gammas[rpos]
+    chi_l, d_old, chi_r = gamma_r.shape
+
+    unit = 2 if state.complex_mode else 1
+    if side == "B":
+        if rpos != state.n_sites - 1:
+            raise shor.PipelineStateError("left-side gate requires R at the right end")
+        perm = lower.extend(mult, instance.n)
+        d_new = lower.dim
+        shor._guard("modexp",
+                    state.elements_live
+                    + unit * (2 * chi_l * d_new + d_new * d_new - gamma_r.size),
+                    max_elements)
+        q = np.zeros((chi_l, 2, d_new), dtype=gamma_r.dtype)
+        q[:, 0, :d_old] = gamma_r[:, :, 0] * shor.SQRT_HALF
+        q[:, 1, perm] = gamma_r[:, :, 0] * shor.SQRT_HALF
+        state.gammas[rpos] = np.eye(d_new, dtype=gamma_r.dtype).reshape(d_new, d_new, 1)
+        state.gammas.insert(rpos, q)
+        state.labels.insert(rpos, i)
+        state.lambdas.insert(rpos, np.ones(d_new))
+        state.lortho.insert(rpos, False)
+        state.rortho.insert(rpos, False)
+        state.lortho[rpos + 1] = False
+        state.rortho[rpos + 1] = True  # identity block at the chain end
+    elif side == "A":
+        perm = lower.extend(mult, instance.n)
+        d_new = lower.dim
+        shor._guard(
+            "modexp",
+            state.elements_live
+            + unit * (chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r - gamma_r.size),
+            max_elements,
+        )
+        r_new = np.zeros((chi_l, d_new, 2 * chi_r), dtype=gamma_r.dtype)
+        r_new[:, :d_old, :chi_r] = gamma_r * shor.SQRT_HALF
+        r_new[:, perm, chi_r:] = gamma_r * shor.SQRT_HALF
+        state.gammas[rpos] = r_new
+        state.lambdas.insert(rpos, np.ones(2 * chi_r))
+        q = np.eye(2 * chi_r, dtype=gamma_r.dtype).reshape(2 * chi_r, 2, chi_r)
+        state.gammas.insert(rpos + 1, q)
+        state.labels.insert(rpos + 1, i)
+        state.lortho[rpos] = False
+        state.rortho[rpos] = False
+        state.lortho.insert(rpos + 1, False)
+        state.rortho.insert(rpos + 1, True)  # identity block, unit weights beyond
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    state._retally()
+
+
+def run_dense_modexp(state, lower, instance, config) -> int | None:
+    """Controlled multiplications for qubits 2l-1 ... 0, most significant first.
+
+    The static layout creates every qubit left of R and returns None.  The
+    dynamic layout flags the plateau after one gate that leaves ``lower.dim``
+    unchanged; the first later qubit whose multiplier is not yet a reached
+    residue, and every qubit after it, is created right of R.  It returns the
+    number of right-side qubits, the measured two-adic exponent of r.
+    """
+    dynamic = config.layout == "dynamic"
+    plateau = False
+    alpha_hat = 0
+    for i in reversed(range(instance.upper_qubits)):
+        d_before = lower.dim
+        side = "B"
+        if dynamic and (alpha_hat or (
+                plateau and mod_pow(instance.a, 1 << i, instance.n) not in lower.index)):
+            side = "A"
+            alpha_hat += 1
+        apply_controlled_modexp(state, lower, instance, i, side, config.max_elements)
+        plateau = plateau or lower.dim == d_before
+    return alpha_hat if dynamic else None
+
+
+def dense_modexp(instance, layout, max_elements=1 << 30):
+    """The dense modexp chain of ``instance``: (state, lower, alpha_hat)."""
+    state, lower = build_initial(instance)
+    cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
+    alpha_hat = run_dense_modexp(state, lower, instance, cfg)
+    return state, lower, alpha_hat
+
+
+def graded_modexp(instance, layout, max_elements=1 << 30):
+    """``shor.run_modexp``: (lower, alpha_hat, rank profile, element tally)."""
+    lower = shor.LowerRegisterIndex()
+    cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
+    return (lower, *shor.run_modexp(lower, instance, cfg))
+
+
+# ----------------------------------------------------------------- bridges
 
 
 def mps_as_canonical_dense(state, lower, instance, cap=1 << 26):
@@ -24,12 +157,13 @@ def mps_as_canonical_dense(state, lower, instance, cap=1 << 26):
     return oracle.StateVector(t.ravel(), vec.dims)
 
 
-def rank_oracle_for_bond(state, instance, bond):
-    """Expected Schmidt rank at an MPS bond, from the residue-counting oracle."""
-    left = state.labels[: bond + 1]
+def rank_oracle_for_bond(labels, instance, bond, r_hint=None):
+    """Expected Schmidt rank at a bond of a chain with site ``labels``, from the
+    residue-counting oracle (``r_hint``: the order, to stop at saturation)."""
+    left = labels[: bond + 1]
     upper = [lab for lab in left if lab != LOWER_REGISTER]
     return oracle.residue_rank_oracle(
-        instance, upper, include_lower=LOWER_REGISTER in left
+        instance, upper, include_lower=LOWER_REGISTER in left, r_hint=r_hint
     )
 
 

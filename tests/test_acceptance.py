@@ -12,7 +12,12 @@ import time
 
 import numpy as np
 import pytest
-from _helpers import mps_as_canonical_dense, rank_oracle_for_bond
+from _helpers import (
+    dense_modexp,
+    graded_modexp,
+    mps_as_canonical_dense,
+    rank_oracle_for_bond,
+)
 
 from shormps import cli, oracle, shor
 from shormps.mps import LOWER_REGISTER, MpsState
@@ -27,11 +32,10 @@ def announce(num, ok, detail=""):
     assert ok
 
 
-def run_modexp_state(n, a, layout, **cfg_kwargs):
+def run_modexp_state(n, a, layout):
+    """The dense modexp chain (test reference)."""
     inst = SemiprimeInstance.make(n, a)
-    state, lower = shor.build_initial(inst)
-    cfg = shor.PipelineConfig(layout=layout, **cfg_kwargs)
-    alpha_hat = shor.run_modexp(state, lower, inst, cfg)
+    state, lower, alpha_hat = dense_modexp(inst, layout)
     return inst, state, lower, alpha_hat
 
 
@@ -69,17 +73,22 @@ def test_criterion_3_rank_profile_exactness():
     all_ok = True
     for n, a in [(21, 2), (1943, 2)]:
         for layout in ("static", "dynamic"):
-            inst, state, lower, alpha_hat = run_modexp_state(n, a, layout)
-            ranks = state.bond_dims()
+            inst = SemiprimeInstance.make(n, a)
+            lower, alpha_hat, profile, _ = graded_modexp(inst, layout)
+            ranks = profile.ranks
             for bond, rank in enumerate(ranks):
-                all_ok = all_ok and rank == rank_oracle_for_bond(state, inst, bond)
+                want = rank_oracle_for_bond(profile.layout, inst, bond)
+                all_ok = all_ok and rank == want
             if n == 1943 and layout == "dynamic":
-                rpos = state.position_of(LOWER_REGISTER)
+                rpos = profile.layout.index(LOWER_REGISTER)
                 all_ok = all_ok and alpha_hat == 2
                 all_ok = all_ok and lower.dim == 924
                 all_ok = all_ok and ranks[rpos - 1] == 231
                 all_ok = all_ok and set(ranks[rpos:]) == {2, 4}
-                # independent check: re-derived Schmidt ranks match the stored bonds
+                # independent check: Schmidt ranks re-derived by SVD sweeps of
+                # the dense chain match the graded ranks
+                _, state, _, _ = run_modexp_state(n, a, layout)
+                all_ok = all_ok and tuple(state.labels) == profile.layout
                 all_ok = all_ok and state.schmidt_ranks("x").ranks == ranks
     elapsed = time.perf_counter() - t0
     announce(3, all_ok and elapsed < 600, f"({elapsed:.1f}s)")
@@ -92,10 +101,8 @@ def test_criterion_4_plateau_detection_battery():
     t0 = time.perf_counter()
     results = []
     for n, a, alpha in expected:
-        _, state, lower, alpha_hat = run_modexp_state(n, a, "dynamic")
+        _, alpha_hat, _, _ = graded_modexp(SemiprimeInstance.make(n, a), "dynamic")
         results.append((n, alpha_hat, alpha))
-        del state, lower
-        gc.collect()
     ok = all(got == want for _, got, want in results)
     announce(4, ok, f"({results}, {time.perf_counter() - t0:.1f}s)")
 

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from _helpers import rank_oracle_for_bond
+
 from shormps import cli, oracle, shor
-from shormps.numtheory import OrderSearchCapError
+from shormps.numtheory import OrderSearchCapError, SemiprimeInstance
 
 
 def run_cli(argv):
@@ -97,8 +99,8 @@ class TestSample:
         # modexp's own limit exposes their guards: "measure" holds 39
         # elements of residue counts, "qft" 63 with its complex vectors
         modexp = shor.run_modexp
-        monkeypatch.setattr(shor, "run_modexp", lambda state, lower, inst, cfg:
-                            modexp(state, lower, inst, shor.PipelineConfig(cfg.layout)))
+        monkeypatch.setattr(shor, "run_modexp", lambda lower, inst, cfg:
+                            modexp(lower, inst, shor.PipelineConfig(cfg.layout)))
         argv = ["sample", "--n", "21", "--a", "2", "--layout", "dynamic", "--samples",
                 "5", "--seed", "0", "--max-elements"]
         assert run_cli(argv + ["38"]) == 3
@@ -225,7 +227,44 @@ class TestProfile:
                         "--out", str(out)]) == 0
         elements = json.loads(out.read_text())["elements"]
         assert elements["dynamic"]["live"] < elements["static"]["live"]
-        assert "element count comparison" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "element count comparison" in captured.err
+        assert captured.out == ""
+
+    def test_stdout_is_the_report_alone(self, capsys):
+        # the element comparison of --layout both goes to stderr
+        argv = ["profile", "--n", "21", "--a", "2", "--layout", "both"]
+        assert run_cli(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [prof["layout"] for prof in report["profiles"]] == ["static", "dynamic"]
+        assert run_cli(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "stage,bond,rank,layout"
+
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", cli.PUBLISHED_ORDER_DATA,
+                             ids=[f"l{row[0]}" for row in cli.PUBLISHED_ORDER_DATA])
+    def test_published_rows(self, l, n, a, r, alpha, beta, tmp_path):
+        # the paper's table: the static chain's innermost rank is r, the
+        # dynamic left block peaks at beta with alpha qubits right of R
+        out = tmp_path / "p.json"
+        assert run_cli(["profile", "--n", str(n), "--a", str(a), "--layout", "both",
+                        "--max-elements", str(1 << 40), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        profiles = {prof["layout"]: prof for prof in report["profiles"]}
+        static, dynamic = profiles["static"], profiles["dynamic"]
+        assert static["labels"][-1] == "R" and static["ranks"][-1] == r
+        rpos = dynamic["labels"].index("R")
+        assert len(dynamic["labels"]) - 1 - rpos == alpha
+        assert max(dynamic["ranks"][:rpos]) == dynamic["ranks"][rpos - 1] == beta
+        for layout in ("static", "dynamic"):
+            elements = report["elements"][layout]
+            assert elements["lower_register_dim"] == r
+            assert elements["live"] == elements["peak"]
+        if l <= 17:
+            inst = SemiprimeInstance.make(n, a)
+            for prof in profiles.values():
+                labels = [lab if lab == "R" else int(lab) for lab in prof["labels"]]
+                for bond, rank in enumerate(prof["ranks"]):
+                    assert rank == rank_oracle_for_bond(labels, inst, bond, r_hint=r)
 
 
 class TestOracle:

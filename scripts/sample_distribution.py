@@ -20,12 +20,12 @@ def main() -> None:
 
     inst = SemiprimeInstance.make(args.n, args.a)
     cfg = shor.PipelineConfig(layout=args.layout)
+    rngs = (np.random.default_rng(args.seed + k) for k in range(args.samples))
+    records = shor.sample_runs(inst, cfg, rngs)
     counts = np.zeros(1 << (2 * inst.l))
-    wins = 0
-    for k in range(args.samples):
-        rec = shor.sample_run(inst, cfg, np.random.default_rng(args.seed + k))
+    for rec in records:
         counts[rec.measured_s] += 1
-        wins += rec.factors is not None
+    wins = sum(rec.factors is not None for rec in records)
 
     r = multiplicative_order(args.a, args.n)
     table = oracle.exact_distribution(inst.l, r)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from time import perf_counter
 
 import numpy as np
@@ -41,13 +40,14 @@ from .numtheory import (
     register_bits,
     two_adic_split,
 )
-from .oracle import DenseCapError, exact_distribution, tvd
+from .oracle import LAW_MAX_L, DenseCapError, exact_distribution, tvd_at_outcomes
 from .shor import (
     LowerRegisterIndex,
     MemoryLimitError,
     PipelineConfig,
+    SampleRecord,
     run_modexp,
-    sample_run,
+    sample_runs,
 )
 
 EXIT_OK = 0
@@ -99,6 +99,8 @@ def _parser() -> argparse.ArgumentParser:
     po.add_argument("--r", type=int, help="order (with --l)")
     po.add_argument("--n", type=int, help="semiprime (with --a)")
     po.add_argument("--a", type=int, help="base (with --n)")
+    po.add_argument("--p", type=int, help="known factor of n (finds the order at once)")
+    po.add_argument("--q", type=int, help="known factor of n (finds the order at once)")
     po.add_argument("--dense-cap", type=int, default=1 << 26)
     po.add_argument("--out", help="output path (stdout when omitted)")
     po.add_argument("--format", choices=("json", "csv"), default="json")
@@ -161,17 +163,30 @@ def _order_profile_echo(inst: SemiprimeInstance) -> dict | None:
 
 # ---------------------------------------------------------------------- sample
 
-def _reference_law(inst, dense_cap):
-    """The order and the exact law of s, or None when either costs too much."""
+def _reference_order(inst, dense_cap):
+    """The order r for the report's reference law, or None when the law is
+    skipped: its table of Q = 2^(2l) entries would exceed ``dense_cap``, l
+    exceeds the closed form's ``LAW_MAX_L``, or the order search would run
+    too long.  The law itself is evaluated at the sampled outcomes only
+    (``tvd_at_outcomes``), never as a table."""
+    if 1 << (2 * inst.l) > dense_cap or inst.l > LAW_MAX_L:
+        return None
     try:
-        r = multiplicative_order(inst.a, inst.n, inst.p, inst.q,
-                                 iteration_cap=min(1 << 22, ORDER_ITERATION_CAP))
-        return r, exact_distribution(inst.l, r, cap=dense_cap)
-    except (OrderSearchCapError, DenseCapError):
+        return multiplicative_order(inst.a, inst.n, inst.p, inst.q,
+                                    iteration_cap=min(1 << 22, ORDER_ITERATION_CAP))
+    except OrderSearchCapError:
         return None
 
 
-def _aggregate(records: list[dict], law) -> dict:
+def _record_dict(rec: SampleRecord) -> dict:
+    """The record as ``dataclasses.asdict`` gives it, without its deep copy:
+    the report only serializes the record's values."""
+    out = dict(vars(rec))
+    out["rank_profiles"] = [dict(vars(prof)) for prof in rec.rank_profiles]
+    return out
+
+
+def _aggregate(records: list[dict], l: int, r: int | None) -> dict:
     hist: dict[int, int] = {}
     for rec in records:
         hist[rec["measured_s"]] = hist.get(rec["measured_s"], 0) + 1
@@ -187,12 +202,8 @@ def _aggregate(records: list[dict], law) -> dict:
         "peak_elements_per_stage": peaks,
         "tvd_vs_oracle": None,
     }
-    if law is not None:
-        r, table = law
-        counts = np.zeros(len(table))
-        for s, c in hist.items():
-            counts[s] = c
-        agg["tvd_vs_oracle"] = tvd(table, counts)
+    if r is not None:
+        agg["tvd_vs_oracle"] = tvd_at_outcomes(l, r, hist)
         agg["order_r"] = r
     return agg
 
@@ -224,17 +235,17 @@ def cmd_sample(args) -> int:
     started = perf_counter()
     try:
         records = {
-            layout: [asdict(sample_run(inst, cfg, np.random.default_rng(args.seed + k)))
-                     for k in range(args.samples)]
+            layout: [_record_dict(rec) for rec in sample_runs(
+                inst, cfg, (np.random.default_rng(args.seed + k) for k in range(args.samples)))]
             for layout, cfg in configs.items()
         }
     except MemoryLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    # the order and the law depend on the instance alone
-    law = _reference_law(inst, args.dense_cap)
+    # the order depends on the instance alone
+    r = _reference_order(inst, args.dense_cap)
     per_layout = {
-        layout: {"records": recs, "aggregate": _aggregate(recs, law)}
+        layout: {"records": recs, "aggregate": _aggregate(recs, inst.l, r)}
         for layout, recs in records.items()
     }
     report = {
@@ -368,7 +379,7 @@ def cmd_oracle(args) -> int:
         problem = _validate_semiprime(args.n)
         if not problem:
             try:
-                SemiprimeInstance.make(args.n, args.a)
+                SemiprimeInstance.make(args.n, args.a, p=args.p, q=args.q)
             except ValueError as exc:
                 problem = str(exc)
         if problem:
@@ -376,7 +387,7 @@ def cmd_oracle(args) -> int:
             return EXIT_INVALID
         l = args.l if args.l is not None else register_bits(args.n)
         try:
-            r = multiplicative_order(args.a, args.n)
+            r = multiplicative_order(args.a, args.n, args.p, args.q)
         except OrderSearchCapError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE

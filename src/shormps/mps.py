@@ -64,30 +64,36 @@ class RankProfile:
         return len(self.ranks)
 
 
-def draw_outcome(probs: np.ndarray, rng=None, forced: int | None = None,
-                 where: str = "") -> int:
-    """Sample (or force) an outcome of a probability vector of unit mass.
+def draw_outcome(probs: np.ndarray, rngs, forced: int | None = None,
+                 where: str = "") -> np.ndarray:
+    """Sample (or force) one outcome per generator from rows of unit mass.
 
-    Tiny negative entries within the floating-point floor are clamped to zero
-    in place.  The mass must be 1 within 1e-6 and a forced outcome must have
-    positive probability.  A sample draws ``u = rng.random() * mass`` and
-    takes the first outcome whose cumulative probability exceeds it.
+    ``probs`` has axes (..., outcome): one row shared by every generator in
+    ``rngs``, or one row per generator.  Tiny negative entries within the
+    floating-point floor are clamped to zero in place.  Every row's mass must
+    be 1 within 1e-6, and a forced outcome (one row) must have positive
+    probability.  Row k draws ``u = rngs[k].random() * mass`` and takes the
+    first outcome whose cumulative probability exceeds it.  The arithmetic is
+    elementwise or along the outcome axis, so a row's outcome depends on that
+    row and its generator alone, never on the other rows.
     """
-    neg = probs < 0
-    if np.any(probs[neg] < -1e-12):
-        raise NormalizationError(f"probabilities at {where} have entries < -1e-12")
-    probs[neg] = 0.0
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise NormalizationError(f"probability mass {total} at {where}")
+    lowest = probs.min()
+    if lowest < 0:
+        if lowest < -1e-12:
+            raise NormalizationError(f"probabilities at {where} have entries < -1e-12")
+        probs[probs < 0] = 0.0
+    total = probs.sum(axis=-1)
+    off = np.abs(total - 1.0) > 1e-6
+    if off.any():
+        raise NormalizationError(f"probability mass {np.extract(off, total)[0]} at {where}")
     if forced is not None:
         outcome = int(forced)
         if probs[outcome] <= 0:
             raise ValueError(f"forced outcome {outcome} has zero probability")
-        return outcome
-    u = rng.random() * total
-    outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return min(outcome, probs.size - 1)
+        return np.full(len(rngs), outcome)
+    u = np.array([rng.random() for rng in rngs]) * total
+    below = np.cumsum(probs, axis=-1) <= u[:, None]
+    return np.minimum(below.sum(axis=-1), probs.shape[-1] - 1)
 
 
 def _require_unitary(g: np.ndarray, tol: float = 1e-10) -> None:
@@ -414,7 +420,7 @@ class MpsState:
         """
         rho = self.reduced_density(m)
         probs = np.real(np.diag(rho)).copy()
-        outcome = draw_outcome(probs, rng, forced, where=f"site {m}")
+        outcome = int(draw_outcome(probs, [rng], forced, where=f"site {m}")[0])
         g = self.gammas[m]
         proj = np.zeros_like(g)
         proj[:, outcome, :] = g[:, outcome, :] / sqrt(probs[outcome])

@@ -15,6 +15,8 @@ import numpy as np
 from .numtheory import SemiprimeInstance, mod_pow
 
 DENSE_CAP = 1 << 26  # amplitudes
+# the closed form reduces its products mod Q = 2^(2l) in uint64
+LAW_MAX_L = 32
 
 
 class DenseCapError(RuntimeError):
@@ -70,8 +72,8 @@ def dense_modexp_state(instance: SemiprimeInstance, cap: int = DENSE_CAP):
     return StateVector(amps, dims), orbit
 
 
-def exact_distribution(l: int, r: int, cap: int = DENSE_CAP) -> DistributionTable:
-    """Exact law of the measured value s, in closed form.
+def outcome_probabilities(l: int, r: int, s) -> np.ndarray:
+    """Exact Pr(s) of the measured value at the outcomes ``s``, in closed form.
 
     With Q = 2^(2l), q = floor(Q/r) and t = Q mod r, the t residue classes
     x0 < t hold q+1 exponents and the other r-t hold q, so
@@ -80,27 +82,40 @@ def exact_distribution(l: int, r: int, cap: int = DENSE_CAP) -> DistributionTabl
         theta = 2 pi (r s mod Q) / Q,
 
     where F_k(theta) = sin^2(k theta/2) / sin^2(theta/2) is the Fejer kernel
-    and F_k(0) = k^2 (Shor, SIAM J. Comput. 26, 1484 (1997)).
+    and F_k(0) = k^2 (Shor, SIAM J. Comput. 26, 1484 (1997)).  The products
+    mod Q are taken in uint64, whose wrap-around is exact mod Q for
+    l <= LAW_MAX_L.
     """
     if l < 1 or r < 1:
         raise ValueError("need l >= 1 and r >= 1")
+    if l > LAW_MAX_L:
+        raise ValueError(f"l={l} exceeds the closed form's limit l <= {LAW_MAX_L}")
     big_q = 1 << (2 * l)
-    if big_q > cap:
-        raise DenseCapError(f"table of {big_q} entries exceeds cap {cap}")
+    mask = np.uint64(big_q - 1)
     q, t = divmod(big_q, r)
-    u = np.arange(big_q, dtype=np.int64) * (r % big_q) % big_q  # r s mod Q
+    u = np.asarray(s, dtype=np.uint64) * np.uint64(r % big_q) & mask  # r s mod Q
     peak = u == 0
     den = np.sin(np.pi / big_q * u) ** 2
     den[peak] = 1.0
 
     def fejer(k: int) -> np.ndarray:
         # sin^2 has period pi, so k u reduces mod Q exactly before the sine
-        f = np.sin(np.pi / big_q * (k * u % big_q)) ** 2 / den
+        f = np.sin(np.pi / big_q * (np.uint64(k) * u & mask)) ** 2 / den
         f[peak] = float(k) ** 2
         return f
 
-    probs = (t * fejer(q + 1) + (r - t) * fejer(q)) / float(big_q) ** 2
-    return DistributionTable(probs)
+    return (t * fejer(q + 1) + (r - t) * fejer(q)) / float(big_q) ** 2
+
+
+def exact_distribution(l: int, r: int, cap: int = DENSE_CAP) -> DistributionTable:
+    """Exact law of the measured value s over all s < Q = 2^(2l)
+    (``outcome_probabilities`` at every s); the table must fit ``cap``."""
+    if l < 1 or r < 1:
+        raise ValueError("need l >= 1 and r >= 1")
+    big_q = 1 << (2 * l)
+    if big_q > cap:
+        raise DenseCapError(f"table of {big_q} entries exceeds cap {cap}")
+    return DistributionTable(outcome_probabilities(l, r, np.arange(big_q)))
 
 
 def dense_schmidt_rank(state: StateVector, left_axes, tol: float = 1e-10) -> int:
@@ -149,6 +164,23 @@ def tvd(table: DistributionTable, counts) -> float:
     if total <= 0:
         raise ValueError("empty counts")
     return 0.5 * float(np.abs(table.probs - counts / total).sum())
+
+
+def tvd_at_outcomes(l: int, r: int, histogram: dict[int, int]) -> float:
+    """``tvd`` between the exact law and the counts ``histogram`` (s -> count),
+    evaluating the law at the counted outcomes only.
+
+    Every outcome outside the histogram contributes its probability, and
+    those sum to 1 - sum_{s in hist} Pr(s), so the distance is
+    (sum_{s in hist} |Pr(s) - c_s/m| + 1 - sum_{s in hist} Pr(s)) / 2.
+    """
+    outcomes = np.fromiter(histogram, dtype=np.int64, count=len(histogram))
+    counts = np.fromiter(histogram.values(), dtype=float, count=len(histogram))
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("empty counts")
+    probs = outcome_probabilities(l, r, outcomes)
+    return 0.5 * float(np.abs(probs - counts / total).sum() + 1.0 - probs.sum())
 
 
 def reorder_axes(state: StateVector, order) -> StateVector:

@@ -59,7 +59,11 @@ is semiclassical (Griffiths & Niu, PRL 76, 3228 (1996)): the most significant
 unread qubit's controlled phases from the qubits already read collapse into
 one single-site phase ahead of its Hadamard.  A sample therefore costs
 O(l * r) and runs no SVD, density read or dense contraction, and every bond's
-Schmidt rank is a label count, read off the same counts.
+Schmidt rank is a label count, read off the same counts.  Modexp and the
+forward counts are the same for every sample of an instance, so
+``sample_runs`` computes them once and draws its samples together, each
+array carrying a leading sample axis; sample k still draws only from its
+own generator, so its record does not depend on the batch it is in.
 
 ``measure_lower_register`` and ``apply_lnn_qft`` do the same on a dense
 chain, with a whole-chain density read, rank-revealing sweeps and
@@ -71,6 +75,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import sqrt
 
 import numpy as np
@@ -270,26 +275,23 @@ def forward_counts(lower: LowerRegisterIndex) -> np.ndarray:
     return f
 
 
-def right_counts(lower: LowerRegisterIndex, target: int) -> list[np.ndarray]:
-    """R_j[c] = #{v < 2^j : c * a^v = residue ``target``}, for j = 0 ... 2l.
+def right_counts(lower: LowerRegisterIndex, targets) -> list[np.ndarray]:
+    """R_j[c] = #{v < 2^j : c * a^v = residue t}, for j = 0 ... 2l.
 
-    R_j runs over the residues reached by the qubits at or above j, so its
-    length is R's dimension after gate j.  R_0 is one-hot at ``target`` and
-    R_{j+1} = R_j[:D_{j+1}] + R_j[P_j], P_j being qubit j's multiplier map.
+    ``targets`` holds the index of t in R's residue index, one per sample;
+    each R_j has the axes (sample, residue).  R_j runs over the residues
+    reached by the qubits at or above j, so its length is R's dimension after
+    gate j.  R_0 is one-hot at t and R_{j+1} = R_j[:D_{j+1}] + R_j[P_j], P_j
+    being qubit j's multiplier map.
     """
-    right = [np.zeros(lower.dim)]
-    right[0][target] = 1.0
+    targets = np.asarray(targets)
+    r_0 = np.zeros(targets.shape + (lower.dim,))
+    np.put_along_axis(r_0, targets[..., None], 1.0, axis=-1)
+    right = [r_0]
     for perm in reversed(lower.maps):
         r_j = right[-1]
-        right.append(r_j[: perm.size] + r_j[perm])
+        right.append(r_j[..., : perm.size] + r_j[..., perm])
     return right
-
-
-def measure_residue(lower: LowerRegisterIndex, rng) -> tuple[int, list[np.ndarray]]:
-    """Draw R from the forward counts; return its residue and right counts."""
-    counts = forward_counts(lower)
-    t = draw_outcome(counts / counts.sum(), rng, where="R")
-    return lower.residues[t], right_counts(lower, t)
 
 
 def residue_branches(w, perm, right_j, phase):
@@ -300,33 +302,41 @@ def residue_branches(w, perm, right_j, phase):
     gate H diag(1, exp(-i pi phase)) then mixes the two at each residue.
     Returns the branches, axes (..., outcome, residue), and their
     probabilities sum_c |branch[c]|^2 R_j[c], axes (..., outcome).  Leading
-    axes of ``w`` and ``phase`` broadcast.
+    axes of ``w``, ``right_j`` and ``phase`` broadcast; the arithmetic is
+    elementwise or along the residue axis, so each leading index comes out
+    the same whatever the others hold.
     """
-    split = np.zeros(w.shape[:-1] + (2, right_j.size), dtype=np.complex128)
+    split = np.zeros(w.shape[:-1] + (2, right_j.shape[-1]), dtype=np.complex128)
     split[..., 0, : w.shape[-1]] = w
-    split[..., 1, perm] = w
-    split[..., 1, :] *= np.exp(-1j * np.pi * np.asarray(phase))[..., None]
-    branches = hadamard() @ split
-    return branches, (branches.real**2 + branches.imag**2) @ right_j
+    split[..., 1, perm] = w * np.exp(-1j * np.pi * np.asarray(phase))[..., None]
+    branches = np.empty_like(split)
+    np.add(split[..., 0, :], split[..., 1, :], out=branches[..., 0, :])
+    np.subtract(split[..., 0, :], split[..., 1, :], out=branches[..., 1, :])
+    branches *= SQRT_HALF
+    weight = np.asarray(right_j)[..., None, :]
+    return branches, ((branches.real**2 + branches.imag**2) * weight).sum(axis=-1)
 
 
-def graded_fourier(lower: LowerRegisterIndex, right: list[np.ndarray], rng) -> list[int]:
+def graded_fourier(lower: LowerRegisterIndex, right: list[np.ndarray], rngs) -> np.ndarray:
     """Semiclassical Fourier transform of the upper register, graded by residue.
 
     Reads qubits 2l-1 ... 0, most significant first, as ``apply_lnn_qft``
     does, keeping one complex weight per residue reached by the qubits read
-    so far.  Returns the bits in measurement order.
+    so far, for every sample at once: ``right`` holds the samples' right
+    counts (``right_counts``) and sample k draws from ``rngs[k]``.  Returns
+    the bits, axes (sample, measurement order).
     """
-    w = np.array([1.0 / sqrt(right[-1][0])], dtype=np.complex128)
+    rows = np.arange(len(rngs))
+    w = (1.0 / np.sqrt(right[-1])).astype(np.complex128)
+    phase = np.zeros(rows.size)  # sum_k b_k / 2^(k-j) over the qubits k > j read so far
+    bits = np.empty((rows.size, len(lower.maps)), dtype=np.int64)
     top = len(lower.maps) - 1
-    bits: list[int] = []
-    for perm, right_j in zip(lower.maps, reversed(right[:-1])):
-        j = top - len(bits)
-        phase = sum(b / 2.0 ** (top - k - j) for k, b in enumerate(bits))
+    for depth, (perm, right_j) in enumerate(zip(lower.maps, reversed(right[:-1]))):
         branches, probs = residue_branches(w, perm, right_j, phase)
-        bit = draw_outcome(probs, rng, where=f"qubit {j}")
-        w = branches[bit] / sqrt(probs[bit])
-        bits.append(bit)
+        bit = draw_outcome(probs, rngs, where=f"qubit {top - depth}")
+        w = branches[rows, bit] / np.sqrt(probs[rows, bit])[:, None]
+        phase = (phase + bit) / 2
+        bits[:, depth] = bit
     return bits
 
 
@@ -334,33 +344,39 @@ def graded_ranks(
     lower: LowerRegisterIndex,
     instance: SemiprimeInstance,
     alpha_hat: int | None,
-    residue: int,
+    residues,
     right: list[np.ndarray],
-) -> tuple[int, ...]:
-    """Schmidt ranks of the upper-register chain once R has read ``residue``.
+) -> list[tuple[int, ...]]:
+    """Schmidt ranks of the upper-register chain once R has read a residue.
 
-    A bond that splits the qubits into U and V has rank
-    #{c in S_U : residue / c in S_V}, S_U being the residues a^u over U's
-    bits.  Where U is the qubits at or above j, as on the static chain and on
-    every dynamic bond up to the right block, that is the support of R_j.
-    The dynamic right block holds qubits 0, 1, ..., alpha-1 from left to
-    right; its few bonds are counted over the residues directly.
+    One rank tuple per sample: ``residues`` holds each sample's residue and
+    ``right`` their right counts (``right_counts``).  A bond that splits the
+    qubits into U and V has rank #{c in S_U : residue / c in S_V}, S_U being
+    the residues a^u over U's bits.  Where U is the qubits at or above j, as
+    on the static chain and on every dynamic bond up to the right block, that
+    is the support of R_j.  The dynamic right block holds qubits 0, 1, ...,
+    alpha-1 from left to right; its few bonds are counted over the residues
+    directly.
     """
     alpha = alpha_hat or 0
     top = len(right) - 1
-    ranks = [int(np.count_nonzero(right[j])) for j in range(top - 1, max(alpha, 1) - 1, -1)]
+    supports = np.stack([(right[j] > 0).sum(axis=-1)
+                         for j in range(top - 1, max(alpha, 1) - 1, -1)], axis=-1)
     n = instance.n
     inv = pow(instance.a, -1, n)
-    d_upper = right[alpha].size  # residues reached by the qubits >= alpha
-    for k in range(alpha - 1):
-        # U: qubits >= alpha and 0..k; V: qubits k+1..alpha-1
-        counted = set()
-        for v in range(0, 1 << alpha, 2 << k):
-            c = residue * pow(inv, v, n) % n
-            if any(lower.index[c * pow(inv, y, n) % n] < d_upper for y in range(2 << k)):
-                counted.add(c)
-        ranks.append(len(counted))
-    return tuple(ranks)
+    d_upper = right[alpha].shape[-1]  # residues reached by the qubits >= alpha
+    ranks = []
+    for support, residue in zip(supports.tolist(), residues):
+        for k in range(alpha - 1):
+            # U: qubits >= alpha and 0..k; V: qubits k+1..alpha-1
+            counted = set()
+            for v in range(0, 1 << alpha, 2 << k):
+                c = residue * pow(inv, v, n) % n
+                if any(lower.index[c * pow(inv, y, n) % n] < d_upper for y in range(2 << k)):
+                    counted.add(c)
+            support.append(len(counted))
+        ranks.append(tuple(support))
+    return ranks
 
 
 # ----------------------------------------------------- dense reference stages
@@ -445,57 +461,123 @@ def assemble_s(bits, l: int) -> int:
 
 # ------------------------------------------------------------------ full sample
 
+# Elements one batch of samples may hold (see ``sample_runs``): enough that
+# numpy's per-call overhead is spread over many samples at small r.
+BATCH_ELEMENTS = 1 << 20
+
+
 def sample_run(
     instance: SemiprimeInstance, config: PipelineConfig, rng
 ) -> SampleRecord:
-    """One end-to-end sample: modexp, R, the Fourier transform, classical step.
+    """One end-to-end sample drawn from ``rng``: ``sample_runs`` with one generator."""
+    return sample_runs(instance, config, [rng])[0]
 
-    Modexp keeps only its residue maps and the chain's labels and bond ranks
-    (``run_modexp``); no site tensor is built.  R and the Fourier transform
-    are drawn from those maps alone (see the module docstring): after R
-    reads t, the bond above qubit j has one Schmidt label per residue c that
-    both sides reach, with squared weight proportional to the left count
-    #{u : a^u = c} times the right count R_j[c], so one complex weight per
-    residue carries the state from qubit to qubit.  The "measure" ranks are
-    those label counts and the "qft" chain ends as one site.
+
+def sample_runs(
+    instance: SemiprimeInstance, config: PipelineConfig, rngs
+) -> list[SampleRecord]:
+    """End-to-end samples, one per generator in ``rngs``, in order.
+
+    Modexp runs once and keeps only its residue maps and the chain's labels
+    and bond ranks (``run_modexp``); no site tensor is built.  R and the
+    Fourier transform are drawn from those maps alone (see the module
+    docstring): after R reads t, the bond above qubit j has one Schmidt label
+    per residue c that both sides reach, with squared weight proportional to
+    the left count #{u : a^u = c} times the right count R_j[c], so one
+    complex weight per residue carries the state from qubit to qubit.  The
+    "measure" ranks are those label counts and the "qft" chain ends as one
+    site.
+
+    The samples are drawn in batches, every array carrying a leading sample
+    axis.  Sample k draws only from ``rngs[k]``, R first and then qubits
+    2l-1 ... 0, and its arithmetic is elementwise or along a residue axis, so
+    its record is the same whether it is drawn alone or in any batch, and
+    the same as a ``sample_run`` call with that generator.  ``rngs`` may be
+    any iterable; it is read one batch at a time.
 
     Every stage runs on ``instance`` as given.  A stage whose arrays would
     exceed ``config.max_elements`` raises ``MemoryLimitError``: modexp counts
     the elements its chain's site tensors would hold if stored densely,
-    "measure" the forward and right counts it builds, and "qft" the right
-    counts plus its complex residue vector and branch pair.
+    "measure" the forward and right counts of one sample, and "qft" one
+    sample's right counts plus its complex residue vector and branch pair.
+    These per-sample figures are each record's ``peak_elements``.  A batch
+    holds max(1, min(BATCH_ELEMENTS, max_elements) // E) samples, E being
+    the larger of the "measure" and "qft" figures, so its arrays stay within
+    ``config.max_elements`` too.  Each record's ``stage_seconds`` is its share
+    of the stage times: what runs once per call (build, modexp and the
+    forward counts of "measure") evenly over all samples, the rest evenly
+    over its batch.
     """
-    seconds: dict[str, float] = {}
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        seconds[name] = time.perf_counter() - t0
-        return out
-
-    lower = timed("build", LowerRegisterIndex)
+    shared: dict[str, float] = {}
+    t0 = time.perf_counter()
+    lower = LowerRegisterIndex()
+    shared["build"] = time.perf_counter() - t0
     peaks = {"build": 1}  # R alone, of dimension 1
-    alpha_hat, modexp_profile, peaks["modexp"] = timed(
-        "modexp", lambda: run_modexp(lower, instance, config))
-    profiles = [modexp_profile]
+    t0 = time.perf_counter()
+    alpha_hat, modexp_profile, peaks["modexp"] = run_modexp(lower, instance, config)
+    shared["modexp"] = time.perf_counter() - t0
     labels = tuple(lab for lab in modexp_profile.layout if lab != LOWER_REGISTER)
 
     dims = _dims_after(lower)
     held = sum(dims) + 1  # right counts R_0 ... R_2l
     peaks["measure"] = lower.dim + held
     _guard("measure", peaks["measure"], config.max_elements)
-    residue, right = timed("measure", lambda: measure_residue(lower, rng))
-    ranks = graded_ranks(lower, instance, alpha_hat, residue, right)
-    profiles.append(RankProfile(stage="measure", ranks=ranks, layout=labels))
-
     # complex units: the residue vector and its two branches
     peaks["qft"] = held + max(2 * (perm.size + 2 * d) for perm, d in zip(lower.maps, dims))
     _guard("qft", peaks["qft"], config.max_elements)
-    bits = timed("qft", lambda: graded_fourier(lower, right, rng))
-    # qubit 0 is read last and is the only site left
-    profiles.append(RankProfile(stage="qft", ranks=(), layout=(0,)))
+    batch = max(1, min(BATCH_ELEMENTS, config.max_elements)
+                // max(peaks["measure"], peaks["qft"]))
 
     t0 = time.perf_counter()
+    counts = forward_counts(lower)
+    r_probs = counts / counts.sum()
+    shared["measure"] = time.perf_counter() - t0
+
+    records: list[SampleRecord] = []
+    rngs = iter(rngs)
+    while chunk := list(islice(rngs, batch)):
+        seconds: dict[str, float] = {}
+        t0 = time.perf_counter()
+        targets = draw_outcome(r_probs, chunk, where="R")
+        residues = [lower.residues[t] for t in targets.tolist()]
+        right = right_counts(lower, targets)
+        ranks = graded_ranks(lower, instance, alpha_hat, residues, right)
+        t1 = time.perf_counter()
+        bits = graded_fourier(lower, right, chunk)
+        t2 = time.perf_counter()
+        seconds["measure"], seconds["qft"] = t1 - t0, t2 - t1
+        done = [_classical(instance, row) for row in bits.tolist()]
+        seconds["classical"] = time.perf_counter() - t2
+        share = {stage: dt / len(chunk) for stage, dt in seconds.items()}
+        for residue, rank, (s, convs, verified, factors) in zip(residues, ranks, done):
+            records.append(SampleRecord(
+                n=instance.n,
+                a=instance.a,
+                l=instance.l,
+                layout=config.layout,
+                alpha_hat=alpha_hat,
+                measured_residue=residue,
+                measured_s=s,
+                convergents=convs,
+                verified_r=verified,
+                factors=factors,
+                rank_profiles=[
+                    modexp_profile,
+                    RankProfile(stage="measure", ranks=rank, layout=labels),
+                    # qubit 0 is read last and is the only site left
+                    RankProfile(stage="qft", ranks=(), layout=(0,)),
+                ],
+                peak_elements=dict(peaks),
+                stage_seconds=dict(share),
+            ))
+    for rec in records:
+        for stage, dt in shared.items():
+            rec.stage_seconds[stage] = rec.stage_seconds.get(stage, 0.0) + dt / len(records)
+    return records
+
+
+def _classical(instance: SemiprimeInstance, bits):
+    """s from the bits, its convergents, the verified order and the factors."""
     s = assemble_s(bits, instance.l)
     convs = continued_fraction_convergents(s, 1 << (2 * instance.l))
     verified = None
@@ -504,20 +586,4 @@ def sample_run(
             verified = k
             break
     factors = recover_factors(instance.n, instance.a, verified) if verified else None
-    seconds["classical"] = time.perf_counter() - t0
-
-    return SampleRecord(
-        n=instance.n,
-        a=instance.a,
-        l=instance.l,
-        layout=config.layout,
-        alpha_hat=alpha_hat,
-        measured_residue=residue,
-        measured_s=s,
-        convergents=convs,
-        verified_r=verified,
-        factors=factors,
-        rank_profiles=profiles,
-        peak_elements=peaks,
-        stage_seconds=seconds,
-    )
+    return s, convs, verified, factors

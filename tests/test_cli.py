@@ -10,7 +10,7 @@ import pytest
 from _helpers import rank_oracle_for_bond
 
 from shormps import cli, oracle, shor
-from shormps.numtheory import OrderSearchCapError, SemiprimeInstance
+from shormps.numtheory import OrderSearchCapError, SemiprimeInstance, multiplicative_order
 
 
 def run_cli(argv):
@@ -126,21 +126,49 @@ class TestSample:
         assert max(peaks.values()) == peaks["modexp"] == 182
 
     def test_reference_law_computed_once(self, tmp_path, monkeypatch):
+        # the order is found once for both layouts, and the law is evaluated
+        # at each layout's sampled outcomes, never as a Q-length table
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return oracle.exact_distribution(*args, **kwargs)
+            calls.append(args[:2])
+            return multiplicative_order(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "exact_distribution", counted)
+        def banned(*args, **kwargs):
+            raise AssertionError("Q-length table built for the report")
+
+        monkeypatch.setattr(cli, "multiplicative_order", counted)
+        monkeypatch.setattr(cli, "exact_distribution", banned)
         out = tmp_path / "r.json"
         assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "3", "--seed", "1",
                         "--layout", "both", "--out", str(out)]) == 0
-        assert calls == [(5, 6)]
+        assert calls == [(2, 21)]
         report = json.loads(out.read_text())
+        table = oracle.exact_distribution(5, 6)
         for layout in ("static", "dynamic"):
             aggregate = report["layouts"][layout]["aggregate"]
-            assert aggregate["order_r"] == 6 and aggregate["tvd_vs_oracle"] is not None
+            counts = np.zeros(len(table))
+            for s, c in aggregate["s_histogram"].items():
+                counts[int(s)] = c
+            assert aggregate["order_r"] == 6
+            assert aggregate["tvd_vs_oracle"] == pytest.approx(oracle.tvd(table, counts),
+                                                               abs=1e-12)
+
+    def test_reference_law_at_l13_builds_no_table(self, tmp_path, monkeypatch):
+        # Q = 2^26 is within the default --dense-cap, so the report has the law,
+        # evaluated at the sampled outcomes alone
+        def banned(*args, **kwargs):
+            raise AssertionError("Q-length table built for the report")
+
+        monkeypatch.setattr(cli, "exact_distribution", banned)
+        monkeypatch.setattr(oracle, "exact_distribution", banned)
+        out = tmp_path / "r.json"
+        assert run_cli(["sample", "--n", "8189", "--a", "10", "--samples", "2", "--seed", "1",
+                        "--layout", "both", "--out", str(out)]) == 0
+        for block in json.loads(out.read_text())["layouts"].values():
+            aggregate = block["aggregate"]
+            assert aggregate["order_r"] == 3870
+            assert 0 <= aggregate["tvd_vs_oracle"] <= 1
 
     def test_csv_rejected_for_sample(self):
         assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "1",
@@ -295,6 +323,22 @@ class TestOracle:
 
     def test_missing_args(self):
         assert run_cli(["oracle", "--l", "4"]) == 2
+
+    def test_factors_find_the_order_at_once(self, tmp_path):
+        # without --p/--q the power loop runs past its cap (exit 3 after seconds)
+        out = tmp_path / "o.json"
+        assert run_cli(["oracle", "--n", "1000036000099", "--a", "2", "--p", "1000003",
+                        "--q", "1000033", "--l", "3", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["r"] == multiplicative_order(2, 1000036000099, 1000003, 1000033)
+        assert pow(2, report["r"], 1000036000099) == 1
+
+    def test_bad_factor_pair_exits_2(self, capsys):
+        assert run_cli(["oracle", "--n", "1000036000099", "--a", "2", "--p", "1000003",
+                        "--q", "1000037"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: p*q must equal n with p != q\n"
 
     def test_order_search_cap_exit_code(self, monkeypatch, capsys):
         def capped(a, n, *args, **kwargs):

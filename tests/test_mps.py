@@ -16,6 +16,7 @@ from shormps.mps import (
     NotCanonicalError,
     NotSeparableError,
     StateTooLargeError,
+    draw_outcome,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -356,6 +357,16 @@ class TestMeasurement:
             counts[state.measure_qudit(0, rng)] += 1
         chi2 = float(np.sum((counts - draws * probs) ** 2 / (draws * probs)))
         assert chi2 < 16.266  # chi^2_{3} at significance 0.001
+
+    def test_draw_rows_are_independent(self):
+        # a row's outcome depends on its own probabilities and generator alone
+        probs = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        rngs = [np.random.default_rng(k) for k in range(4)]
+        rows = draw_outcome(probs.copy(), rngs)
+        alone = [draw_outcome(probs[k].copy(), [np.random.default_rng(k)])[0] for k in range(4)]
+        assert rows.tolist() == alone and rows[1] == 0 and rows[3] == 1
+        with pytest.raises(NormalizationError, match="mass 0.5 at qubit 3"):
+            draw_outcome(np.array([[0.5, 0.5], [0.25, 0.25]]), [None, None], where="qubit 3")
 
     def test_normalization_guard(self):
         g = np.array([1.0, 1.0]).reshape(1, 2, 1)  # unnormalized on purpose

@@ -158,6 +158,40 @@ class TestTvd:
             oracle.tvd(t, np.array([0, 0]))
 
 
+class TestTvdAtOutcomes:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 60), st.data())
+    def test_equals_the_dense_tvd(self, l, r, data):
+        big_q = 1 << (2 * l)
+        hist = data.draw(st.dictionaries(st.integers(0, big_q - 1), st.integers(1, 50),
+                                         min_size=1, max_size=40), label="histogram")
+        counts = np.zeros(big_q)
+        for s, c in hist.items():
+            counts[s] = c
+        dense = oracle.tvd(oracle.exact_distribution(l, r), counts)
+        assert abs(oracle.tvd_at_outcomes(l, r, hist) - dense) <= 1e-12
+
+    def test_empty_counts(self):
+        with pytest.raises(ValueError):
+            oracle.tvd_at_outcomes(3, 3, {})
+
+    @pytest.mark.parametrize("l, r", [(20, 3), (20, 479568), (31, 5)])
+    def test_products_reduce_exactly_at_large_l(self, l, r):
+        # k * (r s mod Q) exceeds 2^63 here; the closed form in Python integers
+        big_q = 1 << (2 * l)
+        q, t = divmod(big_q, r)
+        outcomes = [0, 1, 12345, big_q // r + 1, big_q - 1]
+
+        def fejer(k, u):
+            den = np.sin(np.pi / big_q * u) ** 2
+            return k * k if u == 0 else np.sin(np.pi / big_q * (k * u % big_q)) ** 2 / den
+
+        want = [(t * fejer(q + 1, r * s % big_q) + (r - t) * fejer(q, r * s % big_q))
+                / float(big_q) ** 2 for s in outcomes]
+        np.testing.assert_allclose(oracle.outcome_probabilities(l, r, outcomes), want,
+                                   rtol=1e-9, atol=0)
+
+
 class TestReorder:
     def test_axis_permutation(self, rng):
         amps = rng.standard_normal(24)

@@ -1,7 +1,9 @@
 """Pipeline stages: modexp layouts, plateau detection, measurement, and the
 semiclassical QFT, which measures each qubit as soon as its phase is known."""
 
+from dataclasses import asdict
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,15 @@ ODD_PRIMES = [p for p in range(3, 60) if is_probable_prime(p)]
 
 def fresh(n, a, l=None):
     return SemiprimeInstance.make(n, a, l=l)
+
+
+def seeded(first, count):
+    """Generators seeded first, first+1, ..., created as they are read."""
+    return (np.random.default_rng(first + k) for k in range(count))
+
+
+def without_timings(records):
+    return [{k: v for k, v in asdict(rec).items() if k != "stage_seconds"} for rec in records]
 
 
 class TestBuildInitial:
@@ -415,16 +426,14 @@ class TestGradedSampler:
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
     @pytest.mark.parametrize("n, a", [(15, 7), (21, 2), (33, 2), (247, 2)])
     def test_same_samples_as_dense_reference(self, n, a, layout):
+        # one batch of 20 samples, each against the dense path on its own generator
         inst = fresh(n, a)
-        lower, alpha_hat, profile, _ = graded_modexp(inst, layout)
-        labels = tuple(lab for lab in profile.layout if lab != LOWER_REGISTER)
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            residue, right = shor.measure_residue(lower, rng)
-            ranks = shor.graded_ranks(lower, inst, alpha_hat, residue, right)
-            s = shor.assemble_s(shor.graded_fourier(lower, right, rng), inst.l)
-            want = dense_reference(inst, layout, np.random.default_rng(seed))
-            assert (residue, (ranks, labels), s) == want, seed
+        cfg = shor.PipelineConfig(layout=layout)
+        records = shor.sample_runs(inst, cfg, [np.random.default_rng(k) for k in range(20)])
+        for seed, rec in enumerate(records):
+            measure = rec.rank_profiles[1]
+            got = (rec.measured_residue, (measure.ranks, measure.layout), rec.measured_s)
+            assert got == dense_reference(inst, layout, np.random.default_rng(seed)), seed
 
     def test_branch_gate_convention(self):
         # sampled states are real, so only a complex weight pins the phase sign
@@ -484,8 +493,8 @@ class TestGradedSampler:
         for layout in ("static", "dynamic"):
             lower, alpha_hat, _, _ = graded_modexp(inst, layout)
             residue = data.draw(st.sampled_from(lower.residues))
-            right = shor.right_counts(lower, lower.index[residue])
-            ranks = shor.graded_ranks(lower, inst, alpha_hat, residue, right)
+            right = shor.right_counts(lower, [lower.index[residue]])
+            (ranks,) = shor.graded_ranks(lower, inst, alpha_hat, [residue], right)
             _, (want, _), _ = dense_reference(inst, layout, np.random.default_rng(0),
                                               forced_residue=residue)
             assert ranks == want, layout
@@ -555,23 +564,63 @@ class TestSampleRun:
 
     @settings(max_examples=40, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 40]),
-           st.sampled_from(["static", "dynamic"]), st.integers(0, 2**32 - 1))
-    def test_memory_guard_is_tight_and_keeps_the_base(self, case, layout, seed):
+           st.sampled_from(["static", "dynamic"]), st.integers(0, 2**32 - 1),
+           st.integers(1, 12))
+    def test_memory_guard_is_tight_and_keeps_the_base(self, case, layout, seed, m):
         inst = fresh(*case)
 
         def run(max_elements=1 << 30):
             cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
-            return shor.sample_run(inst, cfg, np.random.default_rng(seed))
+            return shor.sample_runs(inst, cfg, seeded(seed, m))
 
         free = run()
-        peak = max(free.peak_elements.values())
+        peak = max(free[0].peak_elements.values())
         tight = run(peak)
-        assert (tight.a, tight.measured_s) == (inst.a, free.measured_s)
+        assert all(rec.a == inst.a for rec in tight)
+        assert without_timings(tight) == without_timings(free)
         with pytest.raises(shor.MemoryLimitError) as err:
             run(peak - 1)
         assert err.value.needed == peak
         # the graded stages hold less than modexp's final chain
-        assert err.value.stage == "modexp" and free.peak_elements["modexp"] == peak
+        assert err.value.stage == "modexp" and free[0].peak_elements["modexp"] == peak
+
+    @settings(max_examples=40, deadline=None)
+    @given(semiprime_and_base([p for p in ODD_PRIMES if p < 40]),
+           st.sampled_from(["static", "dynamic"]), st.integers(0, 2**32 - 1),
+           st.integers(1, 12), st.data())
+    def test_batches_give_the_records_of_separate_runs(self, case, layout, seed, m, data):
+        # sample k draws from seed + k alone, whatever batch or call it is in
+        inst = fresh(*case)
+        cfg = shor.PipelineConfig(layout=layout)
+        batch = without_timings(shor.sample_runs(inst, cfg, seeded(seed, m)))
+        alone = [shor.sample_run(inst, cfg, np.random.default_rng(seed + k)) for k in range(m)]
+        assert batch == without_timings(alone)
+        cut = data.draw(st.integers(0, m), label="split")
+        first = shor.sample_runs(inst, cfg, seeded(seed, cut))
+        second = shor.sample_runs(inst, cfg, seeded(seed + cut, m - cut))
+        assert without_timings(first + second) == batch
+        # a small batch bound cuts one call into batches of 1 ... 3 samples
+        per_sample = max(alone[0].peak_elements["measure"], alone[0].peak_elements["qft"])
+        bound = data.draw(st.integers(1, 4 * per_sample - 1), label="batch elements")
+        with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
+            assert without_timings(shor.sample_runs(inst, cfg, seeded(seed, m))) == batch
+
+    def test_stage_seconds_share_the_call(self):
+        inst = fresh(247, 2)
+        cfg = shor.PipelineConfig(layout="static")
+        per_sample = shor.sample_run(inst, cfg, np.random.default_rng(0)).peak_elements
+        bound = 2 * max(per_sample["measure"], per_sample["qft"])
+        with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
+            records = shor.sample_runs(inst, cfg, seeded(0, 5))
+        assert [set(rec.stage_seconds) for rec in records] == [
+            {"build", "modexp", "measure", "qft", "classical"}] * 5
+        # modexp runs once per call and is shared evenly; batches of 2, 2, 1
+        assert len({rec.stage_seconds["modexp"] for rec in records}) == 1
+        assert records[0].stage_seconds["qft"] == records[1].stage_seconds["qft"]
+        assert all(dt >= 0 for rec in records for dt in rec.stage_seconds.values())
+
+    def test_no_generator_no_record(self):
+        assert shor.sample_runs(fresh(21, 2), shor.PipelineConfig(), []) == []
 
     def test_determinism(self):
         inst = fresh(21, 2)

@@ -16,7 +16,7 @@ from shormps.numtheory import SemiprimeInstance
 def profile(n: int, a: int) -> None:
     inst = SemiprimeInstance.make(n, a)
     for layout in ("static", "dynamic"):
-        lower = shor.LowerRegisterIndex()
+        lower = shor.LowerRegisterIndex(n)
         cfg = shor.PipelineConfig(layout=layout)
         alpha_hat, prof, tally = shor.run_modexp(lower, inst, cfg)
         labels = prof.layout

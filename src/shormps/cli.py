@@ -8,12 +8,14 @@ Subcommands:
 * ``oracle``       dump the exact measurement distribution for (l, r) or (n, a)
 
 Exit codes: 0 success, 2 invalid input (a message on stderr, never a
-traceback), 3 resource limit exhausted (the element guard or the order
-search cap), 4 verification failure (``verify-paper`` finds a published row
-it cannot reproduce).  Reports are deterministic for a fixed (flags, seed)
-pair.  Sample k draws from its own generator seeded with seed + k, so
-``--seed s --samples m`` and ``--seed s+m --samples m`` run as separate
-processes give the records of ``--seed s --samples 2m``, timings apart.
+traceback), 3 resource limit exhausted (the element guard, an allocation the
+machine refuses, or the order search cap), 4 verification failure
+(``verify-paper`` finds a published row it cannot reproduce).  Reports are
+deterministic for a fixed (flags, seed) pair.  Sample k draws from its own
+generator seeded with seed + k, so ``--seed s --samples m`` and
+``--seed s+m --samples m`` run as separate processes give the records of
+``--seed s --samples 2m``, timings apart.  ``sample`` and ``profile`` take
+n below 2^31 (the residue index's bound), ``oracle`` n below 2^62.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .numtheory import (
 )
 from .oracle import LAW_MAX_L, DenseCapError, exact_distribution, tvd_at_outcomes
 from .shor import (
+    MAX_SIMULATED_MODULUS,
     LowerRegisterIndex,
     MemoryLimitError,
     PipelineConfig,
@@ -121,12 +124,14 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True)
 
 
-def _validate_semiprime(n: int) -> str | None:
+def _validate_semiprime(n: int, bound: int = MAX_MODULUS) -> str | None:
+    """Why ``n`` is not an odd semiprime below ``bound`` (a power of two),
+    or None.  ``sample`` and ``profile`` pass ``MAX_SIMULATED_MODULUS``."""
     if n < 9 or n % 2 == 0:
         return f"n must be an odd integer >= 9, got {n}"
-    if n >= MAX_MODULUS:
+    if n >= bound:
         # first: the prime-power test's float roots overflow on huge n
-        return "n exceeds the supported 62-bit range"
+        return f"n exceeds the supported {bound.bit_length() - 1}-bit range"
     if is_probable_prime(n):
         return f"n = {n} is prime"
     if is_prime_power(n):
@@ -218,7 +223,7 @@ def cmd_sample(args) -> int:
     if args.seed < 0:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_INVALID
-    problem = _validate_semiprime(args.n)
+    problem = _validate_semiprime(args.n, MAX_SIMULATED_MODULUS)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_INVALID
@@ -241,6 +246,9 @@ def cmd_sample(args) -> int:
         }
     except MemoryLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     # the order depends on the instance alone
     r = _reference_order(inst, args.dense_cap)
@@ -304,7 +312,7 @@ def cmd_verify_paper(args) -> int:
 # --------------------------------------------------------------------- profile
 
 def cmd_profile(args) -> int:
-    problem = _validate_semiprime(args.n)
+    problem = _validate_semiprime(args.n, MAX_SIMULATED_MODULUS)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_INVALID
@@ -320,7 +328,7 @@ def cmd_profile(args) -> int:
     elements = {}
     try:
         for layout, cfg in configs.items():
-            lower = LowerRegisterIndex()
+            lower = LowerRegisterIndex(inst.n)
             _, profile, tally = run_modexp(lower, inst, cfg)
             profiles.append((layout, profile))
             # the tally only grows, so the final one is the peak
@@ -331,6 +339,9 @@ def cmd_profile(args) -> int:
             }
     except MemoryLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     if len(elements) == 2:
         print(

@@ -35,11 +35,16 @@ residue index as new residues appear: every nonzero entry of every site is
 a power of 1/sqrt(2), placed by the maps.  The modexp chain is therefore
 fixed by the gates' residue maps, the side of each qubit and the bond
 ranks, a charge-graded store in the sense of Singh, Pfeifer & Vidal
-(PRA 82, 050301 (2010)), and that is all ``run_modexp`` keeps.  Left of R the left states of
-distinct residue labels have disjoint supports, so the bond to R is a
-Schmidt rank equal to the number of labels; right of R each qubit doubles
-the bond.  The dense chain, built site by site, is kept in the test suite as
-an independent reference.
+(PRA 82, 050301 (2010)), and that is all ``run_modexp`` keeps.  R's residue
+index (``LowerRegisterIndex``) holds the reached residues as an array and a
+lookup table of n ``int32`` entries from residue to index, so each gate's map
+is a few vectorized gathers over the residues reached so far: O(r) work per
+gate, with no per-residue Python step, and a table of 4n bytes of which only
+the pages holding reached residues are ever touched.  The table bounds n
+below 2^31.  Left of R the left states of distinct residue labels have
+disjoint supports, so the bond to R is a Schmidt rank equal to the number of
+labels; right of R each qubit doubles the bond.  The dense chain, built site
+by site, is kept in the test suite as an independent reference.
 
 Sampling after modexp is graded by residue (Ferris & Vidal, PRB 85, 165146
 (2012); the residue grading plays the role of the conserved charge of Singh,
@@ -89,6 +94,8 @@ from .numtheory import (
 )
 
 SQRT_HALF = 1.0 / sqrt(2.0)
+# n must be below this for the residue index (see ``LowerRegisterIndex``)
+MAX_SIMULATED_MODULUS = 1 << 31
 
 
 class MemoryLimitError(RuntimeError):
@@ -116,40 +123,56 @@ def hadamard() -> np.ndarray:
 # ------------------------------------------------------------------- structures
 
 class LowerRegisterIndex:
-    """Residues of the lower register in first-appearance order.
+    """Residues of the lower register modulo ``n`` in first-appearance order.
+
+    ``residues`` holds them as an ``int64`` array; a lookup table of ``n``
+    ``int32`` entries holds each reached residue's index plus one, 0 meaning
+    "not reached", so ``extend`` finds every image with one gather.  The
+    table is allocated zeroed, and only the pages that hold reached residues
+    are ever touched, so of its 4n bytes of address space it commits at most
+    one page per residue.  ``n`` must be below ``MAX_SIMULATED_MODULUS``
+    (2^31): table entries then fit ``int32`` and the products in ``extend``
+    fit ``int64``.
 
     ``maps`` keeps the multiplier map of every gate applied so far, in gate
     order (qubit 2l-1 first); map k has one entry per residue reached before
     gate k, so its length is R's dimension before that gate.
     """
 
-    def __init__(self):
-        self.residues: list[int] = [1]
-        self.index: dict[int, int] = {1: 0}
+    def __init__(self, n: int):
+        if not 1 < n < MAX_SIMULATED_MODULUS:
+            raise ValueError(f"the residue index needs 1 < n < 2^31, got {n}")
+        self.n = n
+        self.residues = np.ones(1, dtype=np.int64)
+        self._where = np.zeros(n, dtype=np.int32)
+        self._where[1] = 1
         self.maps: list[np.ndarray] = []
 
     @property
     def dim(self) -> int:
-        return len(self.residues)
+        return self.residues.size
 
-    def extend(self, mult: int, n: int) -> np.ndarray:
+    def position(self, v: int) -> int:
+        """Index of residue ``v`` in ``residues``, or -1 when not reached."""
+        return int(self._where[v]) - 1
+
+    def extend(self, mult: int) -> np.ndarray:
         """Image of each current residue under v -> v * mult mod n.
 
-        New residues are appended as they first appear; the returned array
-        maps old residue indices to the indices of their images.
+        New residues are appended in the order of the residues they are
+        images of; the returned ``int32`` array maps old residue indices to
+        the indices of their images.  ``mult`` is a unit, so the images are
+        distinct and each new one is appended once.
         """
-        count = len(self.residues)
-        # int32 keeps the maps small: at n=16351, intp maps held across
-        # modexp raised its peak RSS by 30 MB
-        perm = np.empty(count, dtype=np.int32)
-        for j in range(count):
-            t = self.residues[j] * mult % n
-            k = self.index.get(t)
-            if k is None:
-                k = len(self.residues)
-                self.residues.append(t)
-                self.index[t] = k
-            perm[j] = k
+        img = self.residues * mult % self.n
+        # int32, as the table, keeps the maps small: at n=16351, intp maps
+        # held across modexp raised its peak RSS by 30 MB
+        perm = self._where[img] - 1
+        new = perm < 0
+        fresh = img[new]
+        perm[new] = np.arange(self.dim, self.dim + fresh.size, dtype=np.int32)
+        self._where[fresh] = perm[new] + 1
+        self.residues = np.concatenate((self.residues, fresh))
         self.maps.append(perm)
         return perm
 
@@ -235,8 +258,8 @@ def run_modexp(
     for i in reversed(range(instance.upper_qubits)):
         d_before = lower.dim
         mult = mod_pow(instance.a, 1 << i, instance.n)
-        side_a = dynamic and (alpha_hat or (plateau and mult not in lower.index))
-        lower.extend(mult, instance.n)
+        side_a = dynamic and (alpha_hat or (plateau and lower.position(mult) < 0))
+        lower.extend(mult)
         if side_a:
             alpha_hat += 1
             rpos = labels.index(LOWER_REGISTER)
@@ -372,7 +395,8 @@ def graded_ranks(
             counted = set()
             for v in range(0, 1 << alpha, 2 << k):
                 c = residue * pow(inv, v, n) % n
-                if any(lower.index[c * pow(inv, y, n) % n] < d_upper for y in range(2 << k)):
+                if any(lower.position(c * pow(inv, y, n) % n) < d_upper
+                       for y in range(2 << k)):
                     counted.add(c)
             support.append(len(counted))
         ranks.append(tuple(support))
@@ -398,12 +422,12 @@ def measure_lower_register(
     right-orthonormal.
     """
     rpos = state.position_of(LOWER_REGISTER)
-    forced = lower.index[forced_residue] if forced_residue is not None else None
+    forced = lower.position(forced_residue) if forced_residue is not None else None
     outcome = state.measure_qudit(rpos, rng, forced=forced)
     state.remove_separable_site(rpos)
     state.sweep("right", range(rpos - 1, state.n_bonds))
     state.sweep("left")
-    return lower.residues[outcome]
+    return int(lower.residues[outcome])
 
 
 def apply_lnn_qft(state: MpsState, rng=None, forced_bits=None) -> list[int]:
@@ -510,7 +534,7 @@ def sample_runs(
     """
     shared: dict[str, float] = {}
     t0 = time.perf_counter()
-    lower = LowerRegisterIndex()
+    lower = LowerRegisterIndex(instance.n)
     shared["build"] = time.perf_counter() - t0
     peaks = {"build": 1}  # R alone, of dimension 1
     t0 = time.perf_counter()
@@ -539,7 +563,7 @@ def sample_runs(
         seconds: dict[str, float] = {}
         t0 = time.perf_counter()
         targets = draw_outcome(r_probs, chunk, where="R")
-        residues = [lower.residues[t] for t in targets.tolist()]
+        residues = lower.residues[targets].tolist()
         right = right_counts(lower, targets)
         ranks = graded_ranks(lower, instance, alpha_hat, residues, right)
         t1 = time.perf_counter()

@@ -1,11 +1,13 @@
-"""Shared test utilities: the dense modexp reference, and bridges from MPS
-layouts to the canonical dense ordering.
+"""Shared test utilities: the dense modexp reference, a dict-based residue
+index, and bridges from MPS layouts to the canonical dense ordering.
 
 ``shor.run_modexp`` keeps only the residue maps, labels and bond ranks of the
 modexp chain.  The functions below build that chain's site tensors
 explicitly, gate by gate, as an independent reference for its ranks, tallies,
 guard and amplitudes, and as the input of the dense measurement and
-transform in ``shor``.
+transform in ``shor``.  ``reference_index`` builds the residue maps one
+residue at a time through a dict, as a reference for the table-based
+``shor.LowerRegisterIndex``.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ def build_initial(instance: SemiprimeInstance) -> tuple[MpsState, shor.LowerRegi
     Upper qubits are created lazily as their gates are applied.
     """
     state = MpsState.product_state((1,), (0,), labels=[LOWER_REGISTER])
-    return state, shor.LowerRegisterIndex()
+    return state, shor.LowerRegisterIndex(instance.n)
 
 
 def apply_controlled_modexp(
@@ -54,7 +56,7 @@ def apply_controlled_modexp(
     if side == "B":
         if rpos != state.n_sites - 1:
             raise shor.PipelineStateError("left-side gate requires R at the right end")
-        perm = lower.extend(mult, instance.n)
+        perm = lower.extend(mult)
         d_new = lower.dim
         shor._guard("modexp",
                     state.elements_live
@@ -72,7 +74,7 @@ def apply_controlled_modexp(
         state.lortho[rpos + 1] = False
         state.rortho[rpos + 1] = True  # identity block at the chain end
     elif side == "A":
-        perm = lower.extend(mult, instance.n)
+        perm = lower.extend(mult)
         d_new = lower.dim
         shor._guard(
             "modexp",
@@ -113,7 +115,7 @@ def run_dense_modexp(state, lower, instance, config) -> int | None:
         d_before = lower.dim
         side = "B"
         if dynamic and (alpha_hat or (
-                plateau and mod_pow(instance.a, 1 << i, instance.n) not in lower.index)):
+                plateau and lower.position(mod_pow(instance.a, 1 << i, instance.n)) < 0)):
             side = "A"
             alpha_hat += 1
         apply_controlled_modexp(state, lower, instance, i, side, config.max_elements)
@@ -131,9 +133,36 @@ def dense_modexp(instance, layout, max_elements=1 << 30):
 
 def graded_modexp(instance, layout, max_elements=1 << 30):
     """``shor.run_modexp``: (lower, alpha_hat, rank profile, element tally)."""
-    lower = shor.LowerRegisterIndex()
+    lower = shor.LowerRegisterIndex(instance.n)
     cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
     return (lower, *shor.run_modexp(lower, instance, cfg))
+
+
+def reference_index(instance):
+    """Residues and multiplier maps of a whole modexp, one residue at a time.
+
+    Gates run for qubits 2l-1 ... 0, most significant first, as in either
+    layout (the maps do not depend on it).  Each image is looked up in a dict
+    from residue to index and appended when new.  Returns the residues as a
+    list and the maps as ``int32`` arrays, the form ``shor.LowerRegisterIndex``
+    must match byte for byte.
+    """
+    residues = [1]
+    index = {1: 0}
+    maps = []
+    for i in reversed(range(instance.upper_qubits)):
+        mult = mod_pow(instance.a, 1 << i, instance.n)
+        perm = np.empty(len(residues), dtype=np.int32)
+        for j in range(perm.size):
+            t = residues[j] * mult % instance.n
+            k = index.get(t)
+            if k is None:
+                k = len(residues)
+                residues.append(t)
+                index[t] = k
+            perm[j] = k
+        maps.append(perm)
+    return residues, maps
 
 
 # ----------------------------------------------------------------- bridges
@@ -152,7 +181,7 @@ def mps_as_canonical_dense(state, lower, instance, cap=1 << 26):
     order = [state.labels.index(lab) for lab in target]
     vec = oracle.reorder_axes(oracle.StateVector(amps, dims), order)
     orbit = oracle.residue_orbit(instance.n, instance.a)
-    perm = [lower.index[v] for v in orbit]
+    perm = [lower.position(v) for v in orbit]
     t = vec.amps.reshape(-1, len(orbit))[:, perm]
     return oracle.StateVector(t.ravel(), vec.dims)
 

@@ -130,17 +130,20 @@ def test_criterion_6_sampling_distribution():
     t0 = time.perf_counter()
     inst = SemiprimeInstance.make(21, 2)
     cfg = shor.PipelineConfig(layout="dynamic")
+    # one batched call per instance: sample k draws from generator k, as a
+    # sample_run call of its own would
     counts = np.zeros(1024)
-    for k in range(20_000):
-        counts[shor.sample_run(inst, cfg, np.random.default_rng(k)).measured_s] += 1
+    for rec in shor.sample_runs(inst, cfg, (np.random.default_rng(k) for k in range(20_000))):
+        counts[rec.measured_s] += 1
     dist = oracle.tvd(oracle.exact_distribution(5, 6), counts)
 
     comb = SemiprimeInstance.make(15, 7)
     draws = 4000
     comb_counts = {0: 0, 256: 0, 512: 0, 768: 0}
     stray = 0
-    for k in range(draws):
-        s = shor.sample_run(comb, cfg, np.random.default_rng(10**6 + k)).measured_s
+    for rec in shor.sample_runs(comb, cfg, (np.random.default_rng(10**6 + k)
+                                            for k in range(draws))):
+        s = rec.measured_s
         if s in comb_counts:
             comb_counts[s] += 1
         else:

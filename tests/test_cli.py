@@ -1,16 +1,28 @@
 """CLI surface: exit codes, report schema, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import rank_oracle_for_bond
 
 from shormps import cli, oracle, shor
-from shormps.numtheory import OrderSearchCapError, SemiprimeInstance, multiplicative_order
+from shormps.numtheory import (
+    MAX_MODULUS,
+    OrderSearchCapError,
+    SemiprimeInstance,
+    is_probable_prime,
+    multiplicative_order,
+)
+from shormps.shor import MAX_SIMULATED_MODULUS
 
 
 def run_cli(argv):
@@ -19,6 +31,15 @@ def run_cli(argv):
 
 # 402 digits: beyond the float range of the prime-power test's roots
 HUGE_N = "1" + "0" * 400 + "1"
+# just above and just below the simulated range n < 2^31
+ABOVE_2_31 = 3 * 715827883  # 2^31 + 1
+MERSENNE_31 = (1 << 31) - 1  # prime
+# (l, n, a, r, alpha, beta) past the paper's table (README), n = 1451 * 1447
+# and 2897 * 2903
+BEYOND_PAPER_ROWS = [
+    (22, 2099597, 2, 1048350, 1, 524175),
+    (24, 8409991, 2, 2101048, 3, 262631),
+]
 
 
 class TestSample:
@@ -201,6 +222,14 @@ class TestBadInput:
             (["sample", "--n", HUGE_N, "--a", "2"], None),
             (["profile", "--n", HUGE_N, "--a", "2"], None),
             (["oracle", "--n", HUGE_N, "--a", "2"], None),
+            # the residue index needs n < 2^31; oracle keeps the 62-bit range
+            (["sample", "--n", str(ABOVE_2_31), "--a", "2"],
+             "n exceeds the supported 31-bit range"),
+            (["profile", "--n", str(ABOVE_2_31), "--a", "2"],
+             "n exceeds the supported 31-bit range"),
+            # just below, the bound passes and the next check speaks
+            (["sample", "--n", str(MERSENNE_31), "--a", "2"], f"n = {MERSENNE_31} is prime"),
+            (["profile", "--n", str(MERSENNE_31), "--a", "2"], f"n = {MERSENNE_31} is prime"),
         ],
     )
     def test_exit_2_with_message(self, argv, message, capsys):
@@ -212,11 +241,110 @@ class TestBadInput:
         if message is not None:
             assert captured.err == f"error: {message}\n"
 
+    def test_oracle_keeps_the_62_bit_range(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert run_cli(["oracle", "--n", str(ABOVE_2_31), "--a", "2", "--p", "3",
+                        "--q", "715827883", "--l", "3", "--out", str(out)]) == 0
+        r = json.loads(out.read_text())["r"]
+        assert pow(2, r, ABOVE_2_31) == 1
+
+    @pytest.mark.parametrize("command", ["sample", "profile"])
+    def test_out_of_memory_exits_3(self, command, monkeypatch, capsys):
+        # the residue index's table takes 4n bytes, up to 8 GB below 2^31
+        def refused(n):
+            raise MemoryError(f"Unable to allocate {4 * n} bytes")
+
+        monkeypatch.setattr(cli, "LowerRegisterIndex", refused)
+        monkeypatch.setattr(shor, "LowerRegisterIndex", refused)
+        assert run_cli([command, "--n", "21", "--a", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 84 bytes\n"
+
     def test_oracle_gcd_message_matches_sample(self, capsys):
         assert run_cli(["sample", "--n", "21", "--a", "3", "--samples", "1"]) == 2
         from_sample = capsys.readouterr().err
         assert run_cli(["oracle", "--n", "21", "--a", "3"]) == 2
         assert capsys.readouterr().err == from_sample
+
+
+SMALL_PRIMES = [p for p in range(3, 60) if is_probable_prime(p)]
+
+
+@st.composite
+def bad_flags(draw, command):
+    """A valid ``command`` call on a small semiprime with one flag made bad."""
+    p, q = draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=2, max_size=2,
+                         unique=True))
+    n = p * q
+    a = draw(st.integers(2, n - 1).filter(lambda x: gcd(x, n) == 1))
+    flags = {"--n": n, "--a": a, "--layout": draw(st.sampled_from(["static", "dynamic",
+                                                                   "both"]))}
+    if command == "sample":
+        flags["--samples"] = draw(st.integers(1, 3))
+        flags["--seed"] = draw(st.integers(0, 1 << 40))
+    bad = ["--n", "--a", "--p/--q", "--max-elements"]
+    if command == "sample":
+        bad += ["--samples", "--seed"]
+    which = draw(st.sampled_from(bad))
+    if which == "--n":
+        flags["--n"] = draw(st.one_of(
+            st.integers(-(1 << 40), 8),  # below 9
+            st.integers(5, 1 << 40).map(lambda k: 2 * k),  # even
+            st.sampled_from(SMALL_PRIMES + [8191, 131071, 524287, MERSENNE_31]),  # prime
+            st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(2, 6)).map(
+                lambda pk: pk[0] ** pk[1]),  # prime power
+            # odd and beyond the simulated range, or past the 62-bit one too
+            st.integers(MAX_SIMULATED_MODULUS >> 1, MAX_MODULUS >> 1).map(
+                lambda k: 2 * k + 1),
+            st.integers(MAX_MODULUS >> 1, 1 << 80).map(lambda k: 2 * k + 1),
+        ))
+    elif which == "--a":
+        flags["--a"] = draw(st.one_of(
+            st.integers(-(1 << 40), 1),
+            st.integers(n, n + (1 << 40)),
+            st.integers(1, q - 1).map(lambda k: k * p),  # shares the factor p
+        ))
+    elif which == "--p/--q":
+        other = draw(st.sampled_from(SMALL_PRIMES))
+        flags.update(draw(st.sampled_from([
+            {"--p": p}, {"--q": q},  # one factor alone
+            {"--p": p, "--q": other} if p * other != n else {"--p": other},
+        ])))
+    elif which == "--max-elements":
+        flags["--max-elements"] = draw(st.integers(-(1 << 40), 0))
+    elif which == "--samples":
+        flags["--samples"] = draw(st.integers(-(1 << 40), 0))
+    else:
+        flags["--seed"] = draw(st.integers(-(1 << 70), -1))
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    return argv
+
+
+class TestBadInputProperties:
+    """Any bad ``--n``, ``--a``, ``--p/--q``, ``--samples``, ``--seed`` or
+    ``--max-elements`` exits 2 with one ``error:`` line and no report."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        assert code == 2, argv
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(bad_flags("sample"))
+    def test_sample(self, argv):
+        self.check(argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bad_flags("profile"))
+    def test_profile(self, argv):
+        self.check(argv)
 
 
 class TestVerifyPublished:
@@ -293,6 +421,26 @@ class TestProfile:
                 labels = [lab if lab == "R" else int(lab) for lab in prof["labels"]]
                 for bond, rank in enumerate(prof["ranks"]):
                     assert rank == rank_oracle_for_bond(labels, inst, bond, r_hint=r)
+
+
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", BEYOND_PAPER_ROWS,
+                             ids=[f"l{row[0]}" for row in BEYOND_PAPER_ROWS])
+    def test_rows_past_the_paper(self, l, n, a, r, alpha, beta, tmp_path):
+        # README's l = 22 and 24 rows; their tallies pass 2^40, and the bond
+        # oracle would take minutes here, so only r, alpha and beta are checked
+        out = tmp_path / "p.json"
+        assert run_cli(["profile", "--n", str(n), "--a", str(a), "--layout", "both",
+                        "--max-elements", str(1 << 44), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["instance"]["l"] == l
+        profiles = {prof["layout"]: prof for prof in report["profiles"]}
+        static, dynamic = profiles["static"], profiles["dynamic"]
+        assert static["labels"][-1] == "R" and static["ranks"][-1] == r
+        rpos = dynamic["labels"].index("R")
+        assert len(dynamic["labels"]) - 1 - rpos == alpha
+        assert max(dynamic["ranks"][:rpos]) == dynamic["ranks"][rpos - 1] == beta
+        for layout in ("static", "dynamic"):
+            assert report["elements"][layout]["lower_register_dim"] == r
 
 
 class TestOracle:

@@ -14,6 +14,7 @@ from _helpers import (
     graded_modexp,
     mps_as_canonical_dense,
     rank_oracle_for_bond,
+    reference_index,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,7 +49,7 @@ class TestBuildInitial:
     def test_single_unit_site(self):
         state, lower = build_initial(fresh(21, 2))
         assert state.n_sites == 1 and state.dims == (1,)
-        assert lower.residues == [1]
+        assert lower.residues.tolist() == [1]
         assert state.elements_live == 1
         assert state.to_state_vector() == pytest.approx([1.0])
 
@@ -58,7 +59,7 @@ class TestControlledModexp:
         inst = fresh(21, 2)
         state, lower = build_initial(inst)
         apply_controlled_modexp(state, lower, inst, 0, "B")
-        assert lower.residues == [1, 2]
+        assert lower.residues.tolist() == [1, 2]
         assert state.bond_dims() == (2,)
         assert state.labels == [0, LOWER_REGISTER]
 
@@ -67,13 +68,13 @@ class TestControlledModexp:
         state, lower = build_initial(inst)
         apply_controlled_modexp(state, lower, inst, 9, "B")
         # 2^512 mod 21 = 4
-        assert lower.residues == [1, 4]
+        assert lower.residues.tolist() == [1, 4]
 
     def test_identity_multiplier_keeps_rank(self):
         inst = fresh(15, 14)  # 14^2 = 1 mod 15, so any i >= 1 multiplies by 1
         state, lower = build_initial(inst)
         apply_controlled_modexp(state, lower, inst, 3, "B")
-        assert lower.residues == [1]
+        assert lower.residues.tolist() == [1]
         assert state.bond_dims() == (1,)
 
     def test_element_guard(self):
@@ -127,6 +128,46 @@ class TestModexpProperties:
                 assert rank == want, (layout, bond)
 
 
+def assert_matches_reference_index(lower, instance):
+    """``lower`` after a whole modexp equals the dict-based reference byte
+    for byte: residues in order, and every map's dtype and values."""
+    residues, maps = reference_index(instance)
+    assert lower.residues.dtype == np.int64
+    assert lower.residues.tolist() == residues
+    assert len(lower.maps) == len(maps)
+    for perm, want in zip(lower.maps, maps):
+        assert perm.dtype == want.dtype == np.int32
+        assert perm.tobytes() == want.tobytes()
+
+
+class TestResidueIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(semiprime_and_base())
+    def test_matches_dict_reference(self, case):
+        inst = fresh(*case)
+        lower = graded_modexp(inst, "static")[0]
+        assert_matches_reference_index(lower, inst)
+        where = {v: k for k, v in enumerate(lower.residues.tolist())}
+        assert [lower.position(v) for v in range(inst.n)] == [
+            where.get(v, -1) for v in range(inst.n)]
+
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", cli.PUBLISHED_ORDER_DATA,
+                             ids=[f"l{row[0]}" for row in cli.PUBLISHED_ORDER_DATA])
+    def test_matches_dict_reference_on_published_rows(self, l, n, a, r, alpha, beta):
+        # the maps do not depend on the layout, so one pass per row covers both
+        inst = fresh(n, a)
+        lower = graded_modexp(inst, "static", max_elements=1 << 62)[0]
+        assert lower.dim == r
+        assert_matches_reference_index(lower, inst)
+
+    @pytest.mark.parametrize("n", [0, 1, shor.MAX_SIMULATED_MODULUS,
+                                   shor.MAX_SIMULATED_MODULUS + 1, 1 << 62])
+    def test_refuses_n_outside_the_table_range(self, n):
+        # the table's int32 entries and extend's int64 products need n < 2^31
+        with pytest.raises(ValueError, match="1 < n < 2\\^31"):
+            shor.LowerRegisterIndex(n)
+
+
 class TestGradedModexp:
     @settings(max_examples=60, deadline=None)
     @given(semiprime_and_base(), st.sampled_from(["static", "dynamic"]), st.data())
@@ -139,8 +180,8 @@ class TestGradedModexp:
         assert profile == mps.RankProfile("modexp", state.bond_dims(), tuple(state.labels))
         assert tally == state.elements_live == state.elements_peak
         assert alpha_hat == dense_alpha
-        assert lower.residues == dense_lower.residues
-        assert lower.index == dense_lower.index
+        assert lower.residues.dtype == dense_lower.residues.dtype
+        assert np.array_equal(lower.residues, dense_lower.residues)
         assert len(lower.maps) == len(dense_lower.maps)
         for perm, dense_perm in zip(lower.maps, dense_lower.maps):
             assert perm.dtype == dense_perm.dtype and np.array_equal(perm, dense_perm)
@@ -463,9 +504,9 @@ class TestGradedSampler:
         inst = fresh(21, 2)
         lower, _, _, _ = graded_modexp(inst, "static")
         x = np.arange(1 << (2 * inst.l))
-        residues = np.array([lower.index[pow(2, int(k), 21)] for k in x])
+        residues = np.array([lower.position(pow(2, int(k), 21)) for k in x])
         assert np.array_equal(shor.forward_counts(lower), np.bincount(residues))
-        t = lower.index[11]
+        t = lower.position(11)
         right = shor.right_counts(lower, t)
         for j in (0, 3, 2 * inst.l):
             want = [sum(c * pow(2, v, 21) % 21 == 11 for v in range(1 << j))
@@ -492,8 +533,8 @@ class TestGradedSampler:
         inst = fresh(*case)
         for layout in ("static", "dynamic"):
             lower, alpha_hat, _, _ = graded_modexp(inst, layout)
-            residue = data.draw(st.sampled_from(lower.residues))
-            right = shor.right_counts(lower, [lower.index[residue]])
+            residue = data.draw(st.sampled_from(lower.residues.tolist()))
+            right = shor.right_counts(lower, [lower.position(residue)])
             (ranks,) = shor.graded_ranks(lower, inst, alpha_hat, [residue], right)
             _, (want, _), _ = dense_reference(inst, layout, np.random.default_rng(0),
                                               forced_residue=residue)

@@ -8,14 +8,21 @@ Subcommands:
 * ``oracle``       dump the exact measurement distribution for (l, r) or (n, a)
 
 Exit codes: 0 success, 2 invalid input (a message on stderr, never a
-traceback), 3 resource limit exhausted (the element guard, an allocation the
-machine refuses, or the order search cap), 4 verification failure
-(``verify-paper`` finds a published row it cannot reproduce).  Reports are
-deterministic for a fixed (flags, seed) pair.  Sample k draws from its own
-generator seeded with seed + k, so ``--seed s --samples m`` and
-``--seed s+m --samples m`` run as separate processes give the records of
-``--seed s --samples 2m``, timings apart.  ``sample`` and ``profile`` take
-n below 2^31 (the residue index's bound), ``oracle`` n below 2^62.
+traceback; an ``--out`` that cannot be written counts too), 3 resource
+limit exhausted (the element guard, an allocation the machine refuses, or
+the order search cap), 4 verification failure (``verify-paper`` finds a
+published row it cannot reproduce).  Reports are deterministic for a fixed
+(flags, seed) pair.  Sample k draws from its own generator seeded with
+seed + k, so ``--seed s --samples m`` and ``--seed s+m --samples m`` run as
+separate processes give the records of ``--seed s --samples 2m``, timings
+apart.  ``sample`` and ``profile`` take n below 2^31 (the residue index's
+bound), ``oracle`` n below 2^62.
+
+JSON reports (``schema: 1``) are compact: sorted keys, no whitespace between
+tokens, one trailing newline, floats in Python's shortest round-trip form.
+Without an indent ``json.dumps`` runs its C encoder, several times faster
+than the pure-Python one an indent selects.  Pretty-print a report with
+``python -m json.tool r.json``.
 """
 
 from __future__ import annotations
@@ -110,18 +117,27 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
+def _write(text: str, out: str | None) -> int:
+    """Write ``text``, ending in one newline, to ``out`` (stdout when None).
+    Returns EXIT_OK, or EXIT_INVALID after one error line when ``out``
+    cannot be written (a missing directory, a directory, no permission)."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if not out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INVALID
+    return EXIT_OK
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True)
+    # no indent: only then does json.dumps use its C encoder
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _validate_semiprime(n: int, bound: int = MAX_MODULUS) -> str | None:
@@ -223,6 +239,9 @@ def cmd_sample(args) -> int:
     if args.seed < 0:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_INVALID
+    if args.dense_cap < 1:
+        print(f"error: --dense-cap must be at least 1, got {args.dense_cap}", file=sys.stderr)
+        return EXIT_INVALID
     problem = _validate_semiprime(args.n, MAX_SIMULATED_MODULUS)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
@@ -274,8 +293,7 @@ def cmd_sample(args) -> int:
         "layouts": per_layout,
         "elapsed_seconds": perf_counter() - started,
     }
-    _write(_dump_json(report), args.out)
-    return EXIT_OK
+    return _write(_dump_json(report), args.out)
 
 
 # ---------------------------------------------------------------- verify-paper
@@ -305,7 +323,9 @@ def cmd_verify_paper(args) -> int:
             f"{'PASS' if row_ok else 'FAIL'}"
         )
     if args.out:
-        _write(_dump_json({"schema": 1, "command": "verify-paper", "rows": rows}), args.out)
+        code = _write(_dump_json({"schema": 1, "command": "verify-paper", "rows": rows}), args.out)
+        if code != EXIT_OK:
+            return code
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -357,25 +377,23 @@ def cmd_profile(args) -> int:
         for layout, prof in profiles:
             for bond, rank in enumerate(prof.ranks):
                 lines.append(f"{prof.stage},{bond},{rank},{layout}")
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        report = {
-            "schema": 1,
-            "command": "profile",
-            "instance": _instance_echo(inst),
-            "profiles": [
-                {
-                    "layout": layout,
-                    "stage": prof.stage,
-                    "ranks": list(prof.ranks),
-                    "labels": [str(x) for x in prof.layout],
-                }
-                for layout, prof in profiles
-            ],
-            "elements": elements,
-        }
-        _write(_dump_json(report), args.out)
-    return EXIT_OK
+        return _write("\n".join(lines), args.out)
+    report = {
+        "schema": 1,
+        "command": "profile",
+        "instance": _instance_echo(inst),
+        "profiles": [
+            {
+                "layout": layout,
+                "stage": prof.stage,
+                "ranks": list(prof.ranks),
+                "labels": [str(x) for x in prof.layout],
+            }
+            for layout, prof in profiles
+        ],
+        "elements": elements,
+    }
+    return _write(_dump_json(report), args.out)
 
 
 # ---------------------------------------------------------------------- oracle
@@ -411,17 +429,15 @@ def cmd_oracle(args) -> int:
         lines = ["s,probability"] + [
             f"{s},{float(p)!r}" for s, p in enumerate(table.probs)
         ]
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        report = {
-            "schema": 1,
-            "command": "oracle",
-            "l": l,
-            "r": r,
-            "probs": table.probs.tolist(),
-        }
-        _write(_dump_json(report), args.out)
-    return EXIT_OK
+        return _write("\n".join(lines), args.out)
+    report = {
+        "schema": 1,
+        "command": "oracle",
+        "l": l,
+        "r": r,
+        "probs": table.probs.tolist(),
+    }
+    return _write(_dump_json(report), args.out)
 
 
 def main(argv=None) -> int:

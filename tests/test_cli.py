@@ -206,6 +206,66 @@ class TestSample:
         assert len(json.loads(out.read_text())["layouts"]["static"]["records"]) == 3
 
 
+# one JSON-report call per command; the sample call reaches every report field
+REPORT_COMMANDS = [
+    ["sample", "--n", "21", "--a", "2", "--p", "3", "--q", "7", "--samples", "20",
+     "--seed", "5", "--layout", "both"],
+    ["profile", "--n", "247", "--a", "2", "--layout", "both"],
+    ["oracle", "--l", "5", "--r", "6"],
+    ["verify-paper"],
+]
+
+
+@pytest.fixture
+def dumped(monkeypatch):
+    """The objects ``cli._dump_json`` serializes, in call order."""
+    objs = []
+    dump = cli._dump_json
+
+    def recording(obj):
+        objs.append(obj)
+        return dump(obj)
+
+    monkeypatch.setattr(cli, "_dump_json", recording)
+    return objs
+
+
+class TestReportForm:
+    """Reports are compact canonical JSON with one trailing newline, and parse
+    to what the earlier ``indent=1`` encoding of the same report gives."""
+
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=lambda argv: argv[0])
+    def test_compact_and_same_content(self, argv, tmp_path, dumped):
+        out = tmp_path / "r.json"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        assert report["schema"] == 1
+        [obj] = dumped
+        assert report == json.loads(json.dumps(obj, indent=1, sort_keys=True))
+
+    def test_sample_floats_round_trip(self, tmp_path, dumped):
+        out = tmp_path / "r.json"
+        assert run_cli(REPORT_COMMANDS[0] + ["--out", str(out)]) == 0
+        report, [obj] = json.loads(out.read_text()), dumped
+        for layout, block in obj["layouts"].items():
+            parsed = report["layouts"][layout]
+            for key in ("tvd_vs_oracle", "factor_success_rate"):
+                value = block["aggregate"][key]
+                assert isinstance(value, float) and parsed["aggregate"][key] == value
+            for rec, got in zip(block["records"], parsed["records"], strict=True):
+                assert got["stage_seconds"] == rec["stage_seconds"]
+                assert all(isinstance(t, float) for t in rec["stage_seconds"].values())
+        assert report["elapsed_seconds"] == obj["elapsed_seconds"]
+
+    def test_oracle_probs_round_trip(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert run_cli(["oracle", "--l", "5", "--r", "6", "--out", str(out)]) == 0
+        probs = json.loads(out.read_text())["probs"]
+        assert probs == oracle.exact_distribution(5, 6).probs.tolist()
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv, message",
@@ -230,6 +290,9 @@ class TestBadInput:
             # just below, the bound passes and the next check speaks
             (["sample", "--n", str(MERSENNE_31), "--a", "2"], f"n = {MERSENNE_31} is prime"),
             (["profile", "--n", str(MERSENNE_31), "--a", "2"], f"n = {MERSENNE_31} is prime"),
+            # oracle refuses such a cap too ("exceeds cap")
+            (["sample", "--n", "21", "--a", "2", "--dense-cap", "0"],
+             "--dense-cap must be at least 1, got 0"),
         ],
     )
     def test_exit_2_with_message(self, argv, message, capsys):
@@ -261,6 +324,17 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err == "error: Unable to allocate 84 bytes\n"
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_2(self, argv, where, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.json" if where == "missing directory" else tmp_path
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        # profile --layout both puts its element comparison on stderr first
+        *before, last = capsys.readouterr().err.splitlines()
+        assert last.startswith(f"error: cannot write {out}: ")
+        assert not any(line.startswith(("error:", "Traceback")) for line in before)
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_gcd_message_matches_sample(self, capsys):
         assert run_cli(["sample", "--n", "21", "--a", "3", "--samples", "1"]) == 2
         from_sample = capsys.readouterr().err
@@ -285,7 +359,7 @@ def bad_flags(draw, command):
         flags["--seed"] = draw(st.integers(0, 1 << 40))
     bad = ["--n", "--a", "--p/--q", "--max-elements"]
     if command == "sample":
-        bad += ["--samples", "--seed"]
+        bad += ["--samples", "--seed", "--dense-cap"]
     which = draw(st.sampled_from(bad))
     if which == "--n":
         flags["--n"] = draw(st.one_of(
@@ -315,6 +389,8 @@ def bad_flags(draw, command):
         flags["--max-elements"] = draw(st.integers(-(1 << 40), 0))
     elif which == "--samples":
         flags["--samples"] = draw(st.integers(-(1 << 40), 0))
+    elif which == "--dense-cap":
+        flags["--dense-cap"] = draw(st.integers(-(1 << 40), 0))
     else:
         flags["--seed"] = draw(st.integers(-(1 << 70), -1))
     argv = [command]
@@ -324,8 +400,9 @@ def bad_flags(draw, command):
 
 
 class TestBadInputProperties:
-    """Any bad ``--n``, ``--a``, ``--p/--q``, ``--samples``, ``--seed`` or
-    ``--max-elements`` exits 2 with one ``error:`` line and no report."""
+    """Any bad ``--n``, ``--a``, ``--p/--q``, ``--samples``, ``--seed``,
+    ``--max-elements`` or ``--dense-cap`` exits 2 with one ``error:`` line
+    and no report."""
 
     @staticmethod
     def check(argv):

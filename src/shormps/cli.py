@@ -8,15 +8,19 @@ Subcommands:
 * ``oracle``       dump the exact measurement distribution for (l, r) or (n, a)
 
 Exit codes: 0 success, 2 invalid input (a message on stderr, never a
-traceback; an ``--out`` that cannot be written counts too), 3 resource
-limit exhausted (the element guard, an allocation the machine refuses, or
-the order search cap), 4 verification failure (``verify-paper`` finds a
-published row it cannot reproduce).  Reports are deterministic for a fixed
-(flags, seed) pair.  Sample k draws from its own generator seeded with
-seed + k, so ``--seed s --samples m`` and ``--seed s+m --samples m`` run as
-separate processes give the records of ``--seed s --samples 2m``, timings
-apart.  ``sample`` and ``profile`` take n below 2^31 (the residue index's
-bound), ``oracle`` n below 2^62.
+traceback; an ``--out`` that cannot be written counts too, and is refused
+before the job runs), 3 resource limit exhausted (the element guard, an
+allocation the machine refuses, or the order search cap), 4 verification
+failure (``verify-paper`` finds a published row it cannot reproduce).
+Reports are deterministic for a fixed (flags, seed) pair.  Sample k draws
+from PCG64 seeded through ``SeedSequence(seed + k)``, the stream of
+``numpy.random.default_rng(seed + k)``, computed in ``shormps.rng`` so that
+``sample`` skips numpy's 15-18 ms import of ``numpy.random`` (only drawing
+``a`` when ``--a`` is omitted still imports it).  So ``--seed s --samples
+m`` and ``--seed s+m --samples m`` run as separate processes give the
+records of ``--seed s --samples 2m``, timings apart.  ``sample`` and
+``profile`` take n below 2^31 (the residue index's bound), ``oracle`` n
+below 2^62.
 
 JSON reports (``schema: 1``) are compact: sorted keys, no whitespace between
 tokens, one trailing newline, floats in Python's shortest round-trip form.
@@ -28,7 +32,9 @@ than the pure-Python one an indent selects.  Pretty-print a report with
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from time import perf_counter
 
@@ -50,6 +56,7 @@ from .numtheory import (
     two_adic_split,
 )
 from .oracle import LAW_MAX_L, DenseCapError, exact_distribution, tvd_at_outcomes
+from .rng import Pcg64
 from .shor import (
     MAX_SIMULATED_MODULUS,
     LowerRegisterIndex,
@@ -135,6 +142,28 @@ def _write(text: str, out: str | None) -> int:
     return EXIT_OK
 
 
+def _unwritable(out: str | None) -> str | None:
+    """Why ``out`` cannot be opened for writing, or None; checked before the
+    job so that a bad path does not cost the whole run.  ``_write`` still
+    reports what only the write itself finds (a full disk, a path removed
+    meanwhile)."""
+    if not out:
+        return None
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif os.path.exists(out):
+        code = None if os.access(out, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(out) or "."
+        if not os.path.exists(parent):
+            code = errno.ENOENT
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR
+        else:
+            code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    return None if code is None else os.strerror(code)
+
+
 def _dump_json(obj) -> str:
     # no indent: only then does json.dumps use its C encoder
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -159,6 +188,9 @@ def _instance_from_args(args) -> tuple[SemiprimeInstance, list[int]]:
     a = args.a
     lucky: list[int] = []
     if a is None:
+        # random_coprime draws with Generator.integers (bounded Lemire draws),
+        # which shormps.rng does not reproduce, so only this path imports
+        # numpy.random
         rng = np.random.default_rng(getattr(args, "seed", 0))
         a = random_coprime(args.n, rng, on_lucky_factor=lucky.append)
     return SemiprimeInstance.make(args.n, a, p=args.p, q=args.q), lucky
@@ -260,7 +292,7 @@ def cmd_sample(args) -> int:
     try:
         records = {
             layout: [_record_dict(rec) for rec in sample_runs(
-                inst, cfg, (np.random.default_rng(args.seed + k) for k in range(args.samples)))]
+                inst, cfg, (Pcg64(args.seed + k) for k in range(args.samples)))]
             for layout, cfg in configs.items()
         }
     except MemoryLimitError as exc:
@@ -442,6 +474,10 @@ def cmd_oracle(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    problem = _unwritable(args.out)
+    if problem:
+        print(f"error: cannot write {args.out}: {problem}", file=sys.stderr)
+        return EXIT_INVALID
     handler = {
         "sample": cmd_sample,
         "verify-paper": cmd_verify_paper,

@@ -517,7 +517,9 @@ def sample_runs(
     2l-1 ... 0, and its arithmetic is elementwise or along a residue axis, so
     its record is the same whether it is drawn alone or in any batch, and
     the same as a ``sample_run`` call with that generator.  ``rngs`` may be
-    any iterable; it is read one batch at a time.
+    any iterable of objects with a ``random()`` method returning a float in
+    [0, 1), such as numpy ``Generator``s or ``rng.Pcg64``s; it is read one
+    batch at a time.
 
     Every stage runs on ``instance`` as given.  A stage whose arrays would
     exceed ``config.max_elements`` raises ``MemoryLimitError``: modexp counts

@@ -326,14 +326,32 @@ class TestBadInput:
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=lambda argv: argv[0])
-    def test_unwritable_out_exits_2(self, argv, where, tmp_path, capsys):
+    def test_unwritable_out_exits_2(self, argv, where, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the job ran before --out was checked")
+
+        for name in ("sample_runs", "run_modexp", "exact_distribution",
+                     "multiplicative_order"):
+            monkeypatch.setattr(cli, name, no_work)
         out = tmp_path / "absent" / "x.json" if where == "missing directory" else tmp_path
         assert run_cli(argv + ["--out", str(out)]) == 2
-        # profile --layout both puts its element comparison on stderr first
-        *before, last = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        *before, last = captured.err.splitlines()
         assert last.startswith(f"error: cannot write {out}: ")
-        assert not any(line.startswith(("error:", "Traceback")) for line in before)
+        assert before == [] and captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_check_accepts_what_open_accepts(self, tmp_path):
+        existing = tmp_path / "old.json"
+        existing.write_text("kept")
+        assert cli._unwritable(str(existing)) is None
+        assert existing.read_text() == "kept"
+        assert cli._unwritable(str(tmp_path / "new.json")) is None
+        assert cli._unwritable(None) is None
+        assert cli._unwritable(str(tmp_path)) == "Is a directory"
+        assert cli._unwritable(str(tmp_path / "absent" / "x.json")) == (
+            "No such file or directory")
+        assert cli._unwritable(str(existing / "x.json")) == "Not a directory"
 
     def test_oracle_gcd_message_matches_sample(self, capsys):
         assert run_cli(["sample", "--n", "21", "--a", "3", "--samples", "1"]) == 2

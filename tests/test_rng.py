@@ -1,0 +1,76 @@
+"""``shormps.rng.Pcg64`` is the stream of ``numpy.random.default_rng``, and
+``sample`` draws from it without importing ``numpy.random``."""
+
+import json
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+from shormps import cli, shor
+from shormps.numtheory import SemiprimeInstance
+from shormps.rng import Pcg64
+
+SEEDS = [*range(3000), *range(901000, 901200), 2**32 - 1, 2**32, 2**64 + 3, 10**30]
+
+
+def test_same_draws_as_numpy():
+    for seed in SEEDS:
+        ours, theirs = Pcg64(seed), np.random.default_rng(seed)
+        for draw in range(64):
+            assert ours.random() == theirs.random(), (seed, draw)
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError):
+        Pcg64(-1)
+
+
+def test_sample_records_equal_numpy_generators(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["sample", "--n", "247", "--a", "2", "--layout", "both", "--seed", "5",
+                     "--samples", "20", "--out", str(out)]) == 0
+    layouts = json.loads(out.read_text())["layouts"]
+    inst = SemiprimeInstance.make(247, 2)
+    for layout in ("static", "dynamic"):
+        cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 30)
+        recs = shor.sample_runs(inst, cfg, [np.random.default_rng(5 + k) for k in range(20)])
+        expected = json.loads(cli._dump_json([cli._record_dict(rec) for rec in recs]))
+        got = layouts[layout]["records"]
+        for rec in expected + got:
+            del rec["stage_seconds"]
+        assert got == expected
+
+
+def _run_fresh(body: str) -> str:
+    code = "import sys\nfrom shormps import cli\n" + textwrap.dedent(body)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return proc.stdout
+
+
+def test_sample_and_profile_leave_numpy_random_unimported(tmp_path):
+    out = tmp_path / "r.json"
+    stdout = _run_fresh(f"""
+        out = {str(out)!r}
+        assert cli.main(["sample", "--n", "21", "--a", "2", "--samples", "5",
+                         "--layout", "both", "--out", out]) == 0
+        assert cli.main(["profile", "--n", "247", "--a", "2", "--layout", "both",
+                         "--out", out]) == 0
+        print("numpy.random" in sys.modules)
+    """)
+    assert stdout == "False\n"
+
+
+def test_drawn_base_still_comes_from_numpy(tmp_path):
+    out = tmp_path / "r.json"
+    _run_fresh(f"""
+        assert cli.main(["sample", "--n", "21", "--samples", "3",
+                         "--out", {str(out)!r}]) == 0
+    """)
+    report = json.loads(out.read_text())
+    # Generator.integers under default_rng(0) draws 11, which shares 7 with 21
+    assert report["instance"]["a"] == 11
+    assert report["lucky_factors_from_draw"] == [3, 7]

@@ -7,6 +7,17 @@ Subcommands:
 * ``profile``      run the modular-exponentiation stage and dump rank profiles
 * ``oracle``       dump the exact measurement distribution for (l, r) or (n, a)
 
+Flags are parsed against one table, ``_COMMANDS`` (command -> flag -> kind,
+default, help), not by argparse, whose parser took milliseconds to build on
+every call and imported ``locale``.  A flag takes ``--flag value`` or
+``--flag=value``; a repeated flag's last value wins.  Names must be exact (no
+unique-prefix abbreviations such as ``--sam``), and a value starting with
+``--`` counts as missing.  ``shor-mps --help`` and ``shor-mps <command>
+--help`` print a usage from the table, ``shor-mps --version`` the version;
+both exit 0.  An unknown command or flag, a missing value, a non-integer for
+an integer flag, a value outside a flag's choices or a missing required
+``--n`` exits 2 after one ``error:`` line on stderr.
+
 Exit codes: 0 success, 2 invalid input (a message on stderr, never a
 traceback; an ``--out`` that cannot be written counts too, and is refused
 before the job runs), 3 resource limit exhausted (the element guard, an
@@ -31,12 +42,12 @@ than the pure-Python one an indent selects.  Pretty-print a report with
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import sys
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,44 +95,118 @@ PUBLISHED_ORDER_DATA = [
 ]
 
 
-def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="shor-mps", description=__doc__)
-    top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
+# command -> flag -> (kind, default, help).  A kind is int, str or a tuple of
+# the allowed strings; _REQUIRED marks a flag without a default.  Each flag's
+# value lands on the attribute named after it ("--max-elements" ->
+# max_elements).
+_REQUIRED = object()
+_LAYOUT = (("static", "dynamic", "both"), "dynamic", "where the lower register R sits")
+_FORMAT = (("json", "csv"), "json", "report format")
+_OUT = (str, None, "output path (stdout when omitted)")
+_INSTANCE_FLAGS = {
+    "--n": (int, _REQUIRED, "odd semiprime to factor"),
+    "--a": (int, None, "base (drawn at random when omitted)"),
+    "--p": (int, None, "known factor (verification only)"),
+    "--q": (int, None, "known factor (verification only)"),
+    "--layout": _LAYOUT,
+    "--max-elements": (int, 1 << 30, "element limit of every stage; past it, exit 3"),
+    "--out": _OUT,
+    "--format": _FORMAT,
+}
+_COMMANDS = {
+    "sample": ("sample end-to-end measurement outcomes", {
+        **_INSTANCE_FLAGS,
+        "--samples": (int, 1, "number of samples"),
+        "--seed": (int, 0, "sample k draws from PCG64 seeded with seed + k"),
+        "--dense-cap": (int, 1 << 26, "skip the report's exact law when 2^(2l) exceeds it"),
+    }),
+    "verify-paper": ("recompute the published (r, alpha, beta)", {"--out": _OUT}),
+    "profile": ("rank profiles after modular exponentiation", _INSTANCE_FLAGS),
+    "oracle": ("exact measurement distribution", {
+        "--l": (int, None, "register width (with --r)"),
+        "--r": (int, None, "order (with --l)"),
+        "--n": (int, None, "semiprime (with --a)"),
+        "--a": (int, None, "base (with --n)"),
+        "--p": (int, None, "known factor of n (finds the order at once)"),
+        "--q": (int, None, "known factor of n (finds the order at once)"),
+        "--dense-cap": (int, 1 << 26, "refuse a law of more entries than this"),
+        "--out": _OUT,
+        "--format": _FORMAT,
+    }),
+}
 
-    def common(p, layouts=("static", "dynamic", "both")):
-        p.add_argument("--n", type=int, required=True, help="odd semiprime to factor")
-        p.add_argument("--a", type=int, help="base (drawn at random when omitted)")
-        p.add_argument("--p", type=int, help="known factor (verification only)")
-        p.add_argument("--q", type=int, help="known factor (verification only)")
-        p.add_argument("--layout", choices=layouts, default="dynamic")
-        p.add_argument("--max-elements", type=int, default=1 << 30)
-        p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    ps = sub.add_parser("sample", help="sample end-to-end measurement outcomes")
-    common(ps)
-    ps.add_argument("--samples", type=int, default=1)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--dense-cap", type=int, default=1 << 26)
+class _UsageError(Exception):
+    """A malformed command line; ``main`` prints it as one error line."""
 
-    pv = sub.add_parser("verify-paper", help="recompute the published (r, alpha, beta)")
-    pv.add_argument("--out", help="output path (stdout when omitted)")
 
-    pp = sub.add_parser("profile", help="rank profiles after modular exponentiation")
-    common(pp)
+def _usage(command: str | None = None) -> str:
+    """The ``--help`` text: the commands, or the flags of ``command``."""
+    if command is None:
+        lines = ["usage: shor-mps <command> [--flag value ...]",
+                 "       shor-mps [<command>] --help",
+                 "       shor-mps --version", "", "commands:"]
+        lines += [f"  {name:14s}{text}" for name, (text, _) in _COMMANDS.items()]
+        return "\n".join(lines + ["", "shor-mps <command> --help lists its flags."])
+    text, flags = _COMMANDS[command]
+    lines = [f"usage: shor-mps {command} [--flag value ...]", "", text, "",
+             "flags (--flag value or --flag=value; the last repeat wins):"]
+    for flag, (kind, default, help_text) in flags.items():
+        head = f"  {flag} " + ("{%s}" % ",".join(kind) if isinstance(kind, tuple)
+                               else kind.__name__.upper())
+        if default is _REQUIRED:
+            help_text += " (required)"
+        elif default is not None:
+            help_text += f" (default: {default})"
+        # a head too wide for the column puts its help on the next line
+        lines.append(f"{head:26s}{help_text}" if len(head) < 26
+                     else f"{head}\n{'':26s}{help_text}")
+    return "\n".join(lines)
 
-    po = sub.add_parser("oracle", help="exact measurement distribution")
-    po.add_argument("--l", type=int, help="register width (with --r)")
-    po.add_argument("--r", type=int, help="order (with --l)")
-    po.add_argument("--n", type=int, help="semiprime (with --a)")
-    po.add_argument("--a", type=int, help="base (with --n)")
-    po.add_argument("--p", type=int, help="known factor of n (finds the order at once)")
-    po.add_argument("--q", type=int, help="known factor of n (finds the order at once)")
-    po.add_argument("--dense-cap", type=int, default=1 << 26)
-    po.add_argument("--out", help="output path (stdout when omitted)")
-    po.add_argument("--format", choices=("json", "csv"), default="json")
-    return top
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The command and its flags as attributes, or None once ``--help`` or
+    ``--version`` has printed.  Raises _UsageError on a malformed argv."""
+    if not argv:
+        raise _UsageError(f"no command given (choose from {', '.join(_COMMANDS)})")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        print(_usage())
+        return None
+    if command == "--version":
+        print(__version__)
+        return None
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    flags = _COMMANDS[command][1]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_usage(command))
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise _UsageError(f"unknown flag {flag!r} for {command}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"{flag} needs a value")
+        kind = flags[flag][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"{flag} takes an integer, got {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise _UsageError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        values[flag] = value
+    args = SimpleNamespace(command=command)
+    for flag, (_, default, _) in flags.items():
+        if flag not in values and default is _REQUIRED:
+            raise _UsageError(f"{command} needs {flag}")
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
+    return args
 
 
 def _write(text: str, out: str | None) -> int:
@@ -431,6 +516,9 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
+    if args.r is not None and args.l is None:
+        print("error: --r needs --l", file=sys.stderr)
+        return EXIT_INVALID
     if (args.l is None or args.r is None) and (args.n is None or args.a is None):
         print("error: supply --l with --r, or --n with --a", file=sys.stderr)
         return EXIT_INVALID
@@ -473,7 +561,13 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    if args is None:
+        return EXIT_OK
     problem = _unwritable(args.out)
     if problem:
         print(f"error: cannot write {args.out}: {problem}", file=sys.stderr)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from _helpers import rank_oracle_for_bond
 
-from shormps import cli, oracle, shor
+from shormps import __version__, cli, oracle, shor
 from shormps.numtheory import (
     MAX_MODULUS,
     OrderSearchCapError,
@@ -293,6 +293,8 @@ class TestBadInput:
             # oracle refuses such a cap too ("exceeds cap")
             (["sample", "--n", "21", "--a", "2", "--dense-cap", "0"],
              "--dense-cap must be at least 1, got 0"),
+            # --r is a law's order: it needs the register width, not n and a
+            (["oracle", "--n", "21", "--a", "2", "--r", "3"], "--r needs --l"),
         ],
     )
     def test_exit_2_with_message(self, argv, message, capsys):
@@ -360,7 +362,107 @@ class TestBadInput:
         assert capsys.readouterr().err == from_sample
 
 
+# every flag of each command, as README and --help name them
+COMMAND_FLAGS = {
+    "sample": ["--n", "--a", "--p", "--q", "--layout", "--max-elements", "--out",
+               "--format", "--samples", "--seed", "--dense-cap"],
+    "verify-paper": ["--out"],
+    "profile": ["--n", "--a", "--p", "--q", "--layout", "--max-elements", "--out",
+                "--format"],
+    "oracle": ["--l", "--r", "--n", "--a", "--p", "--q", "--dense-cap", "--out",
+               "--format"],
+}
+
+
+class TestFlagParsing:
+    """The option table's contract: exact names, ``--flag value`` or
+    ``--flag=value``, argparse's defaults, and one ``error:`` line with exit 2
+    (not a usage block and ``SystemExit``) for every malformed flag."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--n", "21", "--sam", "5"], "unknown flag '--sam' for sample"),
+            (["sample", "--a", "2", "--n"], "--n needs a value"),
+            (["sample", "--n", "--a", "2"], "--n needs a value"),
+            (["sample", "--n", "21", "--a", "abc"], "--a takes an integer, got 'abc'"),
+            (["sample", "--n", "21", "--layout", "diag"],
+             "--layout must be one of static, dynamic, both, got 'diag'"),
+            (["oracle", "--l", "3", "--r", "2", "--format", "xml"],
+             "--format must be one of json, csv, got 'xml'"),
+            (["sample"], "sample needs --n"),
+            (["profile", "--a", "2"], "profile needs --n"),
+            (["frobnicate"],
+             "unknown command 'frobnicate' (choose from sample, verify-paper, profile, oracle)"),
+            ([], "no command given (choose from sample, verify-paper, profile, oracle)"),
+        ],
+    )
+    def test_malformed_exits_2_with_one_line(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_equals_form_and_last_repeat(self):
+        spaced = cli._parse(["sample", "--n", "21", "--a", "2", "--layout", "both"])
+        assert cli._parse(["sample", "--n=21", "--a=2", "--layout=both"]) == spaced
+        assert cli._parse(["sample", "--n", "15", "--a", "4", "--n=21", "--a", "2",
+                           "--layout", "both"]) == spaced
+        # single-dash values reach the command's own checks
+        assert cli._parse(["sample", "--n", "21", "--seed", "-1"]).seed == -1
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["sample", "--n", "21"],
+             {"command": "sample", "n": 21, "a": None, "p": None, "q": None,
+              "layout": "dynamic", "max_elements": 1 << 30, "out": None, "format": "json",
+              "samples": 1, "seed": 0, "dense_cap": 1 << 26}),
+            (["profile", "--n", "21"],
+             {"command": "profile", "n": 21, "a": None, "p": None, "q": None,
+              "layout": "dynamic", "max_elements": 1 << 30, "out": None, "format": "json"}),
+            (["oracle", "--l", "3", "--r", "2"],
+             {"command": "oracle", "l": 3, "r": 2, "n": None, "a": None, "p": None,
+              "q": None, "dense_cap": 1 << 26, "out": None, "format": "json"}),
+            (["verify-paper"], {"command": "verify-paper", "out": None}),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_defaults_are_argparses(self, argv, expected):
+        assert vars(cli._parse(argv)) == expected
+
+    @pytest.mark.parametrize("command", [None, *COMMAND_FLAGS])
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_every_flag(self, command, flag, capsys):
+        assert run_cli([flag] if command is None else [command, flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: shor-mps")
+        if command is None:
+            for name in [*COMMAND_FLAGS, "--help", "--version"]:
+                assert name in captured.out
+        else:
+            listed = [line.split()[0] for line in captured.out.splitlines()
+                      if line.startswith("  --")]
+            assert listed == COMMAND_FLAGS[command]
+
+    def test_version(self, capsys, monkeypatch):
+        assert run_cli(["--version"]) == 0
+        assert capsys.readouterr() == (f"{__version__}\n", "")
+        # main() without arguments reads sys.argv
+        monkeypatch.setattr(sys, "argv", ["shor-mps", "--version"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+
+
 SMALL_PRIMES = [p for p in range(3, 60) if is_probable_prime(p)]
+
+
+def _not_an_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
 
 
 @st.composite
@@ -375,11 +477,20 @@ def bad_flags(draw, command):
     if command == "sample":
         flags["--samples"] = draw(st.integers(1, 3))
         flags["--seed"] = draw(st.integers(0, 1 << 40))
-    bad = ["--n", "--a", "--p/--q", "--max-elements"]
-    if command == "sample":
-        bad += ["--samples", "--seed", "--dense-cap"]
-    which = draw(st.sampled_from(bad))
-    if which == "--n":
+    extra = ["--samples", "--seed", "--dense-cap"] if command == "sample" else []
+    int_flags = ["--n", "--a", "--p", "--q", "--max-elements", *extra]
+    which = draw(st.sampled_from(["--n", "--a", "--p/--q", "--max-elements", *extra,
+                                  "non-integer", "--layout"]))
+    if which == "non-integer":
+        flags[draw(st.sampled_from(int_flags))] = draw(st.one_of(
+            st.sampled_from(["abc", "1.5", "0x10", "1e3", "", "2 1", "--"]),
+            st.floats().map(repr),
+            st.text(max_size=6),
+        ).filter(_not_an_int))
+    elif which == "--layout":
+        flags["--layout"] = draw(st.text(max_size=8).filter(
+            lambda s: s not in ("static", "dynamic", "both")))
+    elif which == "--n":
         flags["--n"] = draw(st.one_of(
             st.integers(-(1 << 40), 8),  # below 9
             st.integers(5, 1 << 40).map(lambda k: 2 * k),  # even
@@ -419,8 +530,9 @@ def bad_flags(draw, command):
 
 class TestBadInputProperties:
     """Any bad ``--n``, ``--a``, ``--p/--q``, ``--samples``, ``--seed``,
-    ``--max-elements`` or ``--dense-cap`` exits 2 with one ``error:`` line
-    and no report."""
+    ``--max-elements`` or ``--dense-cap``, a non-integer for any of them, or
+    a ``--layout`` outside its choices exits 2 with one ``error:`` line and
+    no report."""
 
     @staticmethod
     def check(argv):

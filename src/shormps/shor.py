@@ -70,10 +70,11 @@ forward counts are the same for every sample of an instance, so
 array carrying a leading sample axis; sample k still draws only from its
 own generator, so its record does not depend on the batch it is in.
 
-``measure_lower_register`` and ``apply_lnn_qft`` do the same on a dense
-chain, with a whole-chain density read, rank-revealing sweeps and
-single-site measurements.  No sample reaches them; with the test suite's
-dense modexp they are the reference the graded pipeline is tested against.
+The same stages on a dense chain, with site tensors, a whole-chain density
+read, rank-revealing sweeps and single-site measurements, live in the test
+suite (``tests/_dense.py``) with the dense modexp (``tests/_helpers.py``):
+no command reaches them, and they are the reference the graded pipeline is
+tested against.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from math import sqrt
 
 import numpy as np
 
-from .mps import LOWER_REGISTER, MpsState, RankProfile, draw_outcome
+from .mps import LOWER_REGISTER, RankProfile, draw_outcome
 from .numtheory import (
     SemiprimeInstance,
     continued_fraction_convergents,
@@ -106,18 +107,6 @@ class MemoryLimitError(RuntimeError):
         self.stage = stage
         self.needed = needed
         self.limit = limit
-
-
-class PipelineStateError(RuntimeError):
-    """Pipeline stage invoked on a state in the wrong mode or layout."""
-
-
-# ------------------------------------------------------------------------ gates
-
-def hadamard() -> np.ndarray:
-    return np.array(
-        [[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=np.complex128
-    )
 
 
 # ------------------------------------------------------------------- structures
@@ -213,17 +202,6 @@ def _guard(stage: str, needed: int, limit: int) -> None:
         raise MemoryLimitError(stage, needed, limit)
 
 
-def _chain_tally(labels, bonds, d_lower: int) -> int:
-    """The paper's element count sum_k b_k d_k b_(k+1) of a chain's site tensors.
-
-    ``bonds`` sit between consecutive ``labels``; the chain ends count as
-    bonds of dimension 1.  R has dimension ``d_lower``, every qubit 2.
-    """
-    edges = [1, *bonds, 1]
-    return sum(edges[k] * (d_lower if lab == LOWER_REGISTER else 2) * edges[k + 1]
-               for k, lab in enumerate(labels))
-
-
 def run_modexp(
     lower: LowerRegisterIndex, instance: SemiprimeInstance, config: PipelineConfig
 ) -> tuple[int | None, RankProfile, int]:
@@ -243,11 +221,16 @@ def run_modexp(
     the first later qubit whose multiplier is not yet a reached residue, and
     every qubit after it, is created right of R.
 
-    After each gate the dense-equivalent tally of the chain's site tensors
-    is checked against ``config.max_elements``.  The tally only grows, so
-    the last one is the peak.  Returns the number of right-side qubits (the
-    measured two-adic exponent of r; None for the static layout), the rank
-    profile and that tally.
+    After each gate the dense-equivalent tally of the chain's site tensors,
+    the paper's sum_k b_k d_k b_(k+1) with the chain ends as bonds of
+    dimension 1, is checked against ``config.max_elements``.  A gate changes
+    only R's tensor and adds the new qubit's, so the tally grows by their
+    difference, with chi_l and chi_r the bonds beside R before the gate
+    (1 at a chain end): side B adds 2 chi_l D_new + D_new^2 - chi_l D_old,
+    side A adds chi_l D_new 2 chi_r + 4 chi_r^2 - chi_l D_old chi_r.  The
+    tally only grows, so the last one is the peak.  Returns the number of
+    right-side qubits (the measured two-adic exponent of r; None for the
+    static layout), the rank profile and that tally.
     """
     dynamic = config.layout == "dynamic"
     plateau = False
@@ -260,18 +243,22 @@ def run_modexp(
         mult = mod_pow(instance.a, 1 << i, instance.n)
         side_a = dynamic and (alpha_hat or (plateau and lower.position(mult) < 0))
         lower.extend(mult)
+        d_new = lower.dim
+        rpos = len(bonds) - alpha_hat  # R's site: one per qubit left of it
+        chi_l = bonds[rpos - 1] if rpos else 1
         if side_a:
+            chi_r = bonds[rpos] if alpha_hat else 1
             alpha_hat += 1
-            rpos = labels.index(LOWER_REGISTER)
-            chi_r = bonds[rpos] if rpos < len(bonds) else 1
             labels.insert(rpos + 1, i)
             bonds.insert(rpos, 2 * chi_r)
+            tally += chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r - chi_l * d_before * chi_r
         else:
-            labels.insert(len(labels) - 1, i)
-            bonds.append(lower.dim)
-        tally = _chain_tally(labels, bonds, lower.dim)
+            # side B gates all come first, so R is still at the right end
+            labels.insert(rpos, i)
+            bonds.append(d_new)
+            tally += 2 * chi_l * d_new + d_new * d_new - chi_l * d_before
         _guard("modexp", tally, config.max_elements)
-        plateau = plateau or lower.dim == d_before
+        plateau = plateau or d_new == d_before
     profile = RankProfile(stage="modexp", ranks=tuple(bonds), layout=tuple(labels))
     return (alpha_hat if dynamic else None), profile, tally
 
@@ -343,11 +330,12 @@ def residue_branches(w, perm, right_j, phase):
 def graded_fourier(lower: LowerRegisterIndex, right: list[np.ndarray], rngs) -> np.ndarray:
     """Semiclassical Fourier transform of the upper register, graded by residue.
 
-    Reads qubits 2l-1 ... 0, most significant first, as ``apply_lnn_qft``
-    does, keeping one complex weight per residue reached by the qubits read
-    so far, for every sample at once: ``right`` holds the samples' right
-    counts (``right_counts``) and sample k draws from ``rngs[k]``.  Returns
-    the bits, axes (sample, measurement order).
+    Reads qubits 2l-1 ... 0, most significant first, as the dense
+    reference's ``apply_lnn_qft`` does, keeping one complex weight per
+    residue reached by the qubits read so far, for every sample at once:
+    ``right`` holds the samples' right counts (``right_counts``) and sample
+    k draws from ``rngs[k]``.  Returns the bits, axes (sample, measurement
+    order).
     """
     rows = np.arange(len(rngs))
     w = (1.0 / np.sqrt(right[-1])).astype(np.complex128)
@@ -401,70 +389,6 @@ def graded_ranks(
             support.append(len(counted))
         ranks.append(tuple(support))
     return ranks
-
-
-# ----------------------------------------------------- dense reference stages
-
-def measure_lower_register(
-    state: MpsState,
-    lower: LowerRegisterIndex,
-    rng=None,
-    forced_residue: int | None = None,
-) -> int:
-    """Measure R, contract it into its neighbour, and reveal the ranks.
-
-    The dense reference of ``measure_residue`` and ``graded_ranks``.
-    ``measure_qudit`` reads R's density matrix by contracting the closed
-    network, since the sites left of R are not left-orthonormal right after
-    modexp, and only projects.  Then a left-to-right sweep from R's old place
-    to the right end and a right-to-left sweep over the whole chain leave
-    every bond at its Schmidt rank and every site right of the left end
-    right-orthonormal.
-    """
-    rpos = state.position_of(LOWER_REGISTER)
-    forced = lower.position(forced_residue) if forced_residue is not None else None
-    outcome = state.measure_qudit(rpos, rng, forced=forced)
-    state.remove_separable_site(rpos)
-    state.sweep("right", range(rpos - 1, state.n_bonds))
-    state.sweep("left")
-    return int(lower.residues[outcome])
-
-
-def apply_lnn_qft(state: MpsState, rng=None, forced_bits=None) -> list[int]:
-    """Semiclassical Fourier transform: one single-site gate per qubit.
-
-    The dense reference of ``graded_fourier``.  The most significant
-    remaining qubit j must be an end site of the chain, as it is in both
-    layouts.  Its controlled phases with the qubits k > j act
-    after their measurement, so they reduce to the classically controlled
-    single-qubit phase diag(1, exp(-i pi sum_k b_k / 2^(k-j))) ahead of its
-    Hadamard (Griffiths & Niu, PRL 76, 3228 (1996)).  The qubit is measured as
-    soon as that gate is applied, then dropped; a left-end qubit of the
-    right-orthonormal chain that ``measure_lower_register`` leaves is read
-    locally.  Returns the bits in measurement order; the final state is a
-    single separable site.
-    """
-    if not state.complex_mode:
-        raise PipelineStateError("QFT stage requires complex scalars; promote first")
-    if LOWER_REGISTER in state.labels:
-        raise PipelineStateError("lower register must be measured and removed first")
-    h = hadamard()
-    measured: list[int] = []
-    bits: list[int] = []
-    while True:
-        j = max(state.labels)
-        m = state.position_of(j)
-        if m not in (0, state.n_sites - 1):
-            # both layouts keep it at an end; anything else is a layout error
-            raise PipelineStateError(f"qubit {j} is not at an end of the chain")
-        phase = sum(b / 2.0 ** (k - j) for k, b in zip(measured, bits))
-        state.apply_single_qudit_gate(m, h @ np.diag([1.0, np.exp(-1j * np.pi * phase)]))
-        forced = forced_bits[len(bits)] if forced_bits is not None else None
-        bits.append(state.measure_qudit(m, rng, forced=forced))
-        measured.append(j)
-        if state.n_sites == 1:
-            return bits
-        state.remove_separable_site(m)
 
 
 def assemble_s(bits, l: int) -> int:

@@ -3,17 +3,19 @@ index, and bridges from MPS layouts to the canonical dense ordering.
 
 ``shor.run_modexp`` keeps only the residue maps, labels and bond ranks of the
 modexp chain.  The functions below build that chain's site tensors
-explicitly, gate by gate, as an independent reference for its ranks, tallies,
-guard and amplitudes, and as the input of the dense measurement and
-transform in ``shor``.  ``reference_index`` builds the residue maps one
-residue at a time through a dict, as a reference for the table-based
-``shor.LowerRegisterIndex``.
+explicitly, gate by gate, in an ``_dense.MpsState``, as an independent
+reference for its ranks, tallies, guard and amplitudes, and as the input of
+the dense measurement and transform in ``_dense``.  ``reference_index``
+builds the residue maps one residue at a time through a dict, as a reference
+for the table-based ``shor.LowerRegisterIndex``.
 """
 
 import numpy as np
 
-from shormps import oracle, shor
-from shormps.mps import LOWER_REGISTER, MpsState
+import _dense
+from _dense import MpsState
+from shormps import shor
+from shormps.mps import LOWER_REGISTER
 from shormps.numtheory import SemiprimeInstance, mod_pow
 
 
@@ -55,7 +57,7 @@ def apply_controlled_modexp(
     unit = 2 if state.complex_mode else 1
     if side == "B":
         if rpos != state.n_sites - 1:
-            raise shor.PipelineStateError("left-side gate requires R at the right end")
+            raise _dense.PipelineStateError("left-side gate requires R at the right end")
         perm = lower.extend(mult)
         d_new = lower.dim
         shor._guard("modexp",
@@ -179,11 +181,11 @@ def mps_as_canonical_dense(state, lower, instance, cap=1 << 26):
     dims = state.dims
     target = list(range(2 * instance.l - 1, -1, -1)) + [LOWER_REGISTER]
     order = [state.labels.index(lab) for lab in target]
-    vec = oracle.reorder_axes(oracle.StateVector(amps, dims), order)
-    orbit = oracle.residue_orbit(instance.n, instance.a)
+    vec = _dense.reorder_axes(_dense.StateVector(amps, dims), order)
+    orbit = _dense.residue_orbit(instance.n, instance.a)
     perm = [lower.position(v) for v in orbit]
     t = vec.amps.reshape(-1, len(orbit))[:, perm]
-    return oracle.StateVector(t.ravel(), vec.dims)
+    return _dense.StateVector(t.ravel(), vec.dims)
 
 
 def rank_oracle_for_bond(labels, instance, bond, r_hint=None):
@@ -191,7 +193,7 @@ def rank_oracle_for_bond(labels, instance, bond, r_hint=None):
     residue-counting oracle (``r_hint``: the order, to stop at saturation)."""
     left = labels[: bond + 1]
     upper = [lab for lab in left if lab != LOWER_REGISTER]
-    return oracle.residue_rank_oracle(
+    return _dense.residue_rank_oracle(
         instance, upper, include_lower=LOWER_REGISTER in left, r_hint=r_hint
     )
 

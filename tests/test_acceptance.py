@@ -19,8 +19,9 @@ from _helpers import (
     rank_oracle_for_bond,
 )
 
+import _dense
 from shormps import cli, oracle, shor
-from shormps.mps import LOWER_REGISTER, MpsState
+from shormps.mps import LOWER_REGISTER
 from shormps.numtheory import SemiprimeInstance
 
 from test_mps import dense_bipartition_sv, haar_unitary, random_circuit_state
@@ -59,7 +60,7 @@ def test_criterion_2_oracle_equivalence_modexp():
         for layout in ("static", "dynamic"):
             inst, state, lower, _ = run_modexp_state(n, a, layout)
             if want is None:
-                want, _ = oracle.dense_modexp_state(inst)
+                want, _ = _dense.dense_modexp_state(inst)
             got = mps_as_canonical_dense(state, lower, inst)
             worst = max(worst, float(np.max(np.abs(got.amps - want.amps))))
     elapsed = time.perf_counter() - t0
@@ -112,13 +113,13 @@ def test_criterion_5_post_measurement_structure():
     interleaved-measurement transform ends fully separable."""
     inst, state, lower, _ = run_modexp_state(21, 2, "dynamic")
     rng = np.random.default_rng(11)
-    shor.measure_lower_register(state, lower, rng)
+    _dense.measure_lower_register(state, lower, rng)
     ranks = state.schmidt_ranks("post-measure").ranks
     rpos_gone = LOWER_REGISTER not in state.labels
     a_side_ok = ranks[-1] == 1  # the right-block qubit is separable
     beta_ok = max(ranks) == 3
     state.promote_to_complex()
-    shor.apply_lnn_qft(state, rng)
+    _dense.apply_lnn_qft(state, rng)
     final_ok = state.n_sites == 1 and all(d == 1 for d in state.bond_dims())
     norm_ok = abs(state.norm() - 1.0) < 1e-10
     announce(5, rpos_gone and a_side_ok and beta_ok and final_ok and norm_ok,
@@ -135,7 +136,7 @@ def test_criterion_6_sampling_distribution():
     counts = np.zeros(1024)
     for rec in shor.sample_runs(inst, cfg, (np.random.default_rng(k) for k in range(20_000))):
         counts[rec.measured_s] += 1
-    dist = oracle.tvd(oracle.exact_distribution(5, 6), counts)
+    dist = _dense.tvd(oracle.exact_distribution(5, 6), counts)
 
     comb = SemiprimeInstance.make(15, 7)
     draws = 4000

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _dense
 from _helpers import rank_oracle_for_bond
 
 from shormps import __version__, cli, oracle, shor
@@ -172,7 +173,7 @@ class TestSample:
             for s, c in aggregate["s_histogram"].items():
                 counts[int(s)] = c
             assert aggregate["order_r"] == 6
-            assert aggregate["tvd_vs_oracle"] == pytest.approx(oracle.tvd(table, counts),
+            assert aggregate["tvd_vs_oracle"] == pytest.approx(_dense.tvd(table, counts),
                                                                abs=1e-12)
 
     def test_reference_law_at_l13_builds_no_table(self, tmp_path, monkeypatch):

@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _dense import MpsState, NotCanonicalError, NotSeparableError, StateTooLargeError
 from _helpers import identity_split_pair
 
-from shormps.mps import (
-    MpsState,
-    NormalizationError,
-    NotCanonicalError,
-    NotSeparableError,
-    StateTooLargeError,
-    draw_outcome,
-)
+from shormps.mps import NormalizationError, draw_outcome
 
 SQ2 = 1.0 / np.sqrt(2.0)
 H = np.array([[SQ2, SQ2], [SQ2, -SQ2]])

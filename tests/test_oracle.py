@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _dense
 from shormps import oracle
 from shormps.numtheory import SemiprimeInstance
 
@@ -76,7 +77,7 @@ class TestExactDistribution:
 class TestDenseModexp:
     def test_n15_a7(self):
         inst = SemiprimeInstance.make(15, 7, l=4)
-        state, residues = oracle.dense_modexp_state(inst)
+        state, residues = _dense.dense_modexp_state(inst)
         assert residues == [1, 7, 4, 13]
         assert state.dims == (2,) * 8 + (4,)
         # amplitude of (i=0, residue 1) is exactly 2^-l
@@ -86,55 +87,55 @@ class TestDenseModexp:
     def test_cap(self):
         inst = SemiprimeInstance.make(1943, 2)
         with pytest.raises(oracle.DenseCapError):
-            oracle.dense_modexp_state(inst, cap=1000)
+            _dense.dense_modexp_state(inst, cap=1000)
 
 
 class TestDenseSchmidtRank:
     def test_bell(self):
         amps = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        assert oracle.dense_schmidt_rank(oracle.StateVector(amps, (2, 2)), [0]) == 2
+        assert _dense.dense_schmidt_rank(_dense.StateVector(amps, (2, 2)), [0]) == 2
 
     def test_product(self):
         amps = np.zeros(4)
         amps[1] = 1.0
-        assert oracle.dense_schmidt_rank(oracle.StateVector(amps, (2, 2)), [0]) == 1
+        assert _dense.dense_schmidt_rank(_dense.StateVector(amps, (2, 2)), [0]) == 1
 
     def test_modexp_full_cut_is_order(self):
         inst = SemiprimeInstance.make(21, 2)
-        state, _ = oracle.dense_modexp_state(inst)
+        state, _ = _dense.dense_modexp_state(inst)
         # all upper qubits on one side, lower register on the other
-        assert oracle.dense_schmidt_rank(state, range(10)) == 6
+        assert _dense.dense_schmidt_rank(state, range(10)) == 6
 
 
 class TestResidueRankOracle:
     def test_single_qubit_cut(self):
         inst = SemiprimeInstance.make(21, 2)
-        assert oracle.residue_rank_oracle(inst, [9]) == 2  # {1, 2^512 mod 21} = {1, 4}
+        assert _dense.residue_rank_oracle(inst, [9]) == 2  # {1, 2^512 mod 21} = {1, 4}
 
     def test_all_upper(self):
         inst = SemiprimeInstance.make(21, 2)
-        assert oracle.residue_rank_oracle(inst, range(10)) == 6
+        assert _dense.residue_rank_oracle(inst, range(10)) == 6
 
     def test_published_instance(self):
         inst = SemiprimeInstance.make(1943, 2)
-        assert oracle.residue_rank_oracle(inst, range(22)) == 924
+        assert _dense.residue_rank_oracle(inst, range(22)) == 924
 
     def test_agrees_with_dense(self):
         inst = SemiprimeInstance.make(15, 7, l=4)
-        state, _ = oracle.dense_modexp_state(inst)
+        state, _ = _dense.dense_modexp_state(inst)
         n_up = 8
         for cut in [range(1), range(3), range(n_up)]:
             axes = [n_up - 1 - j for j in cut]  # qubit j lives on axis 2l-1-j
-            assert oracle.dense_schmidt_rank(state, axes) == oracle.residue_rank_oracle(
+            assert _dense.dense_schmidt_rank(state, axes) == _dense.residue_rank_oracle(
                 inst, cut
             )
 
     def test_include_lower_complement(self):
         inst = SemiprimeInstance.make(21, 2)
-        state, _ = oracle.dense_modexp_state(inst)
+        state, _ = _dense.dense_modexp_state(inst)
         picked = {0, 3, 7}
         axes = [10 - 1 - j for j in picked] + [10]
-        assert oracle.dense_schmidt_rank(state, axes) == oracle.residue_rank_oracle(
+        assert _dense.dense_schmidt_rank(state, axes) == _dense.residue_rank_oracle(
             inst, picked, include_lower=True
         )
 
@@ -142,20 +143,20 @@ class TestResidueRankOracle:
 class TestTvd:
     def test_identical(self):
         t = oracle.exact_distribution(3, 3)
-        assert oracle.tvd(t, t.probs * 500) == pytest.approx(0.0, abs=1e-12)
+        assert _dense.tvd(t, t.probs * 500) == pytest.approx(0.0, abs=1e-12)
 
     def test_disjoint(self):
         t = oracle.DistributionTable(np.array([1.0, 0.0]))
-        assert oracle.tvd(t, np.array([0, 100])) == pytest.approx(1.0)
+        assert _dense.tvd(t, np.array([0, 100])) == pytest.approx(1.0)
 
     def test_half(self):
         t = oracle.DistributionTable(np.array([0.5, 0.5]))
-        assert oracle.tvd(t, np.array([100, 0])) == pytest.approx(0.5)
+        assert _dense.tvd(t, np.array([100, 0])) == pytest.approx(0.5)
 
     def test_empty_counts(self):
         t = oracle.DistributionTable(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            oracle.tvd(t, np.array([0, 0]))
+            _dense.tvd(t, np.array([0, 0]))
 
 
 class TestTvdAtOutcomes:
@@ -168,7 +169,7 @@ class TestTvdAtOutcomes:
         counts = np.zeros(big_q)
         for s, c in hist.items():
             counts[s] = c
-        dense = oracle.tvd(oracle.exact_distribution(l, r), counts)
+        dense = _dense.tvd(oracle.exact_distribution(l, r), counts)
         assert abs(oracle.tvd_at_outcomes(l, r, hist) - dense) <= 1e-12
 
     def test_empty_counts(self):
@@ -195,8 +196,8 @@ class TestTvdAtOutcomes:
 class TestReorder:
     def test_axis_permutation(self, rng):
         amps = rng.standard_normal(24)
-        state = oracle.StateVector(amps, (2, 3, 4))
-        out = oracle.reorder_axes(state, (2, 0, 1))
+        state = _dense.StateVector(amps, (2, 3, 4))
+        out = _dense.reorder_axes(state, (2, 0, 1))
         assert out.dims == (4, 2, 3)
         np.testing.assert_array_equal(
             out.amps.reshape(4, 2, 3), amps.reshape(2, 3, 4).transpose(2, 0, 1)

@@ -1,6 +1,8 @@
 """``shormps.rng.Pcg64`` is the stream of ``numpy.random.default_rng``, and
-``sample`` draws from it without importing ``numpy.random``."""
+``sample`` draws from it without importing ``numpy.random``, nor the dense
+reference that lives with the tests."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -61,8 +63,18 @@ def test_sample_and_profile_leave_numpy_random_unimported(tmp_path):
                          "--out", out]) == 0
         # nor argparse and the locale module its gettext calls import
         print([name in sys.modules for name in ("numpy.random", "argparse", "locale")])
+        # nor the SVD module, and mps holds no MPS container
+        print("shormps.tensor" in sys.modules, hasattr(sys.modules["shormps.mps"], "MpsState"))
     """)
-    assert stdout == "[False, False, False]\n"
+    assert stdout == "[False, False, False]\nFalse False\n"
+
+
+def test_traced_modules_stay_importable():
+    # the benchmark's tracer (perfbench/tracing.py) imports these modules by
+    # name to wrap their functions, and fails every traced run if one is
+    # missing, so each stays in the package even where no command uses it
+    for name in ("cli", "shor", "mps", "tensor", "oracle", "numtheory"):
+        importlib.import_module(f"shormps.{name}")
 
 
 def test_drawn_base_still_comes_from_numpy(tmp_path):

@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_mps import random_circuit_state
 
+import _dense
+from _dense import MpsState
 from shormps import cli, mps, oracle, shor
-from shormps.mps import LOWER_REGISTER, MpsState
+from shormps.mps import LOWER_REGISTER
 from shormps.numtheory import (
     SemiprimeInstance,
     is_probable_prime,
@@ -92,7 +94,7 @@ class TestControlledModexp:
         def banned(*args):
             raise AssertionError("SVD, contraction or swap in modexp")
 
-        monkeypatch.setattr(mps, "svd_truncated", banned)
+        monkeypatch.setattr(_dense, "svd_truncated", banned)
         monkeypatch.setattr(MpsState, "contract_sites", banned)
         monkeypatch.setattr(MpsState, "swap_sites", banned)
         _, lower, _ = dense_modexp(fresh(n, a), layout)
@@ -228,7 +230,7 @@ class TestStaticModexp:
         inst = fresh(21, 2)
         state, lower, _ = dense_modexp(inst, "static")
         got = mps_as_canonical_dense(state, lower, inst)
-        want, _ = oracle.dense_modexp_state(inst)
+        want, _ = _dense.dense_modexp_state(inst)
         np.testing.assert_allclose(got.amps, want.amps, atol=1e-10)
 
     def test_every_bond_matches_residue_oracle(self):
@@ -267,7 +269,7 @@ class TestDynamicModexp:
             inst = fresh(n, a)
             state, lower, _ = dense_modexp(inst, "dynamic")
             got = mps_as_canonical_dense(state, lower, inst)
-            want, _ = oracle.dense_modexp_state(inst)
+            want, _ = _dense.dense_modexp_state(inst)
             np.testing.assert_allclose(got.amps, want.amps, atol=1e-10)
 
     def test_every_bond_matches_residue_oracle(self):
@@ -303,14 +305,14 @@ class TestMeasureLowerRegister:
         probs = np.real(np.diag(rho))
         big_q = 1 << (2 * inst.l)
         for idx, residue in enumerate(lower.residues):
-            j = oracle.residue_orbit(21, 2).index(residue)
+            j = _dense.residue_orbit(21, 2).index(residue)
             expected = ((big_q - 1 - j) // 6 + 1) / big_q
             assert probs[idx] == pytest.approx(expected, abs=1e-10)
 
     def test_dynamic_post_measurement_structure(self, rng):
         inst = fresh(21, 2)
         state, lower, _ = dense_modexp(inst, "dynamic")
-        residue = shor.measure_lower_register(state, lower, rng)
+        residue = _dense.measure_lower_register(state, lower, rng)
         assert residue in {1, 2, 4, 8, 16, 11}
         assert LOWER_REGISTER not in state.labels
         ranks = state.schmidt_ranks("after-measure").ranks
@@ -320,14 +322,14 @@ class TestMeasureLowerRegister:
     def test_static_measurement_agrees(self, rng):
         inst = fresh(21, 2)
         state, lower, _ = dense_modexp(inst, "static")
-        residue = shor.measure_lower_register(state, lower, rng)
+        residue = _dense.measure_lower_register(state, lower, rng)
         assert residue in {1, 2, 4, 8, 16, 11}
         assert max(state.schmidt_ranks("after-measure").ranks) == 3
 
     def test_forced_residue(self, rng):
         inst = fresh(21, 2)
         state, lower, _ = dense_modexp(inst, "dynamic")
-        residue = shor.measure_lower_register(state, lower, rng, forced_residue=11)
+        residue = _dense.measure_lower_register(state, lower, rng, forced_residue=11)
         assert residue == 11
 
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
@@ -337,7 +339,7 @@ class TestMeasureLowerRegister:
         base, lower, _ = dense_modexp(inst, layout)
         for residue in lower.residues:
             state = base.copy()
-            got = shor.measure_lower_register(state, lower, forced_residue=residue)
+            got = _dense.measure_lower_register(state, lower, forced_residue=residue)
             assert got == residue
             assert LOWER_REGISTER not in state.labels
             assert state.bond_dims() == state.schmidt_ranks("measure").ranks
@@ -347,19 +349,19 @@ class TestMeasureLowerRegister:
 class TestLnnQft:
     def test_requires_complex_mode(self, rng):
         state = MpsState.product_state((2, 2), (0, 0), labels=[1, 0])
-        with pytest.raises(shor.PipelineStateError):
-            shor.apply_lnn_qft(state, rng)
+        with pytest.raises(_dense.PipelineStateError):
+            _dense.apply_lnn_qft(state, rng)
 
     def test_requires_leading_qubit_at_an_end(self, rng):
         state = MpsState.product_state((2,) * 3, (0,) * 3, labels=[0, 2, 1],
                                        complex_mode=True)
-        with pytest.raises(shor.PipelineStateError):
-            shor.apply_lnn_qft(state, rng)
+        with pytest.raises(_dense.PipelineStateError):
+            _dense.apply_lnn_qft(state, rng)
 
     def test_zero_register_fully_separable(self, rng):
         state = MpsState.product_state((2,) * 4, (0,) * 4, labels=[3, 2, 1, 0],
                                        complex_mode=True)
-        bits = shor.apply_lnn_qft(state, rng)
+        bits = _dense.apply_lnn_qft(state, rng)
         assert len(bits) == 4 and set(bits) <= {0, 1}
         assert state.n_sites == 1 and state.bond_dims() == ()
 
@@ -369,8 +371,8 @@ class TestLnnQft:
         for _ in range(40):
             state = MpsState.product_state((2, 2), (0, 0), labels=[1, 0],
                                            complex_mode=True)
-            state.apply_single_qudit_gate(0, shor.hadamard())
-            bits = shor.apply_lnn_qft(state, rng)
+            state.apply_single_qudit_gate(0, _dense.hadamard())
+            bits = _dense.apply_lnn_qft(state, rng)
             s = shor.assemble_s(bits, 1)
             assert s in (0, 2)
             seen.add(s)
@@ -379,7 +381,7 @@ class TestLnnQft:
     def test_forced_bits(self):
         state = MpsState.product_state((2,) * 4, (0,) * 4, labels=[3, 2, 1, 0],
                                        complex_mode=True)
-        bits = shor.apply_lnn_qft(state, forced_bits=[1, 0, 1, 1])
+        bits = _dense.apply_lnn_qft(state, forced_bits=[1, 0, 1, 1])
         assert bits == [1, 0, 1, 1]
 
     def test_phase_sign_on_complex_input(self):
@@ -394,7 +396,7 @@ class TestLnnQft:
         draws = 4000
         counts = np.zeros(8)
         for _ in range(draws):
-            bits = shor.apply_lnn_qft(state.copy(), rng)
+            bits = _dense.apply_lnn_qft(state.copy(), rng)
             counts[sum(b << k for k, b in enumerate(bits))] += 1
         assert 0.5 * np.abs(counts / draws - law).sum() < 0.06
 
@@ -407,9 +409,9 @@ class TestLnnQft:
 
         monkeypatch.setattr(MpsState, "apply_two_site_gate", banned)
         monkeypatch.setattr(MpsState, "swap_sites", banned)
-        shor.measure_lower_register(state, lower, rng)
+        _dense.measure_lower_register(state, lower, rng)
         state.promote_to_complex()
-        assert len(shor.apply_lnn_qft(state, rng)) == 2 * inst.l
+        assert len(_dense.apply_lnn_qft(state, rng)) == 2 * inst.l
 
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
     @pytest.mark.parametrize("n, a", [(21, 2), (247, 2)])
@@ -418,26 +420,26 @@ class TestLnnQft:
         # layout reads every qubit locally and no qubit's removal needs an SVD
         inst = fresh(n, a)
         state, lower, _ = dense_modexp(inst, layout)
-        shor.measure_lower_register(state, lower, rng)
+        _dense.measure_lower_register(state, lower, rng)
         state.promote_to_complex()
 
         def banned(*args):
             raise AssertionError("SVD or whole-chain read in the transform")
 
-        monkeypatch.setattr(mps, "svd_truncated", banned)
+        monkeypatch.setattr(_dense, "svd_truncated", banned)
         if layout == "static":
             monkeypatch.setattr(MpsState, "reduced_density_nonlocal", banned)
-        assert len(shor.apply_lnn_qft(state, rng)) == 2 * inst.l
+        assert len(_dense.apply_lnn_qft(state, rng)) == 2 * inst.l
 
 
 def dense_reference(inst, layout, rng, forced_residue=None):
     """The dense path: R by a whole-chain read and rank-revealing sweeps, then
     the semiclassical transform on the promoted chain."""
     state, lower, _ = dense_modexp(inst, layout)
-    residue = shor.measure_lower_register(state, lower, rng, forced_residue)
+    residue = _dense.measure_lower_register(state, lower, rng, forced_residue)
     profile = (state.bond_dims(), tuple(state.labels))
     state.promote_to_complex()
-    return residue, profile, shor.assemble_s(shor.apply_lnn_qft(state, rng), inst.l)
+    return residue, profile, shor.assemble_s(_dense.apply_lnn_qft(state, rng), inst.l)
 
 
 def graded_law(lower):
@@ -482,7 +484,7 @@ class TestGradedSampler:
         right_j = np.array([1.0, 2.0, 3.0])
         branches, probs = shor.residue_branches(w, np.array([1, 2]), right_j, 0.25)
         split = np.array([[0.6, 0.8j, 0.0], [0.0, 0.6, 0.8j]])
-        want = shor.hadamard() @ np.diag([1.0, np.exp(-0.25j * np.pi)]) @ split
+        want = _dense.hadamard() @ np.diag([1.0, np.exp(-0.25j * np.pi)]) @ split
         np.testing.assert_allclose(branches, want, atol=1e-15)
         np.testing.assert_allclose(probs, np.abs(want) ** 2 @ right_j, atol=1e-15)
 
@@ -492,7 +494,7 @@ class TestGradedSampler:
         def banned(*args, **kwargs):
             raise AssertionError("SVD, density read or promotion in a sample")
 
-        monkeypatch.setattr(mps, "svd_truncated", banned)
+        monkeypatch.setattr(_dense, "svd_truncated", banned)
         for name in ("reduced_density_nonlocal", "reduced_density_local",
                      "promote_to_complex", "measure_qudit", "sweep"):
             monkeypatch.setattr(MpsState, name, banned)
@@ -685,4 +687,4 @@ class TestEndToEndDistribution:
             rec = shor.sample_run(inst, cfg, np.random.default_rng(10_000 + k))
             counts[rec.measured_s] += 1
         table = oracle.exact_distribution(5, 6)
-        assert oracle.tvd(table, counts) < 0.08
+        assert _dense.tvd(table, counts) < 0.08

@@ -33,18 +33,16 @@ class RankProfile:
         return len(self.ranks)
 
 
-def draw_outcome(probs: np.ndarray, rngs, forced: int | None = None,
-                 where: str = "") -> np.ndarray:
-    """Sample (or force) one outcome per generator from rows of unit mass.
+def draw_outcome(probs: np.ndarray, rngs, where: str = "") -> np.ndarray:
+    """Sample one outcome per generator from rows of unit mass.
 
     ``probs`` has axes (..., outcome): one row shared by every generator in
     ``rngs``, or one row per generator.  Tiny negative entries within the
     floating-point floor are clamped to zero in place.  Every row's mass must
-    be 1 within 1e-6, and a forced outcome (one row) must have positive
-    probability.  Row k draws ``u = rngs[k].random() * mass`` and takes the
-    first outcome whose cumulative probability exceeds it.  The arithmetic is
-    elementwise or along the outcome axis, so a row's outcome depends on that
-    row and its generator alone, never on the other rows.
+    be 1 within 1e-6.  Row k draws ``u = rngs[k].random() * mass`` and takes
+    the first outcome whose cumulative probability exceeds it.  The
+    arithmetic is elementwise or along the outcome axis, so a row's outcome
+    depends on that row and its generator alone, never on the other rows.
     """
     lowest = probs.min()
     if lowest < 0:
@@ -55,12 +53,6 @@ def draw_outcome(probs: np.ndarray, rngs, forced: int | None = None,
     off = np.abs(total - 1.0) > 1e-6
     if off.any():
         raise NormalizationError(f"probability mass {np.extract(off, total)[0]} at {where}")
-    if forced is not None:
-        outcome = int(forced)
-        if probs[outcome] <= 0:
-            raise ValueError(f"forced outcome {outcome} has zero probability")
-        return np.full(len(rngs), outcome)
     u = np.array([rng.random() for rng in rngs]) * total
     below = np.cumsum(probs, axis=-1) <= u[:, None]
     return np.minimum(below.sum(axis=-1), probs.shape[-1] - 1)
-

@@ -45,7 +45,7 @@ from math import sqrt
 
 import numpy as np
 
-from shormps.mps import LOWER_REGISTER, RankProfile, draw_outcome
+from shormps.mps import LOWER_REGISTER, NormalizationError, RankProfile, draw_outcome
 from shormps.numtheory import SemiprimeInstance, mod_pow
 from shormps.oracle import DENSE_CAP, DenseCapError, DistributionTable
 from shormps.shor import SQRT_HALF, LowerRegisterIndex
@@ -393,13 +393,23 @@ class MpsState:
         """Sample (or force) site m, project onto the outcome, and renormalize.
 
         Probabilities come from the diagonal of the reduced density matrix
-        and are drawn by ``draw_outcome``.  No bond is touched: the site keeps
-        its physical dimension, holding a single nonzero slice, until removed,
-        and stored bond dimensions may exceed the Schmidt ranks until a sweep.
+        and are drawn by ``draw_outcome``; a forced outcome gets the same
+        unit-mass check and must have positive probability.  No bond is
+        touched: the site keeps its physical dimension, holding a single
+        nonzero slice, until removed, and stored bond dimensions may exceed
+        the Schmidt ranks until a sweep.
         """
         rho = self.reduced_density(m)
         probs = np.real(np.diag(rho)).copy()
-        outcome = int(draw_outcome(probs, [rng], forced, where=f"site {m}")[0])
+        if forced is None:
+            outcome = int(draw_outcome(probs, [rng], where=f"site {m}")[0])
+        else:
+            outcome = int(forced)
+            total = probs.sum()
+            if probs.min() < -1e-12 or abs(total - 1.0) > 1e-6:
+                raise NormalizationError(f"probability mass {total} at site {m}")
+            if probs[outcome] <= 0:
+                raise ValueError(f"forced outcome {outcome} has zero probability")
         g = self.gammas[m]
         proj = np.zeros_like(g)
         proj[:, outcome, :] = g[:, outcome, :] / sqrt(probs[outcome])

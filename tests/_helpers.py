@@ -7,7 +7,9 @@ explicitly, gate by gate, in an ``_dense.MpsState``, as an independent
 reference for its ranks, tallies, guard and amplitudes, and as the input of
 the dense measurement and transform in ``_dense``.  ``reference_index``
 builds the residue maps one residue at a time through a dict, as a reference
-for the table-based ``shor.LowerRegisterIndex``.
+for the table-based ``shor.LowerRegisterIndex``, and
+``reference_graded_ranks`` counts the dynamic right block's ranks by brute
+force, as a reference for their closed form in ``shor.graded_ranks``.
 """
 
 import numpy as np
@@ -165,6 +167,36 @@ def reference_index(instance):
             perm[j] = k
         maps.append(perm)
     return residues, maps
+
+
+def reference_graded_ranks(lower, instance, alpha_hat, residues, right):
+    """``shor.graded_ranks`` with the dynamic right block counted by brute force.
+
+    A bond that splits the qubits into U and V has rank #{c in S_U : residue
+    / c in S_V}; inside the right block (qubits 0 ... alpha-1, left to right)
+    this counts the c over U's bits whose quotient the bits k+1 ... alpha-1
+    reach, with O(alpha * 2^alpha) ``pow`` calls per sample.
+    """
+    alpha = alpha_hat or 0
+    top = len(right) - 1
+    supports = np.stack([(right[j] > 0).sum(axis=-1)
+                         for j in range(top - 1, max(alpha, 1) - 1, -1)], axis=-1)
+    n = instance.n
+    inv = pow(instance.a, -1, n)
+    d_upper = right[alpha].shape[-1]  # residues reached by the qubits >= alpha
+    ranks = []
+    for support, residue in zip(supports.tolist(), residues):
+        for k in range(alpha - 1):
+            # U: qubits >= alpha and 0..k; V: qubits k+1..alpha-1
+            counted = set()
+            for v in range(0, 1 << alpha, 2 << k):
+                c = residue * pow(inv, v, n) % n
+                if any(lower.position(c * pow(inv, y, n) % n) < d_upper
+                       for y in range(2 << k)):
+                    counted.add(c)
+            support.append(len(counted))
+        ranks.append(tuple(support))
+    return ranks
 
 
 # ----------------------------------------------------------------- bridges

@@ -36,10 +36,11 @@ HUGE_N = "1" + "0" * 400 + "1"
 ABOVE_2_31 = 3 * 715827883  # 2^31 + 1
 MERSENNE_31 = (1 << 31) - 1  # prime
 # (l, n, a, r, alpha, beta) past the paper's table (README), n = 1451 * 1447
-# and 2897 * 2903
+# and 2897 * 2903, and a row with a right block of 16 qubits, n = 7 * 65537
 BEYOND_PAPER_ROWS = [
     (22, 2099597, 2, 1048350, 1, 524175),
     (24, 8409991, 2, 2101048, 3, 262631),
+    (19, 458759, 3, 196608, 16, 3),
 ]
 
 
@@ -634,8 +635,9 @@ class TestProfile:
     @pytest.mark.parametrize("l, n, a, r, alpha, beta", BEYOND_PAPER_ROWS,
                              ids=[f"l{row[0]}" for row in BEYOND_PAPER_ROWS])
     def test_rows_past_the_paper(self, l, n, a, r, alpha, beta, tmp_path):
-        # README's l = 22 and 24 rows; their tallies pass 2^40, and the bond
-        # oracle would take minutes here, so only r, alpha and beta are checked
+        # README's l = 22 and 24 rows and the alpha = 16 row; tallies pass
+        # 2^40, and the bond oracle would take minutes here, so only r, alpha
+        # and beta are checked
         out = tmp_path / "p.json"
         assert run_cli(["profile", "--n", str(n), "--a", str(a), "--layout", "both",
                         "--max-elements", str(1 << 44), "--out", str(out)]) == 0

@@ -362,6 +362,12 @@ class TestMeasurement:
         with pytest.raises(NormalizationError, match="mass 0.5 at qubit 3"):
             draw_outcome(np.array([[0.5, 0.5], [0.25, 0.25]]), [None, None], where="qubit 3")
 
+    def test_forced_outcome_needs_positive_probability(self):
+        state = MpsState.product_state((2,), (0,))
+        with pytest.raises(ValueError, match="zero probability"):
+            state.measure_qudit(0, forced=1)
+        assert state.measure_qudit(0, forced=0) == 0
+
     def test_normalization_guard(self):
         g = np.array([1.0, 1.0]).reshape(1, 2, 1)  # unnormalized on purpose
         state = MpsState([g], [], ["q"])

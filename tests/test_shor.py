@@ -14,6 +14,7 @@ from _helpers import (
     graded_modexp,
     mps_as_canonical_dense,
     rank_oracle_for_bond,
+    reference_graded_ranks,
     reference_index,
 )
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from shormps.mps import LOWER_REGISTER
 from shormps.numtheory import (
     SemiprimeInstance,
     is_probable_prime,
+    mod_pow,
     multiplicative_order,
     two_adic_split,
 )
@@ -162,6 +164,22 @@ class TestResidueIndex:
         assert lower.dim == r
         assert_matches_reference_index(lower, inst)
 
+    def test_gate_without_new_residue_keeps_the_arrays(self):
+        # at n=16351 (r = 8036) 15 of the 28 gates reach no new residue
+        inst = fresh(16351, 2)
+        lower = shor.LowerRegisterIndex(inst.n)
+        idle = 0
+        for i in reversed(range(inst.upper_qubits)):
+            residues = lower.residues
+            mult = mod_pow(inst.a, 1 << i, inst.n)
+            perm = lower.extend(mult)
+            assert np.array_equal(lower.residues[perm], residues * mult % inst.n)
+            if lower.dim == residues.size:
+                idle += 1
+                assert lower.residues is residues
+        assert idle == 15
+        assert_matches_reference_index(lower, inst)
+
     @pytest.mark.parametrize("n", [0, 1, shor.MAX_SIMULATED_MODULUS,
                                    shor.MAX_SIMULATED_MODULUS + 1, 1 << 62])
     def test_refuses_n_outside_the_table_range(self, n):
@@ -202,9 +220,12 @@ class TestGradedModexp:
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
     def test_sample_and_profile_build_no_mps(self, layout, monkeypatch, tmp_path):
         def banned(*args, **kwargs):
-            raise AssertionError("MpsState built on the production path")
+            raise AssertionError("MpsState, SVD or contraction on the production path")
 
         monkeypatch.setattr(MpsState, "__init__", banned)
+        # the package cannot import the dense reference, so ban what it could call
+        monkeypatch.setattr(np.linalg, "svd", banned)
+        monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
         rec = shor.sample_run(fresh(247, 2), cfg, np.random.default_rng(0))
         assert rec.peak_elements["build"] == 1
@@ -492,12 +513,15 @@ class TestGradedSampler:
     @pytest.mark.parametrize("n, a", [(21, 2), (247, 2)])
     def test_sample_runs_no_dense_work_after_modexp(self, n, a, layout, monkeypatch):
         def banned(*args, **kwargs):
-            raise AssertionError("SVD, density read or promotion in a sample")
+            raise AssertionError("SVD, contraction, density read or promotion in a sample")
 
         monkeypatch.setattr(_dense, "svd_truncated", banned)
         for name in ("reduced_density_nonlocal", "reduced_density_local",
                      "promote_to_complex", "measure_qudit", "sweep"):
             monkeypatch.setattr(MpsState, name, banned)
+        # the package cannot import the dense reference, so ban what it could call
+        monkeypatch.setattr(np.linalg, "svd", banned)
+        monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
         rec = shor.sample_run(fresh(n, a), cfg, np.random.default_rng(3))
         assert rec.rank_profiles[-1] == mps.RankProfile("qft", (), (0,))
@@ -537,10 +561,36 @@ class TestGradedSampler:
             lower, alpha_hat, _, _ = graded_modexp(inst, layout)
             residue = data.draw(st.sampled_from(lower.residues.tolist()))
             right = shor.right_counts(lower, [lower.position(residue)])
-            (ranks,) = shor.graded_ranks(lower, inst, alpha_hat, [residue], right)
+            (ranks,) = shor.graded_ranks(alpha_hat, right)
             _, (want, _), _ = dense_reference(inst, layout, np.random.default_rng(0),
                                               forced_residue=residue)
             assert ranks == want, layout
+
+    @settings(max_examples=30, deadline=None)
+    @given(semiprime_and_base(ODD_PRIMES), st.data())
+    def test_right_block_ranks_match_reference_loop(self, case, data):
+        inst = fresh(*case)
+        lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic")
+        residues = data.draw(st.lists(st.sampled_from(lower.residues.tolist()),
+                                      min_size=1, max_size=4))
+        right = shor.right_counts(lower, [lower.position(c) for c in residues])
+        assert shor.graded_ranks(alpha_hat, right) == reference_graded_ranks(
+            lower, inst, alpha_hat, residues, right)
+
+    @pytest.mark.parametrize("n, a, alpha",
+                             [(n, a, alpha) for _, n, a, _, alpha, _ in cli.PUBLISHED_ORDER_DATA]
+                             + [(458759, 3, 16)], ids=str)
+    def test_right_block_ranks_match_reference_loop_at_scale(self, n, a, alpha):
+        # the published rows have alpha = 1 ... 4, and 458759 = 7 * 65537 with
+        # a = 3 has r = 2^16 * 3, where the loop makes about 2^20 pow calls
+        inst = fresh(n, a)
+        lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic", max_elements=1 << 44)
+        assert alpha_hat == alpha
+        residues = [int(lower.residues[-1])]
+        right = shor.right_counts(lower, [lower.dim - 1])
+        ranks = shor.graded_ranks(alpha_hat, right)
+        assert ranks == reference_graded_ranks(lower, inst, alpha_hat, residues, right)
+        assert ranks[0][len(ranks[0]) - alpha + 1:] == (1,) * (alpha - 1)
 
 
 class TestAssembleS:
@@ -661,6 +711,33 @@ class TestSampleRun:
         assert len({rec.stage_seconds["modexp"] for rec in records}) == 1
         assert records[0].stage_seconds["qft"] == records[1].stage_seconds["qft"]
         assert all(dt >= 0 for rec in records for dt in rec.stage_seconds.values())
+
+    @pytest.mark.parametrize("n, distinct", [(21, 15), (247, 20)])
+    def test_classical_runs_once_per_distinct_s(self, n, distinct, monkeypatch):
+        # at seed 5000, 85 of 100 samples at n=21 and 10 of 30 at n=247
+        # repeat an earlier s
+        inst = fresh(n, 2)
+        cfg = shor.PipelineConfig(layout="static")
+        m = 100 if n == 21 else 30
+        alone = [shor.sample_run(inst, cfg, rng) for rng in seeded(5000, m)]
+        calls = []
+        classical = shor._classical
+
+        def counted(instance, bits):
+            calls.append(tuple(bits))
+            return classical(instance, bits)
+
+        monkeypatch.setattr(shor, "_classical", counted)
+        records = shor.sample_runs(inst, cfg, seeded(5000, m))
+        assert len(calls) == len(set(calls)) == distinct
+        assert len({rec.measured_s for rec in records}) == distinct
+        assert without_timings(records) == without_timings(alone)
+        # every record owns its convergents
+        first = records[0]
+        twin = next(rec for rec in records[1:] if rec.measured_s == first.measured_s)
+        want = list(twin.convergents)
+        first.convergents.append((0, 1))
+        assert twin.convergents == want
 
     def test_no_generator_no_record(self):
         assert shor.sample_runs(fresh(21, 2), shor.PipelineConfig(), []) == []

@@ -36,10 +36,16 @@ processes give the records of ``--seed s --samples 2m``, timings apart.
 ``oracle`` n below 2^62.
 
 JSON reports (``schema: 1``) are compact: sorted keys, no whitespace between
-tokens, one trailing newline, floats in Python's shortest round-trip form.
-Without an indent ``json.dumps`` runs its C encoder, several times faster
-than the pure-Python one an indent selects.  Pretty-print a report with
-``python -m json.tool r.json``.
+tokens, one trailing newline, floats in Python's shortest round-trip form;
+each equals ``json.dumps(report, sort_keys=True, separators=(",", ":")) +
+"\\n"``.  ``profile``, ``oracle`` and ``verify-paper`` write theirs with that
+one call.  ``sample`` encodes the rest of its report with it, with a marker
+in place of each layout's records, and splices in the records arrays, which
+``_records_json`` writes from a sorted-key template per record: the int
+fields are formatted in place, and every other field is encoded once per
+distinct value and reused, since the records of a call repeat their rank
+profiles, peaks, layout and, within a batch, stage seconds.  Pretty-print a
+report with ``python -m json.tool r.json``.
 """
 
 from __future__ import annotations
@@ -318,22 +324,74 @@ def _reference_order(inst, dense_cap):
         return None
 
 
-def _record_dict(rec: SampleRecord) -> dict:
-    """The record as ``dataclasses.asdict`` gives it, without its deep copy:
-    the report only serializes the record's values."""
-    out = dict(vars(rec))
-    out["rank_profiles"] = [dict(vars(prof)) for prof in rec.rank_profiles]
-    return out
+# One record in sorted-key order, as json.dumps(vars(rec), sort_keys=True)
+# writes it: the int fields are formatted here, the rest come encoded.
+_RECORD = ('{"a":%d,"alpha_hat":%s,"convergents":%s,"factors":%s,"l":%d,"layout":%s,'
+           '"measured_residue":%d,"measured_s":%d,"n":%d,"peak_elements":%s,'
+           '"rank_profiles":%s,"stage_seconds":%s,"verified_r":%s}')
 
 
-def _aggregate(records: list[dict], l: int, r: int | None) -> dict:
+class _Encoded(dict):
+    """``_dump_json`` text by key, each encoded on its first lookup from the
+    value ``value(key)`` gives (the key itself by default)."""
+
+    def __init__(self, value=None):
+        super().__init__()
+        self.value = value
+
+    def __missing__(self, key):
+        text = self[key] = _dump_json(key if self.value is None else self.value(key))
+        return text
+
+
+def _records_json(records: list[SampleRecord]) -> str:
+    """The records as a JSON array, each as ``_dump_json`` writes its fields.
+
+    The records of a call repeat most of their values: their convergents
+    and factors whenever their s repeats, and their layout, peaks, rank
+    profiles and (within a batch) stage seconds always.  So each compound
+    field is encoded once per distinct value and reused, from a memo of its
+    own keyed by the value itself (a tuple encodes as the list it is made
+    from, a tuple of items rebuilds its dict), or for the frozen rank
+    profiles, which records share, by the profiles' identities.  Keys that
+    compare equal must encode equally, which holds because records hold no
+    bools (True == 1) and no time of -0.0 (-0.0 == 0.0).
+    """
+    alpha_hat, convergents, factors, layout, verified_r = (_Encoded() for _ in range(5))
+    peak_elements, stage_seconds = _Encoded(dict), _Encoded(dict)
+    rank_profiles: dict[tuple[int, ...], str] = {}
+    parts = []
+    for rec in records:
+        ids = tuple(map(id, rec.rank_profiles))
+        profiles = rank_profiles.get(ids)
+        if profiles is None:
+            profiles = rank_profiles[ids] = _dump_json([vars(p) for p in rec.rank_profiles])
+        parts.append(_RECORD % (
+            rec.a,
+            alpha_hat[rec.alpha_hat],
+            convergents[tuple(rec.convergents)],
+            factors[rec.factors],
+            rec.l,
+            layout[rec.layout],
+            rec.measured_residue,
+            rec.measured_s,
+            rec.n,
+            peak_elements[tuple(rec.peak_elements.items())],
+            profiles,
+            stage_seconds[tuple(rec.stage_seconds.items())],
+            verified_r[rec.verified_r],
+        ))
+    return "[" + ",".join(parts) + "]"
+
+
+def _aggregate(records: list[SampleRecord], l: int, r: int | None) -> dict:
     hist: dict[int, int] = {}
     for rec in records:
-        hist[rec["measured_s"]] = hist.get(rec["measured_s"], 0) + 1
-    successes = sum(1 for rec in records if rec["factors"] is not None)
+        hist[rec.measured_s] = hist.get(rec.measured_s, 0) + 1
+    successes = sum(1 for rec in records if rec.factors is not None)
     peaks: dict[str, int] = {}
     for rec in records:
-        for stage, peak in rec["peak_elements"].items():
+        for stage, peak in rec.peak_elements.items():
             peaks[stage] = max(peaks.get(stage, 0), peak)
     agg = {
         "s_histogram": {str(s): hist[s] for s in sorted(hist)},
@@ -378,8 +436,7 @@ def cmd_sample(args) -> int:
     started = perf_counter()
     try:
         records = {
-            layout: [_record_dict(rec)
-                     for rec in sample_runs(inst, cfg, streams(args.seed, args.samples))]
+            layout: sample_runs(inst, cfg, streams(args.seed, args.samples))
             for layout, cfg in configs.items()
         }
     except MemoryLimitError as exc:
@@ -390,8 +447,10 @@ def cmd_sample(args) -> int:
         return EXIT_RESOURCE
     # the order depends on the instance alone
     r = _reference_order(inst, args.dense_cap)
+    # each layout's records stand in as a marker string that no other report
+    # value holds, and their array is spliced in where its marker lands
     per_layout = {
-        layout: {"records": recs, "aggregate": _aggregate(recs, inst.l, r)}
+        layout: {"records": "\0" + layout, "aggregate": _aggregate(recs, inst.l, r)}
         for layout, recs in records.items()
     }
     report = {
@@ -412,7 +471,10 @@ def cmd_sample(args) -> int:
         "layouts": per_layout,
         "elapsed_seconds": perf_counter() - started,
     }
-    return _write(_dump_json(report), args.out)
+    text = _dump_json(report)
+    for layout, recs in records.items():
+        text = text.replace(_dump_json("\0" + layout), _records_json(recs), 1)
+    return _write(text, args.out)
 
 
 # ---------------------------------------------------------------- verify-paper

@@ -441,7 +441,10 @@ def sample_runs(
     of the stage times: what runs once per call (build, modexp and the
     forward counts of "measure") evenly over all samples, the rest evenly
     over its batch.  The classical post-processing of an s runs once per
-    call, and every record gets its own list of convergents.
+    call.  Every record owns its ``convergents``, ``peak_elements`` and
+    ``stage_seconds``, while the frozen ``RankProfile``s are shared: one
+    "modexp" and one "qft" profile per call, and one "measure" profile per
+    distinct rank tuple.
     """
     shared: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -468,7 +471,12 @@ def sample_runs(
     r_probs = counts / counts.sum()
     shared["measure"] = time.perf_counter() - t0
 
-    records: list[SampleRecord] = []
+    # qubit 0 is read last and is the only site left
+    qft_profile = RankProfile(stage="qft", ranks=(), layout=(0,))
+    measure_profiles: dict[tuple[int, ...], RankProfile] = {}
+    # each batch's stage shares and records; the shares are final once the
+    # number of samples, and so the call-wide share, is known
+    batches: list[tuple[dict[str, float], list[SampleRecord]]] = []
     # _classical depends on the instance and the bits alone, and samples of
     # a small r repeat their s often (85 of 100 at n=21, seeds 5000-5099)
     classical: dict[tuple, tuple] = {}
@@ -491,7 +499,10 @@ def sample_runs(
             done.append(classical[row])
         seconds["classical"] = time.perf_counter() - t2
         share = {stage: dt / len(chunk) for stage, dt in seconds.items()}
+        records = []
         for residue, rank, (s, convs, verified, factors) in zip(residues, ranks, done):
+            if rank not in measure_profiles:
+                measure_profiles[rank] = RankProfile(stage="measure", ranks=rank, layout=labels)
             records.append(SampleRecord(
                 n=instance.n,
                 a=instance.a,
@@ -503,19 +514,18 @@ def sample_runs(
                 convergents=list(convs),
                 verified_r=verified,
                 factors=factors,
-                rank_profiles=[
-                    modexp_profile,
-                    RankProfile(stage="measure", ranks=rank, layout=labels),
-                    # qubit 0 is read last and is the only site left
-                    RankProfile(stage="qft", ranks=(), layout=(0,)),
-                ],
+                rank_profiles=[modexp_profile, measure_profiles[rank], qft_profile],
                 peak_elements=dict(peaks),
-                stage_seconds=dict(share),
+                stage_seconds=share,  # copied once the share is final
             ))
-    for rec in records:
+        batches.append((share, records))
+    total = sum(len(records) for _, records in batches)
+    for share, records in batches:
         for stage, dt in shared.items():
-            rec.stage_seconds[stage] = rec.stage_seconds.get(stage, 0.0) + dt / len(records)
-    return records
+            share[stage] = share.get(stage, 0.0) + dt / total
+        for rec in records:
+            rec.stage_seconds = dict(share)
+    return [rec for _, records in batches for rec in records]
 
 
 def _classical(instance: SemiprimeInstance, bits):

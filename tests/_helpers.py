@@ -10,15 +10,19 @@ builds the residue maps one residue at a time through a dict, as a reference
 for the table-based ``shor.LowerRegisterIndex``, and
 ``reference_graded_ranks`` counts the dynamic right block's ranks by brute
 force, as a reference for their closed form in ``shor.graded_ranks``.
+``reference_sample_report`` builds a ``sample`` report from its records as
+one dict, which one ``json.dumps`` call encodes, as a reference for the
+report that ``cli`` assembles from fragments.
 """
 
 import numpy as np
 
 import _dense
 from _dense import MpsState
-from shormps import shor
+from shormps import __version__, cli, shor
 from shormps.mps import LOWER_REGISTER
 from shormps.numtheory import SemiprimeInstance, mod_pow
+from shormps.oracle import tvd_at_outcomes
 
 
 # ------------------------------------------------------------ dense modexp
@@ -245,3 +249,68 @@ def identity_split_pair(block):
                      np.iscomplexobj(block))
     state.rortho[1] = True
     return state
+
+
+# -------------------------------------------------------- report reference
+
+def record_dict(rec: shor.SampleRecord) -> dict:
+    """The record as ``dataclasses.asdict`` gives it, without its deep copy:
+    the report only serializes the record's values."""
+    out = dict(vars(rec))
+    out["rank_profiles"] = [dict(vars(prof)) for prof in rec.rank_profiles]
+    return out
+
+
+def reference_aggregate(records: list[dict], l: int, r: int | None) -> dict:
+    """A layout's aggregate, read from its records as dicts."""
+    hist: dict[int, int] = {}
+    for rec in records:
+        hist[rec["measured_s"]] = hist.get(rec["measured_s"], 0) + 1
+    successes = sum(1 for rec in records if rec["factors"] is not None)
+    peaks: dict[str, int] = {}
+    for rec in records:
+        for stage, peak in rec["peak_elements"].items():
+            peaks[stage] = max(peaks.get(stage, 0), peak)
+    agg = {
+        "s_histogram": {str(s): hist[s] for s in sorted(hist)},
+        "factor_successes": successes,
+        "factor_success_rate": successes / len(records),
+        "peak_elements_per_stage": peaks,
+        "tvd_vs_oracle": None,
+    }
+    if r is not None:
+        agg["tvd_vs_oracle"] = tvd_at_outcomes(l, r, hist)
+        agg["order_r"] = r
+    return agg
+
+
+def reference_sample_report(argv: list[str], records: dict, elapsed_seconds: float) -> dict:
+    """The report of ``shor-mps sample`` with ``argv`` (which names ``--a``)
+    as one dict, built from each layout's records (layout -> the list of
+    ``SampleRecord``s that ``shor.sample_runs`` returned)."""
+    args = cli._parse(argv)
+    inst = SemiprimeInstance.make(args.n, args.a, p=args.p, q=args.q)
+    r = cli._reference_order(inst, args.dense_cap)
+    per_layout = {}
+    for layout, recs in records.items():
+        dicts = [record_dict(rec) for rec in recs]
+        per_layout[layout] = {"records": dicts,
+                              "aggregate": reference_aggregate(dicts, inst.l, r)}
+    return {
+        "schema": 1,
+        "tool": "shor-mps",
+        "version": __version__,
+        "command": "sample",
+        "instance": cli._instance_echo(inst),
+        "lucky_factors_from_draw": [],
+        "config": {
+            "samples": args.samples,
+            "seed": args.seed,
+            "layout": args.layout,
+            "max_elements": args.max_elements,
+            "dense_cap": args.dense_cap,
+        },
+        "order_profile": cli._order_profile_echo(inst),
+        "layouts": per_layout,
+        "elapsed_seconds": elapsed_seconds,
+    }

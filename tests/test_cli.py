@@ -6,14 +6,16 @@ import json
 import subprocess
 import sys
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_shor import semiprime_and_base
 
 import _dense
-from _helpers import rank_oracle_for_bond
+from _helpers import rank_oracle_for_bond, reference_sample_report
 
 from shormps import __version__, cli, oracle, shor
 from shormps.numtheory import (
@@ -232,6 +234,20 @@ def dumped(monkeypatch):
     return objs
 
 
+@contextlib.contextmanager
+def captured_records():
+    """The records of each ``cli.sample_runs`` call, by layout."""
+    records = {}
+    sample_runs = cli.sample_runs
+
+    def recording(instance, config, rngs):
+        records[config.layout] = sample_runs(instance, config, rngs)
+        return records[config.layout]
+
+    with mock.patch.object(cli, "sample_runs", recording):
+        yield records
+
+
 class TestReportForm:
     """Reports are compact canonical JSON with one trailing newline, and parse
     to what the earlier ``indent=1`` encoding of the same report gives."""
@@ -239,18 +255,28 @@ class TestReportForm:
     @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=lambda argv: argv[0])
     def test_compact_and_same_content(self, argv, tmp_path, dumped):
         out = tmp_path / "r.json"
-        assert run_cli(argv + ["--out", str(out)]) == 0
+        with captured_records() as records:
+            assert run_cli(argv + ["--out", str(out)]) == 0
         text = out.read_text()
         report = json.loads(text)
         assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         assert report["schema"] == 1
-        [obj] = dumped
+        if argv[0] == "sample":
+            # sample encodes its records apart from the rest of the report
+            obj = reference_sample_report(argv, records, report["elapsed_seconds"])
+        else:
+            [obj] = dumped
         assert report == json.loads(json.dumps(obj, indent=1, sort_keys=True))
 
-    def test_sample_floats_round_trip(self, tmp_path, dumped):
+    def test_sample_floats_round_trip(self, tmp_path):
         out = tmp_path / "r.json"
-        assert run_cli(REPORT_COMMANDS[0] + ["--out", str(out)]) == 0
-        report, [obj] = json.loads(out.read_text()), dumped
+        # cmd_sample reads the clock before and after its samples
+        start, stop = 10.0, 10.0 + 1 / 3
+        with captured_records() as records, \
+                mock.patch.object(cli, "perf_counter", iter([start, stop]).__next__):
+            assert run_cli(REPORT_COMMANDS[0] + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        obj = reference_sample_report(REPORT_COMMANDS[0], records, stop - start)
         for layout, block in obj["layouts"].items():
             parsed = report["layouts"][layout]
             for key in ("tvd_vs_oracle", "factor_success_rate"):
@@ -266,6 +292,50 @@ class TestReportForm:
         assert run_cli(["oracle", "--l", "5", "--r", "6", "--out", str(out)]) == 0
         probs = json.loads(out.read_text())["probs"]
         assert probs == oracle.exact_distribution(5, 6).probs.tolist()
+
+
+class TestRecordEncoding:
+    """``sample`` writes its records from fragments encoded once per distinct
+    value (``cli._records_json``); the report must be, byte for byte, the one
+    ``json.dumps`` gives for the same records as dicts."""
+
+    @staticmethod
+    def assert_reference_bytes(argv, tmp_path):
+        out = tmp_path / "r.json"
+        with captured_records() as records:
+            assert run_cli(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        elapsed = json.loads(text)["elapsed_seconds"]
+        reference = reference_sample_report(argv, records, elapsed)
+        assert text == json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
+        return records
+
+    @settings(max_examples=60, deadline=None)
+    @given(semiprime_and_base(), st.integers(0, 2**70),
+           st.sampled_from(["static", "dynamic", "both"]), st.integers(1, 30),
+           st.integers(1, 1000))
+    @example((15, 7), 2**70, "both", 30, 1)
+    def test_report_is_the_reference_encoding(self, tmp_path_factory, case, seed, layout,
+                                               samples, batch_elements):
+        # a batch holds batch_elements // 63 samples of n=21 and one of
+        # n=3127, so many calls here are cut into batches, whose records
+        # differ in their stage_seconds
+        n, a = case
+        argv = ["sample", "--n", str(n), "--a", str(a), "--seed", str(seed),
+                "--samples", str(samples), "--layout", layout]
+        with mock.patch.object(shor, "BATCH_ELEMENTS", batch_elements):
+            self.assert_reference_bytes(argv, tmp_path_factory.mktemp("report"))
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "1943", "--a", "2", "--seed", "7", "--samples", "2",
+         "--layout", "both", "--dense-cap", str(1 << 21)],
+        REPORT_COMMANDS[0],
+    ], ids=["n1943", "factors"])
+    def test_rows(self, argv, tmp_path):
+        records = self.assert_reference_bytes(argv, tmp_path)
+        if "--p" in argv:
+            assert any(rec.factors and rec.verified_r for recs in records.values()
+                       for rec in recs)
 
 
 class TestBadInput:

@@ -10,6 +10,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from _helpers import record_dict
 
 from shormps import cli, shor
 from shormps.numtheory import SemiprimeInstance
@@ -39,7 +40,7 @@ def test_sample_records_equal_numpy_generators(tmp_path):
     for layout in ("static", "dynamic"):
         cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 30)
         recs = shor.sample_runs(inst, cfg, [np.random.default_rng(5 + k) for k in range(20)])
-        expected = json.loads(cli._dump_json([cli._record_dict(rec) for rec in recs]))
+        expected = json.loads(json.dumps([record_dict(rec) for rec in recs]))
         got = layouts[layout]["records"]
         for rec in expected + got:
             del rec["stage_seconds"]

@@ -1,7 +1,8 @@
 """Pipeline stages: modexp layouts, plateau detection, measurement, and the
 semiclassical QFT, which measures each qubit as soon as its phase is known."""
 
-from dataclasses import asdict
+import copy
+from dataclasses import FrozenInstanceError, asdict
 from math import gcd
 from unittest import mock
 
@@ -738,6 +739,31 @@ class TestSampleRun:
         want = list(twin.convergents)
         first.convergents.append((0, 1))
         assert twin.convergents == want
+
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    def test_records_own_what_they_may_change(self, layout):
+        # a sample of n=21 holds 63 elements: batches of 2 samples, whose
+        # records hold equal stage_seconds; the 12 of seed 5000 repeat their s
+        inst = fresh(21, 2)
+        cfg = shor.PipelineConfig(layout=layout)
+        with mock.patch.object(shor, "BATCH_ELEMENTS", 2 * 63):
+            records = shor.sample_runs(inst, cfg, seeded(5000, 12))
+        assert len({rec.measured_s for rec in records}) < len(records)
+        owned = ("convergents", "peak_elements", "stage_seconds")
+        for k, rec in enumerate(records):
+            before = copy.deepcopy([[getattr(other, f) for f in owned] for other in records])
+            rec.convergents.append((0, 1))
+            rec.peak_elements["mutated"] = k
+            rec.stage_seconds["mutated"] = float(k)
+            after = [[getattr(other, f) for f in owned] for other in records]
+            assert after[:k] + after[k + 1:] == before[:k] + before[k + 1:]
+        # the rank profiles are frozen, so records may share them
+        modexp, measure, qft = records[0].rank_profiles
+        assert all(rec.rank_profiles[0] is modexp and rec.rank_profiles[2] is qft
+                   for rec in records)
+        for profile in (modexp, measure, qft):
+            with pytest.raises(FrozenInstanceError):
+                profile.ranks = ()
 
     def test_no_generator_no_record(self):
         assert shor.sample_runs(fresh(21, 2), shor.PipelineConfig(), []) == []

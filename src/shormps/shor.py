@@ -26,7 +26,10 @@ residues reached so far are the subgroup H generated by the last multiplier
 (its order beta is odd, so its powers below 2^k already close it).  A new
 multiplier m maps H onto m*H, which is H itself when m lies in H and a
 disjoint coset otherwise, so the gate raises the rank exactly when m is not
-yet a reached residue; that qubit starts the right block.
+yet a reached residue; that qubit starts the right block.  A later gate
+whose multiplier is a reached residue is idle: it only permutes the reached
+residues, so modexp records it and does no work on the index (about half
+the gates of every published row; see ``run_modexp``).
 
 The controlled-U gate itself is never materialized, and neither is the
 chain.  Controlled multiplication permutes the residue basis, so each gate
@@ -35,15 +38,18 @@ residue index as new residues appear: every nonzero entry of every site is
 a power of 1/sqrt(2), placed by the maps.  The modexp chain is therefore
 fixed by the gates' residue maps, the side of each qubit and the bond
 ranks, a charge-graded store in the sense of Singh, Pfeifer & Vidal
-(PRA 82, 050301 (2010)), and that is all ``run_modexp`` keeps.  R's residue
-index (``LowerRegisterIndex``) holds the reached residues as an array and a
-lookup table of n ``int32`` entries from residue to index, so each gate's map
-is a few vectorized gathers over the residues reached so far: O(r) work per
-gate, with no per-residue Python step, and a table of 4n bytes of which only
-the pages holding reached residues are ever touched.  The table bounds n
-below 2^31.  Left of R the left states of distinct residue labels have
-disjoint supports, so the bond to R is a Schmidt rank equal to the number of
-labels; right of R each qubit doubles the bond.  The dense chain, built site
+(PRA 82, 050301 (2010)).  ``run_modexp`` keeps the labels and ranks, and R's
+residue index (``LowerRegisterIndex``) keeps the reached residues, each
+gate's multiplier and R's dimension before it; the maps follow from those,
+and only the sampler, which reads them, builds them.  The index holds the
+residues as an array and a lookup table of n ``int32`` entries from residue
+to index, so extending it, or building a map, is a few vectorized gathers
+over the residues reached so far: O(r) work per gate, with no per-residue
+Python step, and a table of 4n bytes of which only the pages holding
+reached residues are ever touched.  The table bounds n below 2^31.  Left of
+R the left states of distinct residue labels have disjoint supports, so the
+bond to R is a Schmidt rank equal to the number of labels; right of R each
+qubit doubles the bond.  The dense chain, built site
 by site, is kept in the test suite as an independent reference.
 
 Sampling after modexp is graded by residue (Ferris & Vidal, PRB 85, 165146
@@ -123,9 +129,11 @@ class LowerRegisterIndex:
     (2^31): table entries then fit ``int32`` and the products in ``extend``
     fit ``int64``.
 
-    ``maps`` keeps the multiplier map of every gate applied so far, in gate
-    order (qubit 2l-1 first); map k has one entry per residue reached before
-    gate k, so its length is R's dimension before that gate.
+    The index records every gate applied so far, in gate order (qubit 2l-1
+    first): its multiplier in ``mults`` and R's dimension before it in
+    ``dims``.  It stores no map: the table never renumbers a residue, so gate
+    k's map can be read off the final table (``gate_maps``), and only the
+    sampler reads maps.
     """
 
     def __init__(self, n: int):
@@ -135,7 +143,8 @@ class LowerRegisterIndex:
         self.residues = np.ones(1, dtype=np.int64)
         self._where = np.zeros(n, dtype=np.int32)
         self._where[1] = 1
-        self.maps: list[np.ndarray] = []
+        self.mults: list[int] = []
+        self.dims: list[int] = []
 
     @property
     def dim(self) -> int:
@@ -145,28 +154,43 @@ class LowerRegisterIndex:
         """Index of residue ``v`` in ``residues``, or -1 when not reached."""
         return int(self._where[v]) - 1
 
-    def extend(self, mult: int) -> np.ndarray:
-        """Image of each current residue under v -> v * mult mod n.
+    def record(self, mult: int) -> None:
+        """Record a gate with multiplier ``mult`` that reaches no new residue.
+
+        The caller vouches for that (see ``run_modexp``); ``extend`` records
+        every other gate itself.
+        """
+        self.mults.append(mult)
+        self.dims.append(self.dim)
+
+    def extend(self, mult: int) -> None:
+        """Record a gate and append the images v * mult mod n not yet reached.
 
         New residues are appended in the order of the residues they are
-        images of; the returned ``int32`` array maps old residue indices to
-        the indices of their images.  ``mult`` is a unit, so the images are
-        distinct and each new one is appended once.
+        images of.  ``mult`` is a unit, so the images are distinct and each
+        new one is appended once.
         """
+        self.record(mult)
         img = self.residues * mult % self.n
-        # int32, as the table, keeps the maps small: at n=16351, intp maps
-        # held across modexp raised its peak RSS by 30 MB
-        perm = self._where[img] - 1
-        new = perm < 0
-        # a gate that reaches no new residue (15 of 28 at n=16351) leaves
-        # the residues and the table as they are
-        if new.any():
-            fresh = img[new]
-            perm[new] = np.arange(self.dim, self.dim + fresh.size, dtype=np.int32)
-            self._where[fresh] = perm[new] + 1
+        fresh = img[self._where[img] == 0]
+        if fresh.size:
+            self._where[fresh] = np.arange(self.dim + 1, self.dim + 1 + fresh.size,
+                                           dtype=np.int32)
             self.residues = np.concatenate((self.residues, fresh))
-        self.maps.append(perm)
-        return perm
+
+    def gate_maps(self) -> list[np.ndarray]:
+        """Every recorded gate's multiplier map, in gate order.
+
+        Map k sends the index of each residue reached before gate k to the
+        index of its image, ``_where[residues[:D_k] * m_k % n] - 1`` with D_k
+        = ``dims[k]`` and m_k = ``mults[k]``.  Gate k's images are in the
+        table once it has run (an idle gate's already were), and the table
+        never renumbers a residue, so these are the indices the images had
+        when gate k ran.  The maps are ``int32``, as the table: at n=16351,
+        intp maps held at once raised the peak RSS by 30 MB.
+        """
+        return [self._where[self.residues[:d] * m % self.n] - 1
+                for m, d in zip(self.mults, self.dims)]
 
 
 @dataclass
@@ -211,18 +235,33 @@ def run_modexp(
     """Controlled multiplications for qubits 2l-1 ... 0, most significant first.
 
     Each gate creates upper qubit i in |+> next to R and scatters R's
-    amplitude blocks through the multiplier map that ``lower.extend``
-    returns, so the chain is fixed by ``lower.maps``, each qubit's side and
-    the bond ranks.  Only the labels and ranks are kept.  Side B puts the
-    qubit left of R, with a bond of R's new dimension between them; side A
-    puts it right of R, where the new bond next to R is twice R's old right
+    amplitude blocks through its multiplier map, so the chain is fixed by
+    the maps (``lower.gate_maps``), each qubit's side and the bond ranks.
+    Only the labels and ranks are kept, and ``lower`` records each gate's
+    multiplier and R's dimension before it; no map is built.  Side B puts
+    the qubit left of R, with a bond of R's new dimension between them; side
+    A puts it right of R, where the new bond next to R is twice R's old right
     bond (1 at the chain end).  Every bond is a Schmidt rank (see the module
     docstring) and equals the residue rank oracle.
 
+    The plateau is flagged after one gate that leaves ``lower.dim``
+    unchanged.  From then on a gate whose multiplier is already a reached
+    residue is idle: it reaches no new residue, so it is only recorded and
+    ``lower.extend`` does not run.  Proof: let S_i = {a^(m 2^i) : m <
+    2^(2l-i)}, the residues reached once qubits 2l-1 ... i are gated.  S_i is
+    closed, the subgroup generated by a^(2^i), once 2^(2l-i) >= ord(a^(2^i)).
+    The gate that flags the plateau leaves S_(i+1) = S_i, which holds only
+    the even powers of a^(2^i) below 2^(2l-i) and so needs that bound: S_i is
+    closed.  Because ord(a^(2^(i-1))) <= 2 ord(a^(2^i)), S_(i-1) is closed
+    too, and so is S_k for every later gate.  Multiplying a closed set by one
+    of its own elements permutes it.  The gate that flags the plateau still
+    runs ``extend``, since nothing is known to be closed before it.
+
     The static layout creates every qubit left of R.  The dynamic layout
-    flags the plateau after one gate that leaves ``lower.dim`` unchanged;
-    the first later qubit whose multiplier is not yet a reached residue, and
-    every qubit after it, is created right of R.
+    creates every qubit after the plateau that is not idle right of R.  The
+    first such qubit i starts the right block, and every later qubit is in
+    it: a^(2^i) is not in S_(i+1), so ord(a^(2^i)) is even, and then
+    ord(a^(2^(i-1))) = 2 ord(a^(2^i)) is even and a^(2^(i-1)) is not in S_i.
 
     After each gate the dense-equivalent tally of the chain's site tensors,
     the paper's sum_k b_k d_k b_(k+1) with the chain ends as bonds of
@@ -244,12 +283,15 @@ def run_modexp(
     for i in reversed(range(instance.upper_qubits)):
         d_before = lower.dim
         mult = mod_pow(instance.a, 1 << i, instance.n)
-        side_a = dynamic and (alpha_hat or (plateau and lower.position(mult) < 0))
-        lower.extend(mult)
+        idle = plateau and lower.position(mult) >= 0
+        if idle:
+            lower.record(mult)
+        else:
+            lower.extend(mult)
         d_new = lower.dim
         rpos = len(bonds) - alpha_hat  # R's site: one per qubit left of it
         chi_l = bonds[rpos - 1] if rpos else 1
-        if side_a:
+        if dynamic and plateau and not idle:
             chi_r = bonds[rpos] if alpha_hat else 1
             alpha_hat += 1
             labels.insert(rpos + 1, i)
@@ -269,18 +311,19 @@ def run_modexp(
 # --------------------------------------------------------------- graded sampler
 
 def _dims_after(lower: LowerRegisterIndex) -> list[int]:
-    # R's dimension after each gate: the next gate's map is that long
-    return [perm.size for perm in lower.maps[1:]] + [lower.dim]
+    # R's dimension after each gate: the dimension before the next one
+    return lower.dims[1:] + [lower.dim]
 
 
-def forward_counts(lower: LowerRegisterIndex) -> np.ndarray:
-    """f[c] = #{x < Q : a^x = c} over R's residue index, from modexp's maps.
+def forward_counts(lower: LowerRegisterIndex, maps: list[np.ndarray]) -> np.ndarray:
+    """f[c] = #{x < Q : a^x = c} over R's residue index, from the gates' maps.
 
-    Each gate keeps every exponent (control bit 0) and moves a copy through
-    its multiplier map (control bit 1): f <- pad(f) + scatter(f, P).
+    ``maps`` are ``lower.gate_maps()``.  Each gate keeps every exponent
+    (control bit 0) and moves a copy through its multiplier map (control bit
+    1): f <- pad(f) + scatter(f, P).
     """
     f = np.ones(1)
-    for perm, dim in zip(lower.maps, _dims_after(lower)):
+    for perm, dim in zip(maps, _dims_after(lower)):
         grown = np.zeros(dim)
         grown[: f.size] = f
         grown[perm] += f
@@ -288,20 +331,20 @@ def forward_counts(lower: LowerRegisterIndex) -> np.ndarray:
     return f
 
 
-def right_counts(lower: LowerRegisterIndex, targets) -> list[np.ndarray]:
+def right_counts(lower: LowerRegisterIndex, maps: list[np.ndarray], targets) -> list[np.ndarray]:
     """R_j[c] = #{v < 2^j : c * a^v = residue t}, for j = 0 ... 2l.
 
-    ``targets`` holds the index of t in R's residue index, one per sample;
-    each R_j has the axes (sample, residue).  R_j runs over the residues
-    reached by the qubits at or above j, so its length is R's dimension after
-    gate j.  R_0 is one-hot at t and R_{j+1} = R_j[:D_{j+1}] + R_j[P_j], P_j
-    being qubit j's multiplier map.
+    ``maps`` are ``lower.gate_maps()``, and ``targets`` holds the index of t
+    in R's residue index, one per sample; each R_j has the axes (sample,
+    residue).  R_j runs over the residues reached by the qubits at or above
+    j, so its length is R's dimension after gate j.  R_0 is one-hot at t and
+    R_{j+1} = R_j[:D_{j+1}] + R_j[P_j], P_j being qubit j's multiplier map.
     """
     targets = np.asarray(targets)
     r_0 = np.zeros(targets.shape + (lower.dim,))
     np.put_along_axis(r_0, targets[..., None], 1.0, axis=-1)
     right = [r_0]
-    for perm in reversed(lower.maps):
+    for perm in reversed(maps):
         r_j = right[-1]
         right.append(r_j[..., : perm.size] + r_j[..., perm])
     return right
@@ -330,12 +373,13 @@ def residue_branches(w, perm, right_j, phase):
     return branches, ((branches.real**2 + branches.imag**2) * weight).sum(axis=-1)
 
 
-def graded_fourier(lower: LowerRegisterIndex, right: list[np.ndarray], rngs) -> np.ndarray:
+def graded_fourier(maps: list[np.ndarray], right: list[np.ndarray], rngs) -> np.ndarray:
     """Semiclassical Fourier transform of the upper register, graded by residue.
 
     Reads qubits 2l-1 ... 0, most significant first, as the dense
     reference's ``apply_lnn_qft`` does, keeping one complex weight per
     residue reached by the qubits read so far, for every sample at once:
+    ``maps`` are the gates' multiplier maps (``lower.gate_maps()``),
     ``right`` holds the samples' right counts (``right_counts``) and sample
     k draws from ``rngs[k]``.  Returns the bits, axes (sample, measurement
     order).
@@ -343,9 +387,9 @@ def graded_fourier(lower: LowerRegisterIndex, right: list[np.ndarray], rngs) -> 
     rows = np.arange(len(rngs))
     w = (1.0 / np.sqrt(right[-1])).astype(np.complex128)
     phase = np.zeros(rows.size)  # sum_k b_k / 2^(k-j) over the qubits k > j read so far
-    bits = np.empty((rows.size, len(lower.maps)), dtype=np.int64)
-    top = len(lower.maps) - 1
-    for depth, (perm, right_j) in enumerate(zip(lower.maps, reversed(right[:-1]))):
+    bits = np.empty((rows.size, len(maps)), dtype=np.int64)
+    top = len(maps) - 1
+    for depth, (perm, right_j) in enumerate(zip(maps, reversed(right[:-1]))):
         branches, probs = residue_branches(w, perm, right_j, phase)
         bit = draw_outcome(probs, rngs, where=f"qubit {top - depth}")
         w = branches[rows, bit] / np.sqrt(probs[rows, bit])[:, None]
@@ -410,9 +454,10 @@ def sample_runs(
 ) -> list[SampleRecord]:
     """End-to-end samples, one per generator in ``rngs``, in order.
 
-    Modexp runs once and keeps only its residue maps and the chain's labels
-    and bond ranks (``run_modexp``); no site tensor is built.  R and the
-    Fourier transform are drawn from those maps alone (see the module
+    Modexp runs once and keeps only R's residue index and the chain's labels
+    and bond ranks (``run_modexp``); no site tensor is built.  The gates'
+    multiplier maps are then built once per call (``gate_maps``), and R and
+    the Fourier transform are drawn from those maps alone (see the module
     docstring): after R reads t, the bond above qubit j has one Schmidt label
     per residue c that both sides reach, with squared weight proportional to
     the left count #{u : a^u = c} times the right count R_j[c], so one
@@ -438,10 +483,10 @@ def sample_runs(
     holds max(1, min(BATCH_ELEMENTS, max_elements) // E) samples, E being
     the larger of the "measure" and "qft" figures, so its arrays stay within
     ``config.max_elements`` too.  Each record's ``stage_seconds`` is its share
-    of the stage times: what runs once per call (build, modexp and the
-    forward counts of "measure") evenly over all samples, the rest evenly
-    over its batch.  The classical post-processing of an s runs once per
-    call.  Every record owns its ``convergents``, ``peak_elements`` and
+    of the stage times: what runs once per call (build, modexp, and the
+    maps and forward counts of "measure") evenly over all samples, the rest
+    evenly over its batch.  The classical post-processing of an s runs once
+    per call.  Every record owns its ``convergents``, ``peak_elements`` and
     ``stage_seconds``, while the frozen ``RankProfile``s are shared: one
     "modexp" and one "qft" profile per call, and one "measure" profile per
     distinct rank tuple.
@@ -461,13 +506,14 @@ def sample_runs(
     peaks["measure"] = lower.dim + held
     _guard("measure", peaks["measure"], config.max_elements)
     # complex units: the residue vector and its two branches
-    peaks["qft"] = held + max(2 * (perm.size + 2 * d) for perm, d in zip(lower.maps, dims))
+    peaks["qft"] = held + max(2 * (d_before + 2 * d) for d_before, d in zip(lower.dims, dims))
     _guard("qft", peaks["qft"], config.max_elements)
     batch = max(1, min(BATCH_ELEMENTS, config.max_elements)
                 // max(peaks["measure"], peaks["qft"]))
 
     t0 = time.perf_counter()
-    counts = forward_counts(lower)
+    maps = lower.gate_maps()
+    counts = forward_counts(lower, maps)
     r_probs = counts / counts.sum()
     shared["measure"] = time.perf_counter() - t0
 
@@ -486,10 +532,10 @@ def sample_runs(
         t0 = time.perf_counter()
         targets = draw_outcome(r_probs, chunk, where="R")
         residues = lower.residues[targets].tolist()
-        right = right_counts(lower, targets)
+        right = right_counts(lower, maps, targets)
         ranks = graded_ranks(alpha_hat, right)
         t1 = time.perf_counter()
-        bits = graded_fourier(lower, right, chunk)
+        bits = graded_fourier(maps, right, chunk)
         t2 = time.perf_counter()
         seconds["measure"], seconds["qft"] = t1 - t0, t2 - t1
         done = []

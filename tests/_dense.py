@@ -48,7 +48,7 @@ import numpy as np
 from shormps.mps import LOWER_REGISTER, NormalizationError, RankProfile, draw_outcome
 from shormps.numtheory import SemiprimeInstance, mod_pow
 from shormps.oracle import DENSE_CAP, DenseCapError, DistributionTable
-from shormps.shor import SQRT_HALF, LowerRegisterIndex
+from shormps.shor import SQRT_HALF
 from shormps.tensor import DEFAULT_SVD_TOL, svd_truncated
 
 
@@ -483,14 +483,16 @@ def hadamard() -> np.ndarray:
 
 def measure_lower_register(
     state: MpsState,
-    lower: LowerRegisterIndex,
+    lower,
     rng=None,
     forced_residue: int | None = None,
 ) -> int:
     """Measure R, contract it into its neighbour, and reveal the ranks.
 
     The dense reference of ``shor.sample_runs``' draw of R and of
-    ``shor.graded_ranks``.
+    ``shor.graded_ranks``.  ``lower`` is R's residue index: anything with
+    the ``position`` and ``residues`` of ``shor.LowerRegisterIndex``, such
+    as the dense chain's ``_helpers.ReferenceIndex``.
     ``measure_qudit`` reads R's density matrix by contracting the closed
     network, since the sites left of R are not left-orthonormal right after
     modexp, and only projects.  Then a left-to-right sweep from R's old place

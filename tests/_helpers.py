@@ -1,13 +1,15 @@
 """Shared test utilities: the dense modexp reference, a dict-based residue
 index, and bridges from MPS layouts to the canonical dense ordering.
 
-``shor.run_modexp`` keeps only the residue maps, labels and bond ranks of the
-modexp chain.  The functions below build that chain's site tensors
-explicitly, gate by gate, in an ``_dense.MpsState``, as an independent
-reference for its ranks, tallies, guard and amplitudes, and as the input of
-the dense measurement and transform in ``_dense``.  ``reference_index``
-builds the residue maps one residue at a time through a dict, as a reference
-for the table-based ``shor.LowerRegisterIndex``, and
+``shor.run_modexp`` keeps only R's residue index and the labels and bond
+ranks of the modexp chain.  The functions below build that chain's site
+tensors explicitly, gate by gate, in an ``_dense.MpsState``, as an
+independent reference for its ranks, tallies, guard and amplitudes, and as
+the input of the dense measurement and transform in ``_dense``.
+``ReferenceIndex`` is R's residue index kept one residue at a time through a
+dict, with every gate's map taken from that dict as the gate runs: the dense
+chain's index, and through ``reference_index`` the reference for the
+table-based ``shor.LowerRegisterIndex`` and its maps, and
 ``reference_graded_ranks`` counts the dynamic right block's ranks by brute
 force, as a reference for their closed form in ``shor.graded_ranks``.
 ``reference_sample_report`` builds a ``sample`` report from its records as
@@ -24,21 +26,70 @@ from shormps.mps import LOWER_REGISTER
 from shormps.numtheory import SemiprimeInstance, mod_pow
 from shormps.oracle import tvd_at_outcomes
 
+# (l, n, a, r, alpha, beta) past the paper's table (README), n = 1451 * 1447
+# and 2897 * 2903, and a row with a right block of 16 qubits, n = 7 * 65537
+BEYOND_PAPER_ROWS = [
+    (22, 2099597, 2, 1048350, 1, 524175),
+    (24, 8409991, 2, 2101048, 3, 262631),
+    (19, 458759, 3, 196608, 16, 3),
+]
 
 # ------------------------------------------------------------ dense modexp
 
-def build_initial(instance: SemiprimeInstance) -> tuple[MpsState, shor.LowerRegisterIndex]:
+class ReferenceIndex:
+    """R's residues in first-appearance order, in a list and a dict.
+
+    ``gate(mult)`` looks up the image of each residue reached so far in the
+    dict, appends it when new, and returns the map from old residue indices
+    to the indices of their images as ``int32``, the form
+    ``shor.LowerRegisterIndex.gate_maps`` must match byte for byte; ``maps``
+    keeps every gate's map.  ``residues``, ``dim`` and ``position`` read as
+    those of ``shor.LowerRegisterIndex`` do, so the dense stages take either.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.order = [1]
+        self.index = {1: 0}
+        self.maps: list[np.ndarray] = []
+
+    @property
+    def residues(self) -> np.ndarray:
+        return np.array(self.order, dtype=np.int64)
+
+    @property
+    def dim(self) -> int:
+        return len(self.order)
+
+    def position(self, v: int) -> int:
+        return self.index.get(v, -1)
+
+    def gate(self, mult: int) -> np.ndarray:
+        perm = np.empty(self.dim, dtype=np.int32)
+        for j in range(perm.size):
+            t = self.order[j] * mult % self.n
+            k = self.index.get(t)
+            if k is None:
+                k = len(self.order)
+                self.order.append(t)
+                self.index[t] = k
+            perm[j] = k
+        self.maps.append(perm)
+        return perm
+
+
+def build_initial(instance: SemiprimeInstance) -> tuple[MpsState, ReferenceIndex]:
     """Lower-register qudit alone, in state |1> with effective dimension 1.
 
     Upper qubits are created lazily as their gates are applied.
     """
     state = MpsState.product_state((1,), (0,), labels=[LOWER_REGISTER])
-    return state, shor.LowerRegisterIndex(instance.n)
+    return state, ReferenceIndex(instance.n)
 
 
 def apply_controlled_modexp(
     state: MpsState,
-    lower: shor.LowerRegisterIndex,
+    lower: ReferenceIndex,
     instance: SemiprimeInstance,
     i: int,
     side: str,
@@ -53,7 +104,8 @@ def apply_controlled_modexp(
     ``"A"`` puts the qubit right of R, which keeps the gate; the new bond
     between them gets unit weights, and the bond formerly right of R (unit
     weights, since every site there was created this way) now lies right of
-    the qubit.  No SVD runs on either side.
+    the qubit.  No SVD runs on either side.  The map comes from the dict
+    lookup of ``lower.gate``, never from ``shor.LowerRegisterIndex``.
     """
     mult = mod_pow(instance.a, 1 << i, instance.n)
     rpos = state.position_of(LOWER_REGISTER)
@@ -64,7 +116,7 @@ def apply_controlled_modexp(
     if side == "B":
         if rpos != state.n_sites - 1:
             raise _dense.PipelineStateError("left-side gate requires R at the right end")
-        perm = lower.extend(mult)
+        perm = lower.gate(mult)
         d_new = lower.dim
         shor._guard("modexp",
                     state.elements_live
@@ -82,7 +134,7 @@ def apply_controlled_modexp(
         state.lortho[rpos + 1] = False
         state.rortho[rpos + 1] = True  # identity block at the chain end
     elif side == "A":
-        perm = lower.extend(mult)
+        perm = lower.gate(mult)
         d_new = lower.dim
         shor._guard(
             "modexp",
@@ -150,27 +202,14 @@ def reference_index(instance):
     """Residues and multiplier maps of a whole modexp, one residue at a time.
 
     Gates run for qubits 2l-1 ... 0, most significant first, as in either
-    layout (the maps do not depend on it).  Each image is looked up in a dict
-    from residue to index and appended when new.  Returns the residues as a
-    list and the maps as ``int32`` arrays, the form ``shor.LowerRegisterIndex``
-    must match byte for byte.
+    layout (the maps do not depend on it), through a ``ReferenceIndex``.
+    Returns the residues as a list and the maps as ``int32`` arrays, the form
+    ``shor.LowerRegisterIndex`` must match byte for byte.
     """
-    residues = [1]
-    index = {1: 0}
-    maps = []
+    index = ReferenceIndex(instance.n)
     for i in reversed(range(instance.upper_qubits)):
-        mult = mod_pow(instance.a, 1 << i, instance.n)
-        perm = np.empty(len(residues), dtype=np.int32)
-        for j in range(perm.size):
-            t = residues[j] * mult % instance.n
-            k = index.get(t)
-            if k is None:
-                k = len(residues)
-                residues.append(t)
-                index[t] = k
-            perm[j] = k
-        maps.append(perm)
-    return residues, maps
+        index.gate(mod_pow(instance.a, 1 << i, instance.n))
+    return index.order, index.maps
 
 
 def reference_graded_ranks(lower, instance, alpha_hat, residues, right):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_shor import semiprime_and_base
 
 import _dense
-from _helpers import rank_oracle_for_bond, reference_sample_report
+from _helpers import BEYOND_PAPER_ROWS, rank_oracle_for_bond, reference_sample_report
 
 from shormps import __version__, cli, oracle, shor
 from shormps.numtheory import (
@@ -37,13 +37,6 @@ HUGE_N = "1" + "0" * 400 + "1"
 # just above and just below the simulated range n < 2^31
 ABOVE_2_31 = 3 * 715827883  # 2^31 + 1
 MERSENNE_31 = (1 << 31) - 1  # prime
-# (l, n, a, r, alpha, beta) past the paper's table (README), n = 1451 * 1447
-# and 2897 * 2903, and a row with a right block of 16 qubits, n = 7 * 65537
-BEYOND_PAPER_ROWS = [
-    (22, 2099597, 2, 1048350, 1, 524175),
-    (24, 8409991, 2, 2101048, 3, 262631),
-    (19, 458759, 3, 196608, 16, 3),
-]
 
 
 class TestSample:

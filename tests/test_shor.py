@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from _helpers import (
+    BEYOND_PAPER_ROWS,
     apply_controlled_modexp,
     build_initial,
     dense_modexp,
@@ -133,16 +134,42 @@ class TestModexpProperties:
                 assert rank == want, (layout, bond)
 
 
-def assert_matches_reference_index(lower, instance):
-    """``lower`` after a whole modexp equals the dict-based reference byte
+def assert_matches_reference_index(lower, reference):
+    """``lower`` after a whole modexp equals ``reference_index``'s result byte
     for byte: residues in order, and every map's dtype and values."""
-    residues, maps = reference_index(instance)
+    residues, maps = reference
     assert lower.residues.dtype == np.int64
     assert lower.residues.tolist() == residues
-    assert len(lower.maps) == len(maps)
-    for perm, want in zip(lower.maps, maps):
+    got = lower.gate_maps()
+    assert len(got) == len(maps)
+    for perm, want in zip(got, maps):
         assert perm.dtype == want.dtype == np.int32
         assert perm.tobytes() == want.tobytes()
+
+
+def assert_skips_only_idle_gates(instance, layout, reference):
+    """A whole modexp equals ``reference`` (``reference_index``) byte for
+    byte, records every gate's multiplier and R's dimension before it, and
+    calls ``extend`` on every gate but the idle ones (no new residue) after
+    the first.  Returns (lower, idle gates, gates ``extend`` skipped)."""
+    lower = shor.LowerRegisterIndex(instance.n)
+    extended = []
+
+    def spy(mult):
+        extended.append(mult)
+        shor.LowerRegisterIndex.extend(lower, mult)
+
+    lower.extend = spy
+    shor.run_modexp(lower, instance, shor.PipelineConfig(layout, 1 << 62))
+    residues, maps = reference
+    dims = [perm.size for perm in maps]
+    idle = [k for k, d in enumerate(dims[1:] + [len(residues)]) if d == dims[k]]
+    mults = [mod_pow(instance.a, 1 << i, instance.n)
+             for i in reversed(range(instance.upper_qubits))]
+    assert lower.mults == mults and lower.dims == dims
+    assert extended == [m for k, m in enumerate(mults) if k not in idle[1:]]
+    assert_matches_reference_index(lower, reference)
+    return lower, len(idle), len(mults) - len(extended)
 
 
 class TestResidueIndex:
@@ -150,36 +177,58 @@ class TestResidueIndex:
     @given(semiprime_and_base())
     def test_matches_dict_reference(self, case):
         inst = fresh(*case)
-        lower = graded_modexp(inst, "static")[0]
-        assert_matches_reference_index(lower, inst)
+        reference = reference_index(inst)
+        for layout in ("static", "dynamic"):
+            lower, idle, skipped = assert_skips_only_idle_gates(inst, layout, reference)
+            assert skipped == max(idle - 1, 0)
         where = {v: k for k, v in enumerate(lower.residues.tolist())}
         assert [lower.position(v) for v in range(inst.n)] == [
             where.get(v, -1) for v in range(inst.n)]
 
-    @pytest.mark.parametrize("l, n, a, r, alpha, beta", cli.PUBLISHED_ORDER_DATA,
-                             ids=[f"l{row[0]}" for row in cli.PUBLISHED_ORDER_DATA])
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta",
+                             cli.PUBLISHED_ORDER_DATA + BEYOND_PAPER_ROWS,
+                             ids=[f"l{row[0]}" for row in cli.PUBLISHED_ORDER_DATA
+                                  + BEYOND_PAPER_ROWS])
     def test_matches_dict_reference_on_published_rows(self, l, n, a, r, alpha, beta):
-        # the maps do not depend on the layout, so one pass per row covers both
+        # and past the paper: l = 22, 24 and the alpha = 16 row (l19); the
+        # maps do not depend on the layout, so one reference serves both
         inst = fresh(n, a)
-        lower = graded_modexp(inst, "static", max_elements=1 << 62)[0]
-        assert lower.dim == r
-        assert_matches_reference_index(lower, inst)
+        reference = reference_index(inst)
+        for layout in ("static", "dynamic"):
+            lower, idle, skipped = assert_skips_only_idle_gates(inst, layout, reference)
+            assert lower.dim == r
+            assert skipped == idle - 1
+
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    def test_skips_idle_gates_after_the_plateau(self, layout):
+        # n=16351 (r = 8036 = 2009 * 2^2): 15 of the 28 gates are idle, and
+        # all but the one that flags the plateau skip extend
+        inst = fresh(16351, 2)
+        _, idle, skipped = assert_skips_only_idle_gates(inst, layout, reference_index(inst))
+        assert (idle, skipped) == (15, 14)
 
     def test_gate_without_new_residue_keeps_the_arrays(self):
         # at n=16351 (r = 8036) 15 of the 28 gates reach no new residue
         inst = fresh(16351, 2)
         lower = shor.LowerRegisterIndex(inst.n)
         idle = 0
-        for i in reversed(range(inst.upper_qubits)):
+        for k, i in enumerate(reversed(range(inst.upper_qubits))):
             residues = lower.residues
             mult = mod_pow(inst.a, 1 << i, inst.n)
-            perm = lower.extend(mult)
-            assert np.array_equal(lower.residues[perm], residues * mult % inst.n)
+            assert lower.extend(mult) is None
+            assert (lower.mults[k], lower.dims[k]) == (mult, residues.size)
+            # the residues reached before, then the new images in source order
+            img = residues * mult % inst.n
+            assert np.array_equal(lower.residues[: residues.size], residues)
+            assert np.array_equal(lower.residues[residues.size:],
+                                  img[~np.isin(img, residues)])
             if lower.dim == residues.size:
                 idle += 1
                 assert lower.residues is residues
         assert idle == 15
-        assert_matches_reference_index(lower, inst)
+        for perm, mult, dim in zip(lower.gate_maps(), lower.mults, lower.dims):
+            assert np.array_equal(lower.residues[perm], lower.residues[:dim] * mult % inst.n)
+        assert_matches_reference_index(lower, reference_index(inst))
 
     @pytest.mark.parametrize("n", [0, 1, shor.MAX_SIMULATED_MODULUS,
                                    shor.MAX_SIMULATED_MODULUS + 1, 1 << 62])
@@ -203,8 +252,9 @@ class TestGradedModexp:
         assert alpha_hat == dense_alpha
         assert lower.residues.dtype == dense_lower.residues.dtype
         assert np.array_equal(lower.residues, dense_lower.residues)
-        assert len(lower.maps) == len(dense_lower.maps)
-        for perm, dense_perm in zip(lower.maps, dense_lower.maps):
+        maps = lower.gate_maps()
+        assert len(maps) == len(dense_lower.maps)
+        for perm, dense_perm in zip(maps, dense_lower.maps):
             assert perm.dtype == dense_perm.dtype and np.array_equal(perm, dense_perm)
 
         limit = data.draw(st.integers(1, tally), label="max_elements")
@@ -230,6 +280,8 @@ class TestGradedModexp:
         cfg = shor.PipelineConfig(layout=layout)
         rec = shor.sample_run(fresh(247, 2), cfg, np.random.default_rng(0))
         assert rec.peak_elements["build"] == 1
+        # only the sampler reads the gates' maps
+        monkeypatch.setattr(shor.LowerRegisterIndex, "gate_maps", banned)
         out = tmp_path / "p.json"
         assert cli.main(["profile", "--n", "247", "--a", "2", "--layout", layout,
                          "--out", str(out)]) == 0
@@ -467,16 +519,17 @@ def dense_reference(inst, layout, rng, forced_residue=None):
 def graded_law(lower):
     """Pr(s), summed over every outcome path of the graded sampler: each R
     residue, then both bits of every qubit, renormalized as the sampler does."""
-    counts = shor.forward_counts(lower)
+    maps = lower.gate_maps()
+    counts = shor.forward_counts(lower, maps)
     big_q = counts.sum()
     law = np.zeros(int(big_q))
     for t in range(lower.dim):
-        right = shor.right_counts(lower, t)
+        right = shor.right_counts(lower, maps, t)
         w = np.full((1, 1), 1.0 / np.sqrt(right[-1][0]), dtype=np.complex128)
         prob = np.array([counts[t] / big_q])
         phase = np.zeros(1)
         s = np.zeros(1, dtype=np.int64)
-        for depth, (perm, right_j) in enumerate(zip(lower.maps, reversed(right[:-1]))):
+        for depth, (perm, right_j) in enumerate(zip(maps, reversed(right[:-1]))):
             branches, probs = shor.residue_branches(w, perm, right_j, phase)
             path, bit = np.nonzero(probs > 0)
             w = branches[path, bit] / np.sqrt(probs[path, bit])[:, None]
@@ -532,9 +585,10 @@ class TestGradedSampler:
         lower, _, _, _ = graded_modexp(inst, "static")
         x = np.arange(1 << (2 * inst.l))
         residues = np.array([lower.position(pow(2, int(k), 21)) for k in x])
-        assert np.array_equal(shor.forward_counts(lower), np.bincount(residues))
+        maps = lower.gate_maps()
+        assert np.array_equal(shor.forward_counts(lower, maps), np.bincount(residues))
         t = lower.position(11)
-        right = shor.right_counts(lower, t)
+        right = shor.right_counts(lower, maps, t)
         for j in (0, 3, 2 * inst.l):
             want = [sum(c * pow(2, v, 21) % 21 == 11 for v in range(1 << j))
                     for c in lower.residues[: right[j].size]]
@@ -548,8 +602,9 @@ class TestGradedSampler:
         inst = fresh(*case)
         lower = graded_modexp(inst, "static")[0]
         other = graded_modexp(inst, "dynamic")[0]
-        assert len(lower.maps) == len(other.maps)
-        assert all(np.array_equal(p, q) for p, q in zip(lower.maps, other.maps))
+        maps, other_maps = lower.gate_maps(), other.gate_maps()
+        assert len(maps) == len(other_maps)
+        assert all(np.array_equal(p, q) for p, q in zip(maps, other_maps))
         r = multiplicative_order(inst.a, inst.n)
         want = oracle.exact_distribution(inst.l, r).probs
         assert np.max(np.abs(graded_law(lower) - want)) <= 1e-12
@@ -561,7 +616,7 @@ class TestGradedSampler:
         for layout in ("static", "dynamic"):
             lower, alpha_hat, _, _ = graded_modexp(inst, layout)
             residue = data.draw(st.sampled_from(lower.residues.tolist()))
-            right = shor.right_counts(lower, [lower.position(residue)])
+            right = shor.right_counts(lower, lower.gate_maps(), [lower.position(residue)])
             (ranks,) = shor.graded_ranks(alpha_hat, right)
             _, (want, _), _ = dense_reference(inst, layout, np.random.default_rng(0),
                                               forced_residue=residue)
@@ -574,7 +629,8 @@ class TestGradedSampler:
         lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic")
         residues = data.draw(st.lists(st.sampled_from(lower.residues.tolist()),
                                       min_size=1, max_size=4))
-        right = shor.right_counts(lower, [lower.position(c) for c in residues])
+        right = shor.right_counts(lower, lower.gate_maps(),
+                                  [lower.position(c) for c in residues])
         assert shor.graded_ranks(alpha_hat, right) == reference_graded_ranks(
             lower, inst, alpha_hat, residues, right)
 
@@ -588,7 +644,7 @@ class TestGradedSampler:
         lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic", max_elements=1 << 44)
         assert alpha_hat == alpha
         residues = [int(lower.residues[-1])]
-        right = shor.right_counts(lower, [lower.dim - 1])
+        right = shor.right_counts(lower, lower.gate_maps(), [lower.dim - 1])
         ranks = shor.graded_ranks(alpha_hat, right)
         assert ranks == reference_graded_ranks(lower, inst, alpha_hat, residues, right)
         assert ranks[0][len(ranks[0]) - alpha + 1:] == (1,) * (alpha - 1)

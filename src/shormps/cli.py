@@ -18,11 +18,17 @@ both exit 0.  An unknown command or flag, a missing value, a non-integer for
 an integer flag, a value outside a flag's choices or a missing required
 ``--n`` exits 2 after one ``error:`` line on stderr.
 
-Exit codes: 0 success, 2 invalid input (a message on stderr, never a
-traceback; an ``--out`` that cannot be written counts too, and is refused
-before the job runs), 3 resource limit exhausted (the element guard, an
-allocation the machine refuses, or the order search cap), 4 verification
-failure (``verify-paper`` finds a published row it cannot reproduce).
+Exit codes: 0 success, 2 invalid input (an ``--out`` that cannot be written
+counts too, and is refused before the job runs), 3 resource limit exhausted
+(the element guard, an allocation the machine refuses, or the order search
+cap), 4 verification failure (``verify-paper`` finds a published row it
+cannot reproduce).  Commands and their helpers raise on failure, and
+``main`` alone maps every failure to its exit code and one ``error:`` line
+on stderr, never a traceback: ``_UsageError`` exits 2, and
+``MemoryLimitError``, ``OrderSearchCapError`` and ``MemoryError`` exit 3.
+A ``ValueError`` counts as invalid input only where the flags build the
+instance and where ``oracle`` builds its table; anywhere else it is a fault
+of the program and propagates.
 Reports are deterministic for a fixed (flags, seed) pair.  Sample k draws
 from PCG64 seeded through ``SeedSequence(seed + k)``, the stream of
 ``numpy.random.default_rng(seed + k)``, computed in ``shormps.rng`` so that
@@ -74,7 +80,7 @@ from .numtheory import (
     register_bits,
     two_adic_split,
 )
-from .oracle import LAW_MAX_L, DenseCapError, exact_distribution, tvd_at_outcomes
+from .oracle import DENSE_CAP, LAW_MAX_L, DenseCapError, exact_distribution, tvd_at_outcomes
 from .rng import streams
 from .shor import (
     MAX_SIMULATED_MODULUS,
@@ -124,9 +130,10 @@ _INSTANCE_FLAGS = {
 _COMMANDS = {
     "sample": ("sample end-to-end measurement outcomes", {
         **_INSTANCE_FLAGS,
+        "--format": (("json",), "json", "report format"),
         "--samples": (int, 1, "number of samples"),
         "--seed": (int, 0, "sample k draws from PCG64 seeded with seed + k"),
-        "--dense-cap": (int, 1 << 26, "skip the report's exact law when 2^(2l) exceeds it"),
+        "--dense-cap": (int, DENSE_CAP, "skip the report's exact law when 2^(2l) exceeds it"),
     }),
     "verify-paper": ("recompute the published (r, alpha, beta)", {"--out": _OUT}),
     "profile": ("rank profiles after modular exponentiation", _INSTANCE_FLAGS),
@@ -137,7 +144,7 @@ _COMMANDS = {
         "--a": (int, None, "base (with --n)"),
         "--p": (int, None, "known factor of n (finds the order at once)"),
         "--q": (int, None, "known factor of n (finds the order at once)"),
-        "--dense-cap": (int, 1 << 26, "refuse a law of more entries than this"),
+        "--dense-cap": (int, DENSE_CAP, "refuse a law of more entries than this"),
         "--out": _OUT,
         "--format": _FORMAT,
     }),
@@ -145,7 +152,9 @@ _COMMANDS = {
 
 
 class _UsageError(Exception):
-    """A malformed command line; ``main`` prints it as one error line."""
+    """Invalid input: a malformed command line, a flag value a command
+    refuses, or an unwritable ``--out``; ``main`` prints it as one error
+    line and exits 2."""
 
 
 def _usage(command: str | None = None) -> str:
@@ -218,9 +227,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _write(text: str, out: str | None) -> int:
-    """Write ``text``, ending in one newline, to ``out`` (stdout when None).
-    Returns EXIT_OK, or EXIT_INVALID after one error line when ``out``
-    cannot be written (a missing directory, a directory, no permission)."""
+    """Write ``text``, ending in one newline, to ``out`` (stdout when None)
+    and return EXIT_OK.  Raises _UsageError when ``out`` cannot be written
+    (a missing directory, a directory, no permission)."""
     if not text.endswith("\n"):
         text += "\n"
     if not out:
@@ -230,8 +239,7 @@ def _write(text: str, out: str | None) -> int:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     return EXIT_OK
 
 
@@ -262,22 +270,26 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _validate_semiprime(n: int, bound: int = MAX_MODULUS) -> str | None:
-    """Why ``n`` is not an odd semiprime below ``bound`` (a power of two),
-    or None.  ``sample`` and ``profile`` pass ``MAX_SIMULATED_MODULUS``."""
+def _validate_semiprime(n: int, bound: int = MAX_MODULUS) -> None:
+    """Raise _UsageError unless ``n`` is an odd semiprime below ``bound`` (a
+    power of two).  ``sample`` and ``profile`` pass ``MAX_SIMULATED_MODULUS``."""
     if n < 9 or n % 2 == 0:
-        return f"n must be an odd integer >= 9, got {n}"
+        raise _UsageError(f"n must be an odd integer >= 9, got {n}")
     if n >= bound:
         # first: the prime-power test's float roots overflow on huge n
-        return f"n exceeds the supported {bound.bit_length() - 1}-bit range"
+        raise _UsageError(f"n exceeds the supported {bound.bit_length() - 1}-bit range")
     if is_probable_prime(n):
-        return f"n = {n} is prime"
+        raise _UsageError(f"n = {n} is prime")
     if is_prime_power(n):
-        return f"n = {n} is a prime power"
-    return None
+        raise _UsageError(f"n = {n} is a prime power")
 
 
-def _instance_from_args(args) -> tuple[SemiprimeInstance, list[int]]:
+def _pipeline_from_args(args) -> tuple[SemiprimeInstance, list[int], dict[str, PipelineConfig]]:
+    """The instance of ``sample``'s and ``profile``'s flags, the lucky
+    factors met while drawing its base, and one config per layout of
+    ``--layout``.  Raises _UsageError on invalid input."""
+    _validate_semiprime(args.n, MAX_SIMULATED_MODULUS)
+    layouts = ["static", "dynamic"] if args.layout == "both" else [args.layout]
     a = args.a
     lucky: list[int] = []
     if a is None:
@@ -286,7 +298,13 @@ def _instance_from_args(args) -> tuple[SemiprimeInstance, list[int]]:
         # numpy.random
         rng = np.random.default_rng(getattr(args, "seed", 0))
         a = random_coprime(args.n, rng, on_lucky_factor=lucky.append)
-    return SemiprimeInstance.make(args.n, a, p=args.p, q=args.q), lucky
+    try:
+        inst = SemiprimeInstance.make(args.n, a, p=args.p, q=args.q)
+        configs = {layout: PipelineConfig(layout=layout, max_elements=args.max_elements)
+                   for layout in layouts}
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return inst, lucky, configs
 
 
 def _instance_echo(inst: SemiprimeInstance) -> dict:
@@ -407,44 +425,18 @@ def _aggregate(records: list[SampleRecord], l: int, r: int | None) -> dict:
 
 
 def cmd_sample(args) -> int:
-    if args.format != "json":
-        print("error: sample reports are JSON-only", file=sys.stderr)
-        return EXIT_INVALID
     if args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.dense_cap < 1:
-        print(f"error: --dense-cap must be at least 1, got {args.dense_cap}", file=sys.stderr)
-        return EXIT_INVALID
-    problem = _validate_semiprime(args.n, MAX_SIMULATED_MODULUS)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INVALID
-    layouts = ["static", "dynamic"] if args.layout == "both" else [args.layout]
-    try:
-        inst, lucky = _instance_from_args(args)
-        configs = {
-            layout: PipelineConfig(layout=layout, max_elements=args.max_elements)
-            for layout in layouts
-        }
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _UsageError(f"--dense-cap must be at least 1, got {args.dense_cap}")
+    inst, lucky, configs = _pipeline_from_args(args)
     started = perf_counter()
-    try:
-        records = {
-            layout: sample_runs(inst, cfg, streams(args.seed, args.samples))
-            for layout, cfg in configs.items()
-        }
-    except MemoryLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError as exc:
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
-        return EXIT_RESOURCE
+    records = {
+        layout: sample_runs(inst, cfg, streams(args.seed, args.samples))
+        for layout, cfg in configs.items()
+    }
     # the order depends on the instance alone
     r = _reference_order(inst, args.dense_cap)
     # each layout's records stand in as a marker string that no other report
@@ -504,46 +496,26 @@ def cmd_verify_paper(args) -> int:
             f"{'PASS' if row_ok else 'FAIL'}"
         )
     if args.out:
-        code = _write(_dump_json({"schema": 1, "command": "verify-paper", "rows": rows}), args.out)
-        if code != EXIT_OK:
-            return code
+        _write(_dump_json({"schema": 1, "command": "verify-paper", "rows": rows}), args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 # --------------------------------------------------------------------- profile
 
 def cmd_profile(args) -> int:
-    problem = _validate_semiprime(args.n, MAX_SIMULATED_MODULUS)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INVALID
-    layouts = ["static", "dynamic"] if args.layout == "both" else [args.layout]
-    try:
-        inst, _ = _instance_from_args(args)
-        configs = {layout: PipelineConfig(layout=layout, max_elements=args.max_elements)
-                   for layout in layouts}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    inst, _, configs = _pipeline_from_args(args)
     profiles: list[tuple[str, RankProfile]] = []
     elements = {}
-    try:
-        for layout, cfg in configs.items():
-            lower = LowerRegisterIndex(inst.n)
-            _, profile, tally = run_modexp(lower, inst, cfg)
-            profiles.append((layout, profile))
-            # the tally only grows, so the final one is the peak
-            elements[layout] = {
-                "live": tally,
-                "peak": tally,
-                "lower_register_dim": lower.dim,
-            }
-    except MemoryLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError as exc:
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
-        return EXIT_RESOURCE
+    for layout, cfg in configs.items():
+        lower = LowerRegisterIndex(inst.n)
+        _, profile, tally = run_modexp(lower, inst, cfg)
+        profiles.append((layout, profile))
+        # the tally only grows, so the final one is the peak
+        elements[layout] = {
+            "live": tally,
+            "peak": tally,
+            "lower_register_dim": lower.dim,
+        }
     if len(elements) == 2:
         print(
             "element count comparison:"
@@ -581,34 +553,23 @@ def cmd_profile(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.r is not None and args.l is None:
-        print("error: --r needs --l", file=sys.stderr)
-        return EXIT_INVALID
+        raise _UsageError("--r needs --l")
     if (args.l is None or args.r is None) and (args.n is None or args.a is None):
-        print("error: supply --l with --r, or --n with --a", file=sys.stderr)
-        return EXIT_INVALID
+        raise _UsageError("supply --l with --r, or --n with --a")
     if args.r is not None:
         l, r = args.l, args.r
     else:
-        problem = _validate_semiprime(args.n)
-        if not problem:
-            try:
-                SemiprimeInstance.make(args.n, args.a, p=args.p, q=args.q)
-            except ValueError as exc:
-                problem = str(exc)
-        if problem:
-            print(f"error: {problem}", file=sys.stderr)
-            return EXIT_INVALID
-        l = args.l if args.l is not None else register_bits(args.n)
+        _validate_semiprime(args.n)
         try:
-            r = multiplicative_order(args.a, args.n, args.p, args.q)
-        except OrderSearchCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+            SemiprimeInstance.make(args.n, args.a, p=args.p, q=args.q)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+        l = args.l if args.l is not None else register_bits(args.n)
+        r = multiplicative_order(args.a, args.n, args.p, args.q)
     try:
         table = exact_distribution(l, r, cap=args.dense_cap)
     except (ValueError, DenseCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _UsageError(str(exc)) from None
     if args.format == "csv":
         lines = ["s,probability"] + [
             f"{s},{float(p)!r}" for s, p in enumerate(table.probs)
@@ -625,24 +586,29 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where a failure becomes its exit code
+    and one ``error:`` line on stderr.  Any other exception propagates."""
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK
+        problem = _unwritable(args.out)
+        if problem:
+            raise _UsageError(f"cannot write {args.out}: {problem}")
+        handler = {
+            "sample": cmd_sample,
+            "verify-paper": cmd_verify_paper,
+            "profile": cmd_profile,
+            "oracle": cmd_oracle,
+        }[args.command]
+        return handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args is None:
-        return EXIT_OK
-    problem = _unwritable(args.out)
-    if problem:
-        print(f"error: cannot write {args.out}: {problem}", file=sys.stderr)
-        return EXIT_INVALID
-    handler = {
-        "sample": cmd_sample,
-        "verify-paper": cmd_verify_paper,
-        "profile": cmd_profile,
-        "oracle": cmd_oracle,
-    }[args.command]
-    return handler(args)
+    except (MemoryLimitError, OrderSearchCapError, MemoryError) as exc:
+        # an exception is truthy even when its message is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

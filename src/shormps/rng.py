@@ -1,29 +1,28 @@
 """PCG64 uniform draws in pure Python, seeded as numpy seeds them.
 
-``Pcg64(seed).random()`` returns, draw for draw, the floats of
-``numpy.random.default_rng(seed).random()``: numpy's ``SeedSequence`` turns
-the seed into four 64-bit words (32-bit hash mixing of the seed's words into a
-pool of four, then eight output words), ``PCG64`` takes them as its 128-bit
-initial state and increment (O'Neill 2014, PCG XSL-RR 128/64), and
-``Generator.random`` keeps the top 53 bits of each 64-bit output.  ``sample``
-draws from it so that its process never imports ``numpy.random``, which costs
-15-18 ms on first use.
+The k-th generator of ``streams(first, count)`` returns, draw for draw, the
+floats of ``numpy.random.default_rng(first + k).random()``: numpy's
+``SeedSequence`` turns the seed into four 64-bit words (32-bit hash mixing of
+the seed's words into a pool of four, then eight output words), ``PCG64``
+takes them as its 128-bit initial state and increment (O'Neill 2014, PCG
+XSL-RR 128/64), and ``Generator.random`` keeps the top 53 bits of each 64-bit
+output.  ``sample`` draws from it so that its process never imports
+``numpy.random``, which costs 15-18 ms on first use.
 
 ``streams(first, count)`` seeds the generators of seeds ``first ...
 first+count-1`` ``SEED_BLOCK`` at a time, hashing a whole block in numpy
-``uint64`` lanes (one seed per column, 32-bit arithmetic masked), and
-``Pcg64(seed)`` is a block of one.  That is exact because the constant the
-hash uses at its k-th call is ``INIT * MULT^k mod 2^32`` whatever the seed,
-so the constants are tables built at import (``_hash_consts``); within one
-source row of the mixing loop the three hashes are independent, so each
-step is one array operation; and a seed of four words or fewer is hashed
-exactly as if zero-padded to four.  Words past the fourth mix into their
-own seeds' pools only, with constants computed for the block's longest
-seed, so seeds have no size cap.  In a fresh ``sample`` process (2-vCPU VM)
-the first block costs about 0.4 ms for 100 seeds, 0.25 ms for 30 and
-0.18 ms for one, against 2.6, 0.9 and 0.08 ms when each seed was hashed
-word by word in Python (20-28 us a seed once warm); a draw costs about a
-microsecond.
+``uint64`` lanes (one seed per column, 32-bit arithmetic masked).  That is
+exact because the constant the hash uses at its k-th call is ``INIT *
+MULT^k mod 2^32`` whatever the seed, so the constants are tables built at
+import (``_hash_consts``); within one source row of the mixing loop the three
+hashes are independent, so each step is one array operation; and a seed of
+four words or fewer is hashed exactly as if zero-padded to four.  Words past
+the fourth mix into their own seeds' pools only, with constants computed for
+the block's longest seed, so seeds have no size cap.  In a fresh ``sample``
+process (2-vCPU VM) the first block costs about 0.4 ms for 100 seeds, 0.25 ms
+for 30 and 0.18 ms for one, against 2.6, 0.9 and 0.08 ms when each seed was
+hashed word by word in Python (20-28 us a seed once warm); a draw costs about
+a microsecond.
 """
 
 from __future__ import annotations
@@ -130,15 +129,12 @@ def _generate_states(first: int, count: int) -> list[list[int]]:
 
 
 class Pcg64:
-    """The stream of ``numpy.random.default_rng(seed)``, for ``random()`` only."""
+    """PCG64 started from the four state words that ``SeedSequence``
+    generates, for ``random()`` only; ``streams`` builds them."""
 
     __slots__ = ("_state", "_inc")
 
-    def __init__(self, seed: int):
-        (words,) = _generate_states(seed, 1)
-        self._seed(words)
-
-    def _seed(self, words: list[int]) -> None:
+    def __init__(self, words: list[int]):
         s0, s1, s2, s3 = words
         self._inc = ((s2 << 64 | s3) << 1 | 1) & _M128
         # numpy's srandom: state 0, step, add the initial state, step
@@ -155,11 +151,9 @@ class Pcg64:
 
 
 def streams(first: int, count: int):
-    """``Pcg64(first + k)`` for k < ``count``, in order, seeded ``SEED_BLOCK``
-    at a time; a negative seed raises ``ValueError`` at the first draw of
-    the iterator."""
+    """``Pcg64``s drawing as ``numpy.random.default_rng(first + k)`` for k <
+    ``count``, in order, seeded ``SEED_BLOCK`` at a time; a negative seed
+    raises ``ValueError`` at the first draw of the iterator."""
     for start in range(first, first + count, SEED_BLOCK):
         for words in _generate_states(start, min(SEED_BLOCK, first + count - start)):
-            rng = Pcg64.__new__(Pcg64)
-            rng._seed(words)
-            yield rng
+            yield Pcg64(words)

@@ -442,13 +442,6 @@ def assemble_s(bits, l: int) -> int:
 BATCH_ELEMENTS = 1 << 20
 
 
-def sample_run(
-    instance: SemiprimeInstance, config: PipelineConfig, rng
-) -> SampleRecord:
-    """One end-to-end sample drawn from ``rng``: ``sample_runs`` with one generator."""
-    return sample_runs(instance, config, [rng])[0]
-
-
 def sample_runs(
     instance: SemiprimeInstance, config: PipelineConfig, rngs
 ) -> list[SampleRecord]:
@@ -468,8 +461,7 @@ def sample_runs(
     The samples are drawn in batches, every array carrying a leading sample
     axis.  Sample k draws only from ``rngs[k]``, R first and then qubits
     2l-1 ... 0, and its arithmetic is elementwise or along a residue axis, so
-    its record is the same whether it is drawn alone or in any batch, and
-    the same as a ``sample_run`` call with that generator.  ``rngs`` may be
+    its record is the same whether it is drawn alone or in any batch.  ``rngs`` may be
     any iterable of objects with a ``random()`` method returning a float in
     [0, 1), such as numpy ``Generator``s or ``rng.Pcg64``s; it is read one
     batch at a time.

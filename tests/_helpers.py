@@ -14,7 +14,8 @@ table-based ``shor.LowerRegisterIndex`` and its maps, and
 force, as a reference for their closed form in ``shor.graded_ranks``.
 ``reference_sample_report`` builds a ``sample`` report from its records as
 one dict, which one ``json.dumps`` call encodes, as a reference for the
-report that ``cli`` assembles from fragments.
+report that ``cli`` assembles from fragments.  ``sample_run`` draws one
+sample from one generator, for tests that compare samples one by one.
 """
 
 import numpy as np
@@ -288,6 +289,15 @@ def identity_split_pair(block):
                      np.iscomplexobj(block))
     state.rortho[1] = True
     return state
+
+
+# ------------------------------------------------------------------ sampling
+
+def sample_run(instance, config, rng) -> shor.SampleRecord:
+    """One end-to-end sample drawn from ``rng``: ``shor.sample_runs`` with
+    one generator, whose records do not depend on how the generators are
+    batched."""
+    return shor.sample_runs(instance, config, [rng])[0]
 
 
 # -------------------------------------------------------- report reference

@@ -17,6 +17,7 @@ from _helpers import (
     graded_modexp,
     mps_as_canonical_dense,
     rank_oracle_for_bond,
+    sample_run,
 )
 
 import _dense
@@ -163,7 +164,7 @@ def test_criterion_7_factor_recovery():
     inst = SemiprimeInstance.make(21, 2)
     cfg = shor.PipelineConfig(layout="dynamic")
     wins = sum(
-        shor.sample_run(inst, cfg, np.random.default_rng(k)).factors == (3, 7)
+        sample_run(inst, cfg, np.random.default_rng(k)).factors == (3, 7)
         for k in range(50)
     )
     announce(7, wins >= 10, f"({wins}/50 recoveries)")

@@ -188,9 +188,10 @@ class TestSample:
             assert aggregate["order_r"] == 3870
             assert 0 <= aggregate["tvd_vs_oracle"] <= 1
 
-    def test_csv_rejected_for_sample(self):
+    def test_csv_rejected_for_sample(self, capsys):
         assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "1",
                         "--format", "csv"]) == 2
+        assert capsys.readouterr().err == "error: --format must be one of json, got 'csv'\n"
 
     def test_sample_runs_no_svd(self, monkeypatch, tmp_path):
         def broken(*args, **kwargs):
@@ -390,6 +391,30 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Unable to allocate 84 bytes\n"
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 2147483648 bytes", "Unable to allocate 2147483648 bytes"),
+        ("", "out of memory"),
+    ])
+    def test_oracle_out_of_memory_exits_3(self, message, line, monkeypatch, capsys):
+        # a --dense-cap raised past what the machine will allocate
+        def refused(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "exact_distribution", refused)
+        assert run_cli(["oracle", "--l", "14", "--r", "3", "--dense-cap", str(1 << 32)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
+
+    def test_program_fault_propagates(self, monkeypatch):
+        # a ValueError past the input checks is a fault, not invalid input
+        def fault(*args, **kwargs):
+            raise ValueError("fault in the sampler")
+
+        monkeypatch.setattr(cli, "sample_runs", fault)
+        with pytest.raises(ValueError, match="fault in the sampler"):
+            run_cli(["sample", "--n", "21", "--a", "2"])
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=lambda argv: argv[0])

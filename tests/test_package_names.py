@@ -16,7 +16,6 @@ PACKAGE = Path(shormps.__file__).parent
 # "<module>.<name>", or "<module>" for all of a module's names -> the reason
 # it stays without a caller
 ALLOWED = {
-    "shor.sample_run": "perfbench/tracing.py keeps its call durations by this name",
     "tensor": "perfbench/tracing.py imports the module by name to wrap its functions",
 }
 

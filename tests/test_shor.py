@@ -18,6 +18,7 @@ from _helpers import (
     rank_oracle_for_bond,
     reference_graded_ranks,
     reference_index,
+    sample_run,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,7 +279,7 @@ class TestGradedModexp:
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
-        rec = shor.sample_run(fresh(247, 2), cfg, np.random.default_rng(0))
+        rec = sample_run(fresh(247, 2), cfg, np.random.default_rng(0))
         assert rec.peak_elements["build"] == 1
         # only the sampler reads the gates' maps
         monkeypatch.setattr(shor.LowerRegisterIndex, "gate_maps", banned)
@@ -577,7 +578,7 @@ class TestGradedSampler:
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
-        rec = shor.sample_run(fresh(n, a), cfg, np.random.default_rng(3))
+        rec = sample_run(fresh(n, a), cfg, np.random.default_rng(3))
         assert rec.rank_profiles[-1] == mps.RankProfile("qft", (), (0,))
 
     def test_counts(self):
@@ -670,7 +671,7 @@ class TestSampleRun:
     def test_record_fields_n21(self):
         inst = fresh(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
-        rec = shor.sample_run(inst, cfg, np.random.default_rng(7))
+        rec = sample_run(inst, cfg, np.random.default_rng(7))
         assert rec.n == 21 and rec.a == 2 and rec.l == 5
         assert rec.alpha_hat == 1
         assert rec.measured_residue in {1, 2, 4, 8, 16, 11}
@@ -685,7 +686,7 @@ class TestSampleRun:
         inst = fresh(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         wins = sum(
-            shor.sample_run(inst, cfg, np.random.default_rng(1000 + k)).factors
+            sample_run(inst, cfg, np.random.default_rng(1000 + k)).factors
             == (3, 7)
             for k in range(20)
         )
@@ -695,14 +696,14 @@ class TestSampleRun:
         inst = fresh(15, 7)  # order 4 divides 2^(2l): exact four-peak comb
         cfg = shor.PipelineConfig(layout="dynamic")
         for k in range(60):
-            rec = shor.sample_run(inst, cfg, np.random.default_rng(k))
+            rec = sample_run(inst, cfg, np.random.default_rng(k))
             assert rec.measured_s in (0, 256, 512, 768)
 
     def test_static_layout_end_to_end(self):
         inst = fresh(15, 7)
         cfg = shor.PipelineConfig(layout="static")
         for k in range(20):
-            rec = shor.sample_run(inst, cfg, np.random.default_rng(k))
+            rec = sample_run(inst, cfg, np.random.default_rng(k))
             assert rec.layout == "static" and rec.alpha_hat is None
             assert rec.measured_s in (0, 256, 512, 768)
 
@@ -710,7 +711,7 @@ class TestSampleRun:
         inst = fresh(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic", max_elements=10)
         with pytest.raises(shor.MemoryLimitError):
-            shor.sample_run(inst, cfg, np.random.default_rng(0))
+            sample_run(inst, cfg, np.random.default_rng(0))
 
     @settings(max_examples=40, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 40]),
@@ -743,7 +744,7 @@ class TestSampleRun:
         inst = fresh(*case)
         cfg = shor.PipelineConfig(layout=layout)
         batch = without_timings(shor.sample_runs(inst, cfg, seeded(seed, m)))
-        alone = [shor.sample_run(inst, cfg, np.random.default_rng(seed + k)) for k in range(m)]
+        alone = [sample_run(inst, cfg, np.random.default_rng(seed + k)) for k in range(m)]
         assert batch == without_timings(alone)
         cut = data.draw(st.integers(0, m), label="split")
         first = shor.sample_runs(inst, cfg, seeded(seed, cut))
@@ -758,7 +759,7 @@ class TestSampleRun:
     def test_stage_seconds_share_the_call(self):
         inst = fresh(247, 2)
         cfg = shor.PipelineConfig(layout="static")
-        per_sample = shor.sample_run(inst, cfg, np.random.default_rng(0)).peak_elements
+        per_sample = sample_run(inst, cfg, np.random.default_rng(0)).peak_elements
         bound = 2 * max(per_sample["measure"], per_sample["qft"])
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
             records = shor.sample_runs(inst, cfg, seeded(0, 5))
@@ -776,7 +777,7 @@ class TestSampleRun:
         inst = fresh(n, 2)
         cfg = shor.PipelineConfig(layout="static")
         m = 100 if n == 21 else 30
-        alone = [shor.sample_run(inst, cfg, rng) for rng in seeded(5000, m)]
+        alone = [sample_run(inst, cfg, rng) for rng in seeded(5000, m)]
         calls = []
         classical = shor._classical
 
@@ -827,8 +828,8 @@ class TestSampleRun:
     def test_determinism(self):
         inst = fresh(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
-        a = shor.sample_run(inst, cfg, np.random.default_rng(42))
-        b = shor.sample_run(inst, cfg, np.random.default_rng(42))
+        a = sample_run(inst, cfg, np.random.default_rng(42))
+        b = sample_run(inst, cfg, np.random.default_rng(42))
         assert a.measured_s == b.measured_s
         assert a.measured_residue == b.measured_residue
         assert a.convergents == b.convergents
@@ -843,7 +844,7 @@ class TestEndToEndDistribution:
         counts = np.zeros(1024)
         draws = 2000
         for k in range(draws):
-            rec = shor.sample_run(inst, cfg, np.random.default_rng(10_000 + k))
+            rec = sample_run(inst, cfg, np.random.default_rng(10_000 + k))
             counts[rec.measured_s] += 1
         table = oracle.exact_distribution(5, 6)
         assert _dense.tvd(table, counts) < 0.08

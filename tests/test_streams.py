@@ -1,10 +1,11 @@
 """``shormps.rng.streams`` seeds a block of generators in one array pass, and
-each is the stream of ``Pcg64(seed)`` and ``numpy.random.default_rng(seed)``."""
+each is the stream of ``numpy.random.default_rng(seed)`` and of the one-seed
+``streams(seed, 1)``."""
 
 import numpy as np
 import pytest
 
-from shormps.rng import SEED_BLOCK, Pcg64, streams
+from shormps.rng import SEED_BLOCK, streams
 
 RUNS = {
     "block": (0, SEED_BLOCK + 5),  # crosses a block boundary
@@ -24,7 +25,7 @@ def test_streams_equal_pcg64_and_numpy(first, count):
     got = list(streams(first, count))
     assert len(got) == count
     for k, ours in enumerate(got):
-        alone, theirs = Pcg64(first + k), np.random.default_rng(first + k)
+        alone, theirs = next(streams(first + k, 1)), np.random.default_rng(first + k)
         for draw in range(4):
             want = theirs.random()
             assert ours.random() == alone.random() == want, (first + k, draw)
@@ -41,4 +42,4 @@ def test_negative_seed_is_refused(first, count):
     with pytest.raises(ValueError, match="non-negative"):
         list(streams(first, count))
     with pytest.raises(ValueError, match="non-negative"):
-        Pcg64(first)
+        next(streams(first, 1))

@@ -70,9 +70,9 @@ from .mps import RankProfile
 from .numtheory import (
     MAX_MODULUS,
     ORDER_ITERATION_CAP,
-    OrderProfile,
     OrderSearchCapError,
     SemiprimeInstance,
+    carmichael_semiprime,
     is_prime_power,
     is_probable_prime,
     multiplicative_order,
@@ -123,7 +123,8 @@ _INSTANCE_FLAGS = {
     "--p": (int, None, "known factor (verification only)"),
     "--q": (int, None, "known factor (verification only)"),
     "--layout": _LAYOUT,
-    "--max-elements": (int, 1 << 30, "element limit of every stage; past it, exit 3"),
+    "--max-elements": (int, PipelineConfig.max_elements,
+                       "element limit of every stage; past it, exit 3"),
     "--out": _OUT,
     "--format": _FORMAT,
 }
@@ -299,7 +300,7 @@ def _pipeline_from_args(args) -> tuple[SemiprimeInstance, list[int], dict[str, P
         rng = np.random.default_rng(getattr(args, "seed", 0))
         a = random_coprime(args.n, rng, on_lucky_factor=lucky.append)
     try:
-        inst = SemiprimeInstance.make(args.n, a, p=args.p, q=args.q)
+        inst = SemiprimeInstance(args.n, a, args.p, args.q)
         configs = {layout: PipelineConfig(layout=layout, max_elements=args.max_elements)
                    for layout in layouts}
     except ValueError as exc:
@@ -312,16 +313,19 @@ def _instance_echo(inst: SemiprimeInstance) -> dict:
 
 
 def _order_profile_echo(inst: SemiprimeInstance) -> dict | None:
+    """r = beta 2^alpha, lambda(n) and the two-adic valuations d_p, d_q of
+    p-1 and q-1, or None without the factors."""
     if inst.p is None:
         return None
-    prof = OrderProfile.of(inst)
+    r = multiplicative_order(inst.a, inst.n, inst.p, inst.q)
+    alpha, beta = two_adic_split(r)
     return {
-        "r": prof.r,
-        "alpha": prof.alpha,
-        "beta": prof.beta,
-        "lambda_n": prof.lambda_n,
-        "dp": prof.dp,
-        "dq": prof.dq,
+        "r": r,
+        "alpha": alpha,
+        "beta": beta,
+        "lambda_n": carmichael_semiprime(inst.p, inst.q),
+        "dp": two_adic_split(inst.p - 1)[0],
+        "dq": two_adic_split(inst.q - 1)[0],
     }
 
 
@@ -552,27 +556,29 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
-    if args.r is not None and args.l is None:
-        raise _UsageError("--r needs --l")
-    if (args.l is None or args.r is None) and (args.n is None or args.a is None):
-        raise _UsageError("supply --l with --r, or --n with --a")
     if args.r is not None:
+        if args.l is None:
+            raise _UsageError("--r needs --l")
+        if any(value is not None for value in (args.n, args.a, args.p, args.q)):
+            raise _UsageError("--r cannot be combined with --n, --a, --p or --q")
         l, r = args.l, args.r
+    elif args.n is None or args.a is None:
+        raise _UsageError("supply --l with --r, or --n with --a")
     else:
         _validate_semiprime(args.n)
         try:
-            SemiprimeInstance.make(args.n, args.a, p=args.p, q=args.q)
+            inst = SemiprimeInstance(args.n, args.a, args.p, args.q)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        l = args.l if args.l is not None else register_bits(args.n)
-        r = multiplicative_order(args.a, args.n, args.p, args.q)
+        l = inst.l if args.l is None else args.l
+        r = multiplicative_order(inst.a, inst.n, inst.p, inst.q)
     try:
-        table = exact_distribution(l, r, cap=args.dense_cap)
+        probs = exact_distribution(l, r, cap=args.dense_cap)
     except (ValueError, DenseCapError) as exc:
         raise _UsageError(str(exc)) from None
     if args.format == "csv":
         lines = ["s,probability"] + [
-            f"{s},{float(p)!r}" for s, p in enumerate(table.probs)
+            f"{s},{float(p)!r}" for s, p in enumerate(probs)
         ]
         return _write("\n".join(lines), args.out)
     report = {
@@ -580,7 +586,7 @@ def cmd_oracle(args) -> int:
         "command": "oracle",
         "l": l,
         "r": r,
-        "probs": table.probs.tolist(),
+        "probs": probs.tolist(),
     }
     return _write(_dump_json(report), args.out)
 

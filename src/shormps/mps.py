@@ -29,9 +29,6 @@ class RankProfile:
     ranks: tuple[int, ...]
     layout: tuple
 
-    def __len__(self):
-        return len(self.ranks)
-
 
 def draw_outcome(probs: np.ndarray, rngs, where: str = "") -> np.ndarray:
     """Sample one outcome per generator from rows of unit mass.

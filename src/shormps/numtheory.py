@@ -1,6 +1,6 @@
 """Exact integer arithmetic for order finding and classical factor recovery.
 
-Everything here is pure-Python integer math: modular powers, multiplicative
+Everything here is pure-Python integer math: primality tests, multiplicative
 orders, two-adic splits, Carmichael values for odd semiprimes, continued
 fractions and the gcd-based factor extraction step.  Inputs are validated
 against a 62-bit ceiling so the same instances stay portable to fixed-width
@@ -30,14 +30,6 @@ def _check_modulus(n: int) -> None:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if n >= MAX_MODULUS:
         raise ValueError(f"modulus {n} exceeds the supported 62-bit range")
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus for exponent >= 0."""
-    _check_modulus(modulus)
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exponent, modulus)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -158,19 +150,6 @@ def carmichael_semiprime(p: int, q: int) -> int:
     return math.lcm(p - 1, q - 1)
 
 
-def alpha_statistics(p: int, q: int) -> tuple[int, int, int]:
-    """Two-adic valuations (d_p, d_q) of p-1, q-1 and their maximum.
-
-    max(d_p, d_q) bounds the alpha achievable for this semiprime over all
-    bases a.
-    """
-    if p == q:
-        raise ValueError("semiprime must be squarefree: p != q")
-    dp = two_adic_split(p - 1)[0]
-    dq = two_adic_split(q - 1)[0]
-    return dp, dq, max(dp, dq)
-
-
 def continued_fraction_convergents(s: int, denom: int) -> list[tuple[int, int]]:
     """All convergents h/k of s/denom, in lowest terms, denominators increasing."""
     if denom < 1 or denom & (denom - 1):
@@ -218,7 +197,7 @@ def recover_factors(n: int, a: int, r_candidate: int) -> tuple[int, int] | None:
     return (f1, f2) if f1 <= f2 else (f2, f1)
 
 
-def random_coprime(n: int, rng, on_lucky_factor=None) -> int:
+def random_coprime(n: int, rng, on_lucky_factor) -> int:
     """Uniform draw from {2..n-1} coprime to n, by rejection.
 
     A rejected candidate sharing a factor with n is itself a factoring
@@ -232,21 +211,21 @@ def random_coprime(n: int, rng, on_lucky_factor=None) -> int:
         g = math.gcd(a, n)
         if g == 1:
             return a
-        if on_lucky_factor is not None:
-            on_lucky_factor(g)
+        on_lucky_factor(g)
 
 
 @dataclass(frozen=True)
 class SemiprimeInstance:
-    """Problem parameters: the semiprime n, register width l, and base a.
+    """Problem parameters: the semiprime n and the base a, with the register
+    width l = ``register_bits(n)`` derived from n.
 
-    The factors p, q are optional and only unlock verification features
-    (Carmichael value, alpha bound); the simulation never reads them.
+    The factors p, q are optional: they let the order be found from the
+    Carmichael value and fill the report's order profile; the simulation
+    never reads them.
     """
 
     n: int
     a: int
-    l: int
     p: int | None = None
     q: int | None = None
 
@@ -259,8 +238,6 @@ class SemiprimeInstance:
             raise ValueError(f"base must satisfy 1 < a < n, got a={self.a}")
         if math.gcd(self.a, self.n) != 1:
             raise ValueError(f"gcd(a, n) must be 1, got a={self.a}, n={self.n}")
-        if self.l < self.n.bit_length():
-            raise ValueError(f"l={self.l} too small for n={self.n}")
         if (self.p is None) != (self.q is None):
             raise ValueError("supply both factors or neither")
         if self.p is not None:
@@ -270,35 +247,6 @@ class SemiprimeInstance:
                 if f % 2 == 0 or not is_probable_prime(f):
                     raise ValueError(f"{f} is not an odd prime")
 
-    @classmethod
-    def make(cls, n: int, a: int, p: int | None = None, q: int | None = None,
-             l: int | None = None) -> "SemiprimeInstance":
-        return cls(n=n, a=a, l=l if l is not None else register_bits(n), p=p, q=q)
-
     @property
-    def upper_qubits(self) -> int:
-        return 2 * self.l
-
-
-@dataclass(frozen=True)
-class OrderProfile:
-    """Derived order data: r = beta * 2**alpha, plus factor-aware statistics."""
-
-    r: int
-    alpha: int
-    beta: int
-    lambda_n: int | None = None
-    dp: int | None = None
-    dq: int | None = None
-
-    @classmethod
-    def of(cls, instance: SemiprimeInstance,
-           iteration_cap: int = ORDER_ITERATION_CAP) -> "OrderProfile":
-        r = multiplicative_order(instance.a, instance.n, instance.p, instance.q,
-                                 iteration_cap=iteration_cap)
-        alpha, beta = two_adic_split(r)
-        if instance.p is not None:
-            lam = carmichael_semiprime(instance.p, instance.q)
-            dp, dq, _ = alpha_statistics(instance.p, instance.q)
-            return cls(r, alpha, beta, lam, dp, dq)
-        return cls(r, alpha, beta)
+    def l(self) -> int:
+        return register_bits(self.n)

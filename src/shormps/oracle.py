@@ -10,8 +10,6 @@ tests also check the simulation against are in ``tests/_dense.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DENSE_CAP = 1 << 26  # amplitudes
@@ -23,14 +21,12 @@ class DenseCapError(RuntimeError):
     """Dense construction would exceed the amplitude cap."""
 
 
-@dataclass(frozen=True)
-class DistributionTable:
-    """Probabilities of the upper-register measurement value s in [0, 2^(2l))."""
-
-    probs: np.ndarray
-
-    def __len__(self):
-        return self.probs.size
+def _check_law(l: int, r: int) -> None:
+    """Refuse an (l, r) outside the closed form's domain."""
+    if l < 1 or r < 1:
+        raise ValueError("need l >= 1 and r >= 1")
+    if l > LAW_MAX_L:
+        raise ValueError(f"l={l} exceeds the closed form's limit l <= {LAW_MAX_L}")
 
 
 def outcome_probabilities(l: int, r: int, s) -> np.ndarray:
@@ -47,10 +43,7 @@ def outcome_probabilities(l: int, r: int, s) -> np.ndarray:
     mod Q are taken in uint64, whose wrap-around is exact mod Q for
     l <= LAW_MAX_L.
     """
-    if l < 1 or r < 1:
-        raise ValueError("need l >= 1 and r >= 1")
-    if l > LAW_MAX_L:
-        raise ValueError(f"l={l} exceeds the closed form's limit l <= {LAW_MAX_L}")
+    _check_law(l, r)
     big_q = 1 << (2 * l)
     mask = np.uint64(big_q - 1)
     q, t = divmod(big_q, r)
@@ -68,15 +61,16 @@ def outcome_probabilities(l: int, r: int, s) -> np.ndarray:
     return (t * fejer(q + 1) + (r - t) * fejer(q)) / float(big_q) ** 2
 
 
-def exact_distribution(l: int, r: int, cap: int = DENSE_CAP) -> DistributionTable:
-    """Exact law of the measured value s over all s < Q = 2^(2l)
-    (``outcome_probabilities`` at every s); the table must fit ``cap``."""
-    if l < 1 or r < 1:
-        raise ValueError("need l >= 1 and r >= 1")
+def exact_distribution(l: int, r: int, cap: int = DENSE_CAP) -> np.ndarray:
+    """Exact law of the measured value s as a float64 array over all
+    s < Q = 2^(2l) (``outcome_probabilities`` at every s).  (l, r) must be in
+    the closed form's domain and Q within ``cap``, both checked before the
+    table is allocated."""
+    _check_law(l, r)
     big_q = 1 << (2 * l)
     if big_q > cap:
         raise DenseCapError(f"table of {big_q} entries exceeds cap {cap}")
-    return DistributionTable(outcome_probabilities(l, r, np.arange(big_q)))
+    return outcome_probabilities(l, r, np.arange(big_q))
 
 
 def tvd_at_outcomes(l: int, r: int, histogram: dict[int, int]) -> float:

@@ -12,24 +12,15 @@ appear.  Two qudit layouts are provided:
   r, and the right block's bonds double per qubit.  Every qubit is created on
   the side where it stays, so modexp moves no site and runs no SVD.
 
-Plateau detection needs no prior knowledge of the order: for this circuit
-family the rank toward R after k left-side gates is exactly min(2^k, beta)
-where beta is the odd part of r.  Proof sketch: the gate for qubit i
-multiplies residues by a^(2^i); after the k most significant qubits the
-reachable residues are a^(m * 2^(2l-k)) for m < 2^k, a set of size
-min(2^k, order of a^(2^(2l-k))) = min(2^k, beta) while 2l-k stays at least
-the two-adic exponent of r.  The sequence therefore doubles strictly, then
-stays flat at beta: one plateau, detectable from a single unchanged gate.
-
-The side of each later qubit is decided before its gate.  At a plateau the
-residues reached so far are the subgroup H generated by the last multiplier
-(its order beta is odd, so its powers below 2^k already close it).  A new
-multiplier m maps H onto m*H, which is H itself when m lies in H and a
-disjoint coset otherwise, so the gate raises the rank exactly when m is not
-yet a reached residue; that qubit starts the right block.  A later gate
-whose multiplier is a reached residue is idle: it only permutes the reached
-residues, so modexp records it and does no work on the index (about half
-the gates of every published row; see ``run_modexp``).
+Plateau detection needs no prior knowledge of the order: the rank toward R
+after k left-side gates is exactly min(2^k, beta), beta being the odd part
+of r, so it doubles strictly and then stays flat, and one unchanged gate
+flags the plateau.  From then on a gate raises the rank exactly when its
+multiplier is not yet a reached residue, and that qubit starts the dynamic
+layout's right block.  A gate whose multiplier is a reached residue is
+idle: it only permutes the reached residues, so modexp records it and does
+no work on the index (about half the gates of every published row; see
+``run_modexp``).  The proofs are in README, "Notes on the plateau detector".
 
 The controlled-U gate itself is never materialized, and neither is the
 chain.  Controlled multiplication permutes the residue basis, so each gate
@@ -93,12 +84,7 @@ from math import sqrt
 import numpy as np
 
 from .mps import LOWER_REGISTER, RankProfile, draw_outcome
-from .numtheory import (
-    SemiprimeInstance,
-    continued_fraction_convergents,
-    mod_pow,
-    recover_factors,
-)
+from .numtheory import SemiprimeInstance, continued_fraction_convergents, recover_factors
 
 SQRT_HALF = 1.0 / sqrt(2.0)
 # n must be below this for the residue index (see ``LowerRegisterIndex``)
@@ -247,21 +233,12 @@ def run_modexp(
     The plateau is flagged after one gate that leaves ``lower.dim``
     unchanged.  From then on a gate whose multiplier is already a reached
     residue is idle: it reaches no new residue, so it is only recorded and
-    ``lower.extend`` does not run.  Proof: let S_i = {a^(m 2^i) : m <
-    2^(2l-i)}, the residues reached once qubits 2l-1 ... i are gated.  S_i is
-    closed, the subgroup generated by a^(2^i), once 2^(2l-i) >= ord(a^(2^i)).
-    The gate that flags the plateau leaves S_(i+1) = S_i, which holds only
-    the even powers of a^(2^i) below 2^(2l-i) and so needs that bound: S_i is
-    closed.  Because ord(a^(2^(i-1))) <= 2 ord(a^(2^i)), S_(i-1) is closed
-    too, and so is S_k for every later gate.  Multiplying a closed set by one
-    of its own elements permutes it.  The gate that flags the plateau still
-    runs ``extend``, since nothing is known to be closed before it.
-
-    The static layout creates every qubit left of R.  The dynamic layout
-    creates every qubit after the plateau that is not idle right of R.  The
-    first such qubit i starts the right block, and every later qubit is in
-    it: a^(2^i) is not in S_(i+1), so ord(a^(2^i)) is even, and then
-    ord(a^(2^(i-1))) = 2 ord(a^(2^i)) is even and a^(2^(i-1)) is not in S_i.
+    ``lower.extend`` does not run.  The gate that flags the plateau still
+    runs ``extend``.  The static layout creates every qubit left of R.  The
+    dynamic layout creates every qubit after the plateau that is not idle
+    right of R; the first such qubit starts the right block, and every later
+    qubit is in it.  The proofs are in README, "Notes on the plateau
+    detector".
 
     After each gate the dense-equivalent tally of the chain's site tensors,
     the paper's sum_k b_k d_k b_(k+1) with the chain ends as bonds of
@@ -280,9 +257,9 @@ def run_modexp(
     labels: list = [LOWER_REGISTER]
     bonds: list[int] = []
     tally = 1
-    for i in reversed(range(instance.upper_qubits)):
+    for i in reversed(range(2 * instance.l)):
         d_before = lower.dim
-        mult = mod_pow(instance.a, 1 << i, instance.n)
+        mult = pow(instance.a, 1 << i, instance.n)
         idle = plateau and lower.position(mult) >= 0
         if idle:
             lower.record(mult)
@@ -572,7 +549,7 @@ def _classical(instance: SemiprimeInstance, bits):
     convs = continued_fraction_convergents(s, 1 << (2 * instance.l))
     verified = None
     for _, k in convs:
-        if k > 1 and mod_pow(instance.a, k, instance.n) == 1:
+        if k > 1 and pow(instance.a, k, instance.n) == 1:
             verified = k
             break
     factors = recover_factors(instance.n, instance.a, verified) if verified else None

@@ -46,8 +46,8 @@ from math import sqrt
 import numpy as np
 
 from shormps.mps import LOWER_REGISTER, NormalizationError, RankProfile, draw_outcome
-from shormps.numtheory import SemiprimeInstance, mod_pow
-from shormps.oracle import DENSE_CAP, DenseCapError, DistributionTable
+from shormps.numtheory import SemiprimeInstance
+from shormps.oracle import DENSE_CAP, DenseCapError
 from shormps.shor import SQRT_HALF
 from shormps.tensor import DEFAULT_SVD_TOL, svd_truncated
 
@@ -618,22 +618,23 @@ def residue_rank_oracle(
         qubits = set(range(2 * instance.l)) - qubits
     residues = {1}
     for j in sorted(qubits):
-        mult = mod_pow(instance.a, 1 << j, instance.n)
+        mult = pow(instance.a, 1 << j, instance.n)
         residues |= {v * mult % instance.n for v in residues}
         if r_hint is not None and len(residues) >= r_hint:
             return r_hint
     return len(residues)
 
 
-def tvd(table: DistributionTable, counts) -> float:
-    """Total variation distance between the exact law and empirical counts."""
+def tvd(probs: np.ndarray, counts) -> float:
+    """Total variation distance between the exact law ``probs`` and
+    empirical counts over the same outcomes."""
     counts = np.asarray(counts, dtype=float)
-    if counts.size != len(table):
+    if counts.size != probs.size:
         raise ValueError("support sizes differ")
     total = counts.sum()
     if total <= 0:
         raise ValueError("empty counts")
-    return 0.5 * float(np.abs(table.probs - counts / total).sum())
+    return 0.5 * float(np.abs(probs - counts / total).sum())
 
 
 def reorder_axes(state: StateVector, order) -> StateVector:

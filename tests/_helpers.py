@@ -24,7 +24,7 @@ import _dense
 from _dense import MpsState
 from shormps import __version__, cli, shor
 from shormps.mps import LOWER_REGISTER
-from shormps.numtheory import SemiprimeInstance, mod_pow
+from shormps.numtheory import SemiprimeInstance
 from shormps.oracle import tvd_at_outcomes
 
 # (l, n, a, r, alpha, beta) past the paper's table (README), n = 1451 * 1447
@@ -108,7 +108,7 @@ def apply_controlled_modexp(
     the qubit.  No SVD runs on either side.  The map comes from the dict
     lookup of ``lower.gate``, never from ``shor.LowerRegisterIndex``.
     """
-    mult = mod_pow(instance.a, 1 << i, instance.n)
+    mult = pow(instance.a, 1 << i, instance.n)
     rpos = state.position_of(LOWER_REGISTER)
     gamma_r = state.gammas[rpos]
     chi_l, d_old, chi_r = gamma_r.shape
@@ -172,11 +172,11 @@ def run_dense_modexp(state, lower, instance, config) -> int | None:
     dynamic = config.layout == "dynamic"
     plateau = False
     alpha_hat = 0
-    for i in reversed(range(instance.upper_qubits)):
+    for i in reversed(range(2 * instance.l)):
         d_before = lower.dim
         side = "B"
         if dynamic and (alpha_hat or (
-                plateau and lower.position(mod_pow(instance.a, 1 << i, instance.n)) < 0)):
+                plateau and lower.position(pow(instance.a, 1 << i, instance.n)) < 0)):
             side = "A"
             alpha_hat += 1
         apply_controlled_modexp(state, lower, instance, i, side, config.max_elements)
@@ -208,8 +208,8 @@ def reference_index(instance):
     ``shor.LowerRegisterIndex`` must match byte for byte.
     """
     index = ReferenceIndex(instance.n)
-    for i in reversed(range(instance.upper_qubits)):
-        index.gate(mod_pow(instance.a, 1 << i, instance.n))
+    for i in reversed(range(2 * instance.l)):
+        index.gate(pow(instance.a, 1 << i, instance.n))
     return index.order, index.maps
 
 
@@ -338,7 +338,7 @@ def reference_sample_report(argv: list[str], records: dict, elapsed_seconds: flo
     as one dict, built from each layout's records (layout -> the list of
     ``SampleRecord``s that ``shor.sample_runs`` returned)."""
     args = cli._parse(argv)
-    inst = SemiprimeInstance.make(args.n, args.a, p=args.p, q=args.q)
+    inst = SemiprimeInstance(args.n, args.a, args.p, args.q)
     r = cli._reference_order(inst, args.dense_cap)
     per_layout = {}
     for layout, recs in records.items():

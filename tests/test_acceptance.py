@@ -36,7 +36,7 @@ def announce(num, ok, detail=""):
 
 def run_modexp_state(n, a, layout):
     """The dense modexp chain (test reference)."""
-    inst = SemiprimeInstance.make(n, a)
+    inst = SemiprimeInstance(n, a)
     state, lower, alpha_hat = dense_modexp(inst, layout)
     return inst, state, lower, alpha_hat
 
@@ -75,7 +75,7 @@ def test_criterion_3_rank_profile_exactness():
     all_ok = True
     for n, a in [(21, 2), (1943, 2)]:
         for layout in ("static", "dynamic"):
-            inst = SemiprimeInstance.make(n, a)
+            inst = SemiprimeInstance(n, a)
             lower, alpha_hat, profile, _ = graded_modexp(inst, layout)
             ranks = profile.ranks
             for bond, rank in enumerate(ranks):
@@ -103,7 +103,7 @@ def test_criterion_4_plateau_detection_battery():
     t0 = time.perf_counter()
     results = []
     for n, a, alpha in expected:
-        _, alpha_hat, _, _ = graded_modexp(SemiprimeInstance.make(n, a), "dynamic")
+        _, alpha_hat, _, _ = graded_modexp(SemiprimeInstance(n, a), "dynamic")
         results.append((n, alpha_hat, alpha))
     ok = all(got == want for _, got, want in results)
     announce(4, ok, f"({results}, {time.perf_counter() - t0:.1f}s)")
@@ -130,7 +130,7 @@ def test_criterion_5_post_measurement_structure():
 def test_criterion_6_sampling_distribution():
     """20k samples of (21, 2): TVD < 0.03; (15, 7): exact four-peak comb."""
     t0 = time.perf_counter()
-    inst = SemiprimeInstance.make(21, 2)
+    inst = SemiprimeInstance(21, 2)
     cfg = shor.PipelineConfig(layout="dynamic")
     # one batched call per instance: sample k draws from generator k, as a
     # sample_run call of its own would
@@ -139,7 +139,7 @@ def test_criterion_6_sampling_distribution():
         counts[rec.measured_s] += 1
     dist = _dense.tvd(oracle.exact_distribution(5, 6), counts)
 
-    comb = SemiprimeInstance.make(15, 7)
+    comb = SemiprimeInstance(15, 7)
     draws = 4000
     comb_counts = {0: 0, 256: 0, 512: 0, 768: 0}
     stray = 0
@@ -161,7 +161,7 @@ def test_criterion_6_sampling_distribution():
 
 def test_criterion_7_factor_recovery():
     """At least 10 factor recoveries over 50 seeded runs of (21, 2)."""
-    inst = SemiprimeInstance.make(21, 2)
+    inst = SemiprimeInstance(21, 2)
     cfg = shor.PipelineConfig(layout="dynamic")
     wins = sum(
         sample_run(inst, cfg, np.random.default_rng(k)).factors == (3, 7)

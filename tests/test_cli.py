@@ -82,11 +82,18 @@ class TestSample:
         assert set(report["layouts"]) == {"static", "dynamic"}
 
     def test_order_profile_with_factors(self, tmp_path):
+        # n = 1943 has d_p != d_q, so it tells a swap of the two apart
+        cases = [
+            (("21", "2", "3", "7"),
+             {"r": 6, "alpha": 1, "beta": 3, "lambda_n": 6, "dp": 1, "dq": 1}),
+            (("1943", "2", "29", "67"),
+             {"r": 924, "alpha": 2, "beta": 231, "lambda_n": 924, "dp": 2, "dq": 1}),
+        ]
         out = tmp_path / "r.json"
-        assert run_cli(["sample", "--n", "21", "--a", "2", "--p", "3", "--q", "7",
-                        "--samples", "1", "--seed", "0", "--out", str(out)]) == 0
-        prof = json.loads(out.read_text())["order_profile"]
-        assert prof == {"r": 6, "alpha": 1, "beta": 3, "lambda_n": 6, "dp": 1, "dq": 1}
+        for (n, a, p, q), want in cases:
+            assert run_cli(["sample", "--n", n, "--a", a, "--p", p, "--q", q,
+                            "--samples", "1", "--seed", "0", "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["order_profile"] == want
 
     def test_invalid_n_prime(self):
         assert run_cli(["sample", "--n", "13", "--samples", "1"]) == 2
@@ -285,7 +292,7 @@ class TestReportForm:
         out = tmp_path / "o.json"
         assert run_cli(["oracle", "--l", "5", "--r", "6", "--out", str(out)]) == 0
         probs = json.loads(out.read_text())["probs"]
-        assert probs == oracle.exact_distribution(5, 6).probs.tolist()
+        assert probs == oracle.exact_distribution(5, 6).tolist()
 
 
 class TestRecordEncoding:
@@ -361,6 +368,14 @@ class TestBadInput:
              "--dense-cap must be at least 1, got 0"),
             # --r is a law's order: it needs the register width, not n and a
             (["oracle", "--n", "21", "--a", "2", "--r", "3"], "--r needs --l"),
+            # and with --l it fixes the law, so n, a and the factors have no say
+            (["oracle", "--l", "5", "--r", "7", "--n", "21", "--a", "2"],
+             "--r cannot be combined with --n, --a, --p or --q"),
+            (["oracle", "--l", "5", "--r", "6", "--p", "3"],
+             "--r cannot be combined with --n, --a, --p or --q"),
+            # the closed form's limit is checked before the table is allocated
+            (["oracle", "--l", "33", "--r", "3", "--dense-cap", str(10**23)],
+             "l=33 exceeds the closed form's limit l <= 32"),
         ],
     )
     def test_exit_2_with_message(self, argv, message, capsys):
@@ -713,7 +728,7 @@ class TestProfile:
             assert elements["lower_register_dim"] == r
             assert elements["live"] == elements["peak"]
         if l <= 17:
-            inst = SemiprimeInstance.make(n, a)
+            inst = SemiprimeInstance(n, a)
             for prof in profiles.values():
                 labels = [lab if lab == "R" else int(lab) for lab in prof["labels"]]
                 for bond, rank in enumerate(prof["ranks"]):

@@ -1,5 +1,6 @@
 """Integer-arithmetic layer: examples frozen against naive oracles, plus properties."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,39 +10,12 @@ from hypothesis import strategies as st
 from shormps import numtheory as nt
 
 
-def naive_pow(base, exp, mod):
-    """Independent oracle: repeated multiply-reduce."""
-    acc = 1
-    for _ in range(exp):
-        acc = acc * base % mod
-    return acc
-
-
 def naive_order(a, n):
     x, r = a % n, 1
     while x != 1:
         x = x * a % n
         r += 1
     return r
-
-
-class TestModPow:
-    def test_exponent_zero_identity(self):
-        assert nt.mod_pow(2, 0, 21) == 1
-
-    def test_small_cases(self):
-        # 2^10 mod 21 via the repeated multiply-reduce oracle = 16
-        assert nt.mod_pow(2, 10, 21) == naive_pow(2, 10, 21) == 16
-        # 125 mod 21 = 20
-        assert nt.mod_pow(5, 3, 21) == 20
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            nt.mod_pow(2, 3, 1)
-
-    @given(st.integers(0, 10**6), st.integers(0, 40), st.integers(2, 10**6))
-    def test_matches_builtin(self, base, exp, mod):
-        assert nt.mod_pow(base, exp, mod) == pow(base, exp, mod)
 
 
 class TestMultiplicativeOrder:
@@ -113,17 +87,13 @@ class TestCarmichael:
 
 
 class TestAlphaStatistics:
-    def test_examples(self):
-        assert nt.alpha_statistics(29, 67) == (2, 1, 2)
-        assert nt.alpha_statistics(3, 7) == (1, 1, 1)
-        assert nt.alpha_statistics(5, 13) == (2, 2, 2)
-
     def test_alpha_bounded_by_max(self):
-        # alpha of any order divides into the d_p/d_q bound
+        # alpha of any order is at most max(d_p, d_q), the two-adic
+        # valuations of p-1 and q-1
         for p, q, a in [(3, 7, 2), (29, 67, 2), (13, 19, 2)]:
             r = nt.multiplicative_order(a, p * q, p=p, q=q)
             alpha, _ = nt.two_adic_split(r)
-            assert alpha <= nt.alpha_statistics(p, q)[2]
+            assert alpha <= max(nt.two_adic_split(p - 1)[0], nt.two_adic_split(q - 1)[0])
 
 
 class TestConvergents:
@@ -177,7 +147,7 @@ class TestRecoverFactors:
 class TestRandomCoprime:
     def test_membership(self, rng):
         for _ in range(50):
-            a = nt.random_coprime(21, rng)
+            a = nt.random_coprime(21, rng, [].append)
             assert 2 <= a < 21 and math.gcd(a, 21) == 1
 
     def test_lucky_factors_reported(self, rng):
@@ -191,7 +161,7 @@ class TestRandomCoprime:
         draws = 10_000
         counts = {a: 0 for a in valid}
         for _ in range(draws):
-            counts[nt.random_coprime(21, rng)] += 1
+            counts[nt.random_coprime(21, rng, [].append)] += 1
         p = 1 / len(valid)
         sigma = math.sqrt(draws * p * (1 - p))
         for a in valid:
@@ -225,20 +195,15 @@ class TestRegisterBits:
 
 
 class TestInstance:
-    def test_make(self):
-        inst = nt.SemiprimeInstance.make(21, 2, p=3, q=7)
-        assert inst.l == 5 and inst.upper_qubits == 10
+    def test_l_derived_from_n(self):
+        assert [f.name for f in dataclasses.fields(nt.SemiprimeInstance)] == ["n", "a", "p", "q"]
+        assert nt.SemiprimeInstance(21, 2, 3, 7).l == 5
+        assert nt.SemiprimeInstance(1943, 2).l == nt.register_bits(1943) == 11
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            nt.SemiprimeInstance.make(21, 7)  # shares a factor
+            nt.SemiprimeInstance(21, 7)  # shares a factor
         with pytest.raises(ValueError):
-            nt.SemiprimeInstance.make(22, 3)  # even
+            nt.SemiprimeInstance(22, 3)  # even
         with pytest.raises(ValueError):
-            nt.SemiprimeInstance.make(21, 2, p=3, q=5)  # wrong product
-
-    def test_order_profile(self):
-        prof = nt.OrderProfile.of(nt.SemiprimeInstance.make(1943, 2, p=29, q=67))
-        assert (prof.r, prof.alpha, prof.beta) == (924, 2, 231)
-        assert prof.lambda_n == 924 and (prof.dp, prof.dq) == (2, 1)
-        assert prof.r == prof.beta * 2**prof.alpha
+            nt.SemiprimeInstance(21, 2, p=3, q=5)  # wrong product

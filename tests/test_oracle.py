@@ -24,51 +24,51 @@ def brute_force_dft(l, r):
 
 class TestExactDistribution:
     def test_l5_r6_peak_at_zero(self):
-        table = oracle.exact_distribution(5, 6)
+        probs = oracle.exact_distribution(5, 6)
         # Q = 1024 = 170 * 6 + 4: four residue classes of 171 terms, two of 170
-        assert table.probs[0] == pytest.approx(174764 / 1048576, abs=1e-12)
+        assert probs[0] == pytest.approx(174764 / 1048576, abs=1e-12)
 
     @pytest.mark.parametrize("l, r", [(4, 4), (5, 6), (5, 7), (6, 10)])
     def test_matches_brute_force_dft(self, l, r):
-        np.testing.assert_allclose(oracle.exact_distribution(l, r).probs,
+        np.testing.assert_allclose(oracle.exact_distribution(l, r),
                                    brute_force_dft(l, r), atol=1e-13)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 40))
     def test_matches_brute_force_dft_for_random_l_and_r(self, l, r):
         # r may exceed Q = 2^(2l), leaving classes with no exponent at all
-        np.testing.assert_allclose(oracle.exact_distribution(l, r).probs,
+        np.testing.assert_allclose(oracle.exact_distribution(l, r),
                                    brute_force_dft(l, r), atol=1e-13)
 
     def test_comb_when_r_divides(self):
-        table = oracle.exact_distribution(4, 4)
+        probs = oracle.exact_distribution(4, 4)
         expected = np.zeros(256)
         expected[[0, 64, 128, 192]] = 0.25
-        np.testing.assert_allclose(table.probs, expected, atol=1e-12)
+        np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     def test_r_one(self):
-        table = oracle.exact_distribution(3, 1)
-        assert table.probs[0] == pytest.approx(1.0)
-        assert np.all(table.probs[1:] < 1e-12)
+        probs = oracle.exact_distribution(3, 1)
+        assert probs[0] == pytest.approx(1.0)
+        assert np.all(probs[1:] < 1e-12)
 
     def test_sums_to_one_and_symmetric(self):
         for l, r in [(4, 3), (5, 6), (5, 7), (6, 12)]:
-            table = oracle.exact_distribution(l, r)
-            assert table.probs.sum() == pytest.approx(1.0, abs=1e-10)
-            q = len(table)
+            probs = oracle.exact_distribution(l, r)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+            q = probs.size
             ss = np.arange(1, q)
-            np.testing.assert_allclose(table.probs[ss], table.probs[q - ss], atol=1e-12)
+            np.testing.assert_allclose(probs[ss], probs[q - ss], atol=1e-12)
 
     def test_phase_sign_invariance(self):
         # conjugating the phase flips s -> -s mod Q; symmetry makes it invariant
-        table = oracle.exact_distribution(4, 6)
-        q = len(table)
-        flipped = np.concatenate(([table.probs[0]], table.probs[:0:-1]))
-        np.testing.assert_allclose(table.probs, flipped, atol=1e-12)
+        probs = oracle.exact_distribution(4, 6)
+        q = probs.size
+        flipped = np.concatenate(([probs[0]], probs[:0:-1]))
+        np.testing.assert_allclose(probs, flipped, atol=1e-12)
 
     def test_peaks_near_multiples(self):
-        table = oracle.exact_distribution(5, 6)
-        top = np.argsort(table.probs)[-6:]
+        probs = oracle.exact_distribution(5, 6)
+        top = np.argsort(probs)[-6:]
         for s in top:
             nearest = round(s * 6 / 1024) * 1024 / 6
             assert abs(s - nearest) <= 1.0
@@ -76,16 +76,16 @@ class TestExactDistribution:
 
 class TestDenseModexp:
     def test_n15_a7(self):
-        inst = SemiprimeInstance.make(15, 7, l=4)
+        inst = SemiprimeInstance(15, 7)
         state, residues = _dense.dense_modexp_state(inst)
         assert residues == [1, 7, 4, 13]
-        assert state.dims == (2,) * 8 + (4,)
+        assert state.dims == (2,) * 10 + (4,)
         # amplitude of (i=0, residue 1) is exactly 2^-l
-        assert state.amps[0] == pytest.approx(2.0**-4, abs=0)
+        assert state.amps[0] == pytest.approx(2.0**-5, abs=0)
         assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_cap(self):
-        inst = SemiprimeInstance.make(1943, 2)
+        inst = SemiprimeInstance(1943, 2)
         with pytest.raises(oracle.DenseCapError):
             _dense.dense_modexp_state(inst, cap=1000)
 
@@ -101,7 +101,7 @@ class TestDenseSchmidtRank:
         assert _dense.dense_schmidt_rank(_dense.StateVector(amps, (2, 2)), [0]) == 1
 
     def test_modexp_full_cut_is_order(self):
-        inst = SemiprimeInstance.make(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, _ = _dense.dense_modexp_state(inst)
         # all upper qubits on one side, lower register on the other
         assert _dense.dense_schmidt_rank(state, range(10)) == 6
@@ -109,21 +109,21 @@ class TestDenseSchmidtRank:
 
 class TestResidueRankOracle:
     def test_single_qubit_cut(self):
-        inst = SemiprimeInstance.make(21, 2)
+        inst = SemiprimeInstance(21, 2)
         assert _dense.residue_rank_oracle(inst, [9]) == 2  # {1, 2^512 mod 21} = {1, 4}
 
     def test_all_upper(self):
-        inst = SemiprimeInstance.make(21, 2)
+        inst = SemiprimeInstance(21, 2)
         assert _dense.residue_rank_oracle(inst, range(10)) == 6
 
     def test_published_instance(self):
-        inst = SemiprimeInstance.make(1943, 2)
+        inst = SemiprimeInstance(1943, 2)
         assert _dense.residue_rank_oracle(inst, range(22)) == 924
 
     def test_agrees_with_dense(self):
-        inst = SemiprimeInstance.make(15, 7, l=4)
+        inst = SemiprimeInstance(15, 7)
         state, _ = _dense.dense_modexp_state(inst)
-        n_up = 8
+        n_up = 10
         for cut in [range(1), range(3), range(n_up)]:
             axes = [n_up - 1 - j for j in cut]  # qubit j lives on axis 2l-1-j
             assert _dense.dense_schmidt_rank(state, axes) == _dense.residue_rank_oracle(
@@ -131,7 +131,7 @@ class TestResidueRankOracle:
             )
 
     def test_include_lower_complement(self):
-        inst = SemiprimeInstance.make(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, _ = _dense.dense_modexp_state(inst)
         picked = {0, 3, 7}
         axes = [10 - 1 - j for j in picked] + [10]
@@ -143,18 +143,18 @@ class TestResidueRankOracle:
 class TestTvd:
     def test_identical(self):
         t = oracle.exact_distribution(3, 3)
-        assert _dense.tvd(t, t.probs * 500) == pytest.approx(0.0, abs=1e-12)
+        assert _dense.tvd(t, t * 500) == pytest.approx(0.0, abs=1e-12)
 
     def test_disjoint(self):
-        t = oracle.DistributionTable(np.array([1.0, 0.0]))
+        t = np.array([1.0, 0.0])
         assert _dense.tvd(t, np.array([0, 100])) == pytest.approx(1.0)
 
     def test_half(self):
-        t = oracle.DistributionTable(np.array([0.5, 0.5]))
+        t = np.array([0.5, 0.5])
         assert _dense.tvd(t, np.array([100, 0])) == pytest.approx(0.5)
 
     def test_empty_counts(self):
-        t = oracle.DistributionTable(np.array([0.5, 0.5]))
+        t = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
             _dense.tvd(t, np.array([0, 0]))
 

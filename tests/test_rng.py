@@ -36,7 +36,7 @@ def test_sample_records_equal_numpy_generators(tmp_path):
     assert cli.main(["sample", "--n", "247", "--a", "2", "--layout", "both", "--seed", "5",
                      "--samples", "20", "--out", str(out)]) == 0
     layouts = json.loads(out.read_text())["layouts"]
-    inst = SemiprimeInstance.make(247, 2)
+    inst = SemiprimeInstance(247, 2)
     for layout in ("static", "dynamic"):
         cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 30)
         recs = shor.sample_runs(inst, cfg, [np.random.default_rng(5 + k) for k in range(20)])

@@ -31,16 +31,11 @@ from shormps.mps import LOWER_REGISTER
 from shormps.numtheory import (
     SemiprimeInstance,
     is_probable_prime,
-    mod_pow,
     multiplicative_order,
     two_adic_split,
 )
 
 ODD_PRIMES = [p for p in range(3, 60) if is_probable_prime(p)]
-
-
-def fresh(n, a, l=None):
-    return SemiprimeInstance.make(n, a, l=l)
 
 
 def seeded(first, count):
@@ -54,7 +49,7 @@ def without_timings(records):
 
 class TestBuildInitial:
     def test_single_unit_site(self):
-        state, lower = build_initial(fresh(21, 2))
+        state, lower = build_initial(SemiprimeInstance(21, 2))
         assert state.n_sites == 1 and state.dims == (1,)
         assert lower.residues.tolist() == [1]
         assert state.elements_live == 1
@@ -63,7 +58,7 @@ class TestBuildInitial:
 
 class TestControlledModexp:
     def test_first_gate_i0(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower = build_initial(inst)
         apply_controlled_modexp(state, lower, inst, 0, "B")
         assert lower.residues.tolist() == [1, 2]
@@ -71,21 +66,21 @@ class TestControlledModexp:
         assert state.labels == [0, LOWER_REGISTER]
 
     def test_first_gate_i9_multiplier(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower = build_initial(inst)
         apply_controlled_modexp(state, lower, inst, 9, "B")
         # 2^512 mod 21 = 4
         assert lower.residues.tolist() == [1, 4]
 
     def test_identity_multiplier_keeps_rank(self):
-        inst = fresh(15, 14)  # 14^2 = 1 mod 15, so any i >= 1 multiplies by 1
+        inst = SemiprimeInstance(15, 14)  # 14^2 = 1 mod 15, so any i >= 1 multiplies by 1
         state, lower = build_initial(inst)
         apply_controlled_modexp(state, lower, inst, 3, "B")
         assert lower.residues.tolist() == [1]
         assert state.bond_dims() == (1,)
 
     def test_element_guard(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower = build_initial(inst)
         with pytest.raises(shor.MemoryLimitError) as err:
             apply_controlled_modexp(state, lower, inst, 9, "B", max_elements=5)
@@ -102,7 +97,7 @@ class TestControlledModexp:
         monkeypatch.setattr(_dense, "svd_truncated", banned)
         monkeypatch.setattr(MpsState, "contract_sites", banned)
         monkeypatch.setattr(MpsState, "swap_sites", banned)
-        _, lower, _ = dense_modexp(fresh(n, a), layout)
+        _, lower, _ = dense_modexp(SemiprimeInstance(n, a), layout)
         assert lower.dim == multiplicative_order(a, n)
 
 
@@ -118,7 +113,7 @@ class TestModexpProperties:
     @given(semiprime_and_base())
     def test_dynamic_right_block_is_two_adic_exponent(self, case):
         n, a = case
-        lower, alpha_hat, profile, _ = graded_modexp(fresh(n, a), "dynamic")
+        lower, alpha_hat, profile, _ = graded_modexp(SemiprimeInstance(n, a), "dynamic")
         r = multiplicative_order(a, n)
         assert alpha_hat == two_adic_split(r)[0]
         assert lower.dim == r
@@ -127,7 +122,7 @@ class TestModexpProperties:
     @settings(max_examples=60, deadline=None)
     @given(semiprime_and_base())
     def test_every_bond_matches_residue_oracle(self, case):
-        inst = fresh(*case)
+        inst = SemiprimeInstance(*case)
         for layout in ("static", "dynamic"):
             _, _, profile, _ = graded_modexp(inst, layout)
             for bond, rank in enumerate(profile.ranks):
@@ -165,8 +160,8 @@ def assert_skips_only_idle_gates(instance, layout, reference):
     residues, maps = reference
     dims = [perm.size for perm in maps]
     idle = [k for k, d in enumerate(dims[1:] + [len(residues)]) if d == dims[k]]
-    mults = [mod_pow(instance.a, 1 << i, instance.n)
-             for i in reversed(range(instance.upper_qubits))]
+    mults = [pow(instance.a, 1 << i, instance.n)
+             for i in reversed(range(2 * instance.l))]
     assert lower.mults == mults and lower.dims == dims
     assert extended == [m for k, m in enumerate(mults) if k not in idle[1:]]
     assert_matches_reference_index(lower, reference)
@@ -177,7 +172,7 @@ class TestResidueIndex:
     @settings(max_examples=100, deadline=None)
     @given(semiprime_and_base())
     def test_matches_dict_reference(self, case):
-        inst = fresh(*case)
+        inst = SemiprimeInstance(*case)
         reference = reference_index(inst)
         for layout in ("static", "dynamic"):
             lower, idle, skipped = assert_skips_only_idle_gates(inst, layout, reference)
@@ -193,7 +188,7 @@ class TestResidueIndex:
     def test_matches_dict_reference_on_published_rows(self, l, n, a, r, alpha, beta):
         # and past the paper: l = 22, 24 and the alpha = 16 row (l19); the
         # maps do not depend on the layout, so one reference serves both
-        inst = fresh(n, a)
+        inst = SemiprimeInstance(n, a)
         reference = reference_index(inst)
         for layout in ("static", "dynamic"):
             lower, idle, skipped = assert_skips_only_idle_gates(inst, layout, reference)
@@ -204,18 +199,18 @@ class TestResidueIndex:
     def test_skips_idle_gates_after_the_plateau(self, layout):
         # n=16351 (r = 8036 = 2009 * 2^2): 15 of the 28 gates are idle, and
         # all but the one that flags the plateau skip extend
-        inst = fresh(16351, 2)
+        inst = SemiprimeInstance(16351, 2)
         _, idle, skipped = assert_skips_only_idle_gates(inst, layout, reference_index(inst))
         assert (idle, skipped) == (15, 14)
 
     def test_gate_without_new_residue_keeps_the_arrays(self):
         # at n=16351 (r = 8036) 15 of the 28 gates reach no new residue
-        inst = fresh(16351, 2)
+        inst = SemiprimeInstance(16351, 2)
         lower = shor.LowerRegisterIndex(inst.n)
         idle = 0
-        for k, i in enumerate(reversed(range(inst.upper_qubits))):
+        for k, i in enumerate(reversed(range(2 * inst.l))):
             residues = lower.residues
-            mult = mod_pow(inst.a, 1 << i, inst.n)
+            mult = pow(inst.a, 1 << i, inst.n)
             assert lower.extend(mult) is None
             assert (lower.mults[k], lower.dims[k]) == (mult, residues.size)
             # the residues reached before, then the new images in source order
@@ -245,7 +240,7 @@ class TestGradedModexp:
     def test_matches_dense_reference(self, case, layout, data):
         # labels, ranks, tally, alpha_hat and the residue index equal the dense
         # chain's, and a limit trips both at the same gate with the same need
-        inst = fresh(*case)
+        inst = SemiprimeInstance(*case)
         lower, alpha_hat, profile, tally = graded_modexp(inst, layout)
         state, dense_lower, dense_alpha = dense_modexp(inst, layout)
         assert profile == mps.RankProfile("modexp", state.bond_dims(), tuple(state.labels))
@@ -279,7 +274,7 @@ class TestGradedModexp:
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
-        rec = sample_run(fresh(247, 2), cfg, np.random.default_rng(0))
+        rec = sample_run(SemiprimeInstance(247, 2), cfg, np.random.default_rng(0))
         assert rec.peak_elements["build"] == 1
         # only the sampler reads the gates' maps
         monkeypatch.setattr(shor.LowerRegisterIndex, "gate_maps", banned)
@@ -290,7 +285,7 @@ class TestGradedModexp:
 
 class TestStaticModexp:
     def test_n21_structure(self):
-        lower, _, profile, _ = graded_modexp(fresh(21, 2), "static")
+        lower, _, profile, _ = graded_modexp(SemiprimeInstance(21, 2), "static")
         assert lower.dim == 6
         assert profile.layout == (9, 8, 7, 6, 5, 4, 3, 2, 1, 0, LOWER_REGISTER)
         dims = profile.ranks
@@ -298,18 +293,18 @@ class TestStaticModexp:
         assert all(x <= y for x, y in zip(dims, dims[1:]))  # nondecreasing toward R
 
     def test_n15_a7_rank_is_order(self):
-        lower, _, profile, _ = graded_modexp(fresh(15, 7), "static")
+        lower, _, profile, _ = graded_modexp(SemiprimeInstance(15, 7), "static")
         assert lower.dim == 4 and profile.ranks[-1] == 4
 
     def test_matches_dense_oracle(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower, _ = dense_modexp(inst, "static")
         got = mps_as_canonical_dense(state, lower, inst)
         want, _ = _dense.dense_modexp_state(inst)
         np.testing.assert_allclose(got.amps, want.amps, atol=1e-10)
 
     def test_every_bond_matches_residue_oracle(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower, _ = dense_modexp(inst, "static")
         for bond, rank in enumerate(state.schmidt_ranks("modexp").ranks):
             assert rank == rank_oracle_for_bond(state.labels, inst, bond)
@@ -317,7 +312,7 @@ class TestStaticModexp:
 
 class TestDynamicModexp:
     def test_n21_structure(self):
-        lower, alpha_hat, profile, _ = graded_modexp(fresh(21, 2), "dynamic")
+        lower, alpha_hat, profile, _ = graded_modexp(SemiprimeInstance(21, 2), "dynamic")
         assert alpha_hat == 1
         assert lower.dim == 6
         rpos = profile.layout.index(LOWER_REGISTER)
@@ -327,13 +322,13 @@ class TestDynamicModexp:
         assert profile.ranks[rpos] == 2  # right-block bond
 
     def test_n15_a14_all_identity_left(self):
-        lower, alpha_hat, profile, _ = graded_modexp(fresh(15, 14), "dynamic")
+        lower, alpha_hat, profile, _ = graded_modexp(SemiprimeInstance(15, 14), "dynamic")
         assert alpha_hat == 1
         assert lower.dim == 2
         assert profile.layout[profile.layout.index(LOWER_REGISTER) + 1] == 0
 
     def test_n15_a2_two_right_qubits(self):
-        lower, alpha_hat, profile, _ = graded_modexp(fresh(15, 2), "dynamic")
+        lower, alpha_hat, profile, _ = graded_modexp(SemiprimeInstance(15, 2), "dynamic")
         assert alpha_hat == 2 and lower.dim == 4
         rpos = profile.layout.index(LOWER_REGISTER)
         assert sorted(profile.layout[rpos + 1 :]) == [0, 1]
@@ -341,14 +336,14 @@ class TestDynamicModexp:
 
     def test_matches_dense_oracle(self):
         for n, a in [(21, 2), (15, 7), (15, 2)]:
-            inst = fresh(n, a)
+            inst = SemiprimeInstance(n, a)
             state, lower, _ = dense_modexp(inst, "dynamic")
             got = mps_as_canonical_dense(state, lower, inst)
             want, _ = _dense.dense_modexp_state(inst)
             np.testing.assert_allclose(got.amps, want.amps, atol=1e-10)
 
     def test_every_bond_matches_residue_oracle(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower, _ = dense_modexp(inst, "dynamic")
         for bond, rank in enumerate(state.schmidt_ranks("modexp").ranks):
             assert rank == rank_oracle_for_bond(state.labels, inst, bond)
@@ -356,7 +351,7 @@ class TestDynamicModexp:
     @pytest.mark.parametrize("n, a, live", [(21, 2, 182), (33, 2, 564)])
     def test_peak_is_final_state_and_bounded(self, n, a, live):
         # the tally only grows, so the final tally is the peak
-        inst = fresh(n, a)
+        inst = SemiprimeInstance(n, a)
         assert graded_modexp(inst, "dynamic")[3] == live
         graded_modexp(inst, "dynamic", max_elements=live)
         with pytest.raises(shor.MemoryLimitError) as err:
@@ -365,14 +360,14 @@ class TestDynamicModexp:
 
     def test_alpha_hat_equals_true_two_adic_exponent(self):
         for n, a in [(21, 2), (15, 7), (15, 2), (15, 14), (21, 5), (247, 2)]:
-            _, alpha_hat, _, _ = graded_modexp(fresh(n, a), "dynamic")
+            _, alpha_hat, _, _ = graded_modexp(SemiprimeInstance(n, a), "dynamic")
             r = multiplicative_order(a, n)
             assert alpha_hat == two_adic_split(r)[0], (n, a)
 
 
 class TestMeasureLowerRegister:
     def test_probabilities_exact(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower, _ = dense_modexp(inst, "dynamic")
         rpos = state.position_of(LOWER_REGISTER)
         state.sweep("right", range(rpos))
@@ -385,7 +380,7 @@ class TestMeasureLowerRegister:
             assert probs[idx] == pytest.approx(expected, abs=1e-10)
 
     def test_dynamic_post_measurement_structure(self, rng):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower, _ = dense_modexp(inst, "dynamic")
         residue = _dense.measure_lower_register(state, lower, rng)
         assert residue in {1, 2, 4, 8, 16, 11}
@@ -395,14 +390,14 @@ class TestMeasureLowerRegister:
         assert ranks[-1] == 1  # right-block qubit fully separable
 
     def test_static_measurement_agrees(self, rng):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower, _ = dense_modexp(inst, "static")
         residue = _dense.measure_lower_register(state, lower, rng)
         assert residue in {1, 2, 4, 8, 16, 11}
         assert max(state.schmidt_ranks("after-measure").ranks) == 3
 
     def test_forced_residue(self, rng):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower, _ = dense_modexp(inst, "dynamic")
         residue = _dense.measure_lower_register(state, lower, rng, forced_residue=11)
         assert residue == 11
@@ -410,7 +405,7 @@ class TestMeasureLowerRegister:
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
     @pytest.mark.parametrize("n, a", [(21, 2), (247, 2)])
     def test_post_measure_bonds_are_schmidt_ranks(self, n, a, layout):
-        inst = fresh(n, a)
+        inst = SemiprimeInstance(n, a)
         base, lower, _ = dense_modexp(inst, layout)
         for residue in lower.residues:
             state = base.copy()
@@ -476,7 +471,7 @@ class TestLnnQft:
         assert 0.5 * np.abs(counts / draws - law).sum() < 0.06
 
     def test_no_two_site_operation_after_modexp(self, rng, monkeypatch):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         state, lower, _ = dense_modexp(inst, "dynamic")
 
         def banned(*args):
@@ -493,7 +488,7 @@ class TestLnnQft:
     def test_transform_runs_no_svd(self, n, a, layout, rng, monkeypatch):
         # the measurement leaves the chain right-orthonormal, so the static
         # layout reads every qubit locally and no qubit's removal needs an SVD
-        inst = fresh(n, a)
+        inst = SemiprimeInstance(n, a)
         state, lower, _ = dense_modexp(inst, layout)
         _dense.measure_lower_register(state, lower, rng)
         state.promote_to_complex()
@@ -546,7 +541,7 @@ class TestGradedSampler:
     @pytest.mark.parametrize("n, a", [(15, 7), (21, 2), (33, 2), (247, 2)])
     def test_same_samples_as_dense_reference(self, n, a, layout):
         # one batch of 20 samples, each against the dense path on its own generator
-        inst = fresh(n, a)
+        inst = SemiprimeInstance(n, a)
         cfg = shor.PipelineConfig(layout=layout)
         records = shor.sample_runs(inst, cfg, [np.random.default_rng(k) for k in range(20)])
         for seed, rec in enumerate(records):
@@ -578,11 +573,11 @@ class TestGradedSampler:
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
-        rec = sample_run(fresh(n, a), cfg, np.random.default_rng(3))
+        rec = sample_run(SemiprimeInstance(n, a), cfg, np.random.default_rng(3))
         assert rec.rank_profiles[-1] == mps.RankProfile("qft", (), (0,))
 
     def test_counts(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         lower, _, _, _ = graded_modexp(inst, "static")
         x = np.arange(1 << (2 * inst.l))
         residues = np.array([lower.position(pow(2, int(k), 21)) for k in x])
@@ -600,20 +595,20 @@ class TestGradedSampler:
     def test_path_sum_is_exact_law(self, case):
         # the sampler reads only modexp's maps, which both layouts share; the
         # enumeration costs O(r * l * Q * r), so n stays below 2^7
-        inst = fresh(*case)
+        inst = SemiprimeInstance(*case)
         lower = graded_modexp(inst, "static")[0]
         other = graded_modexp(inst, "dynamic")[0]
         maps, other_maps = lower.gate_maps(), other.gate_maps()
         assert len(maps) == len(other_maps)
         assert all(np.array_equal(p, q) for p, q in zip(maps, other_maps))
         r = multiplicative_order(inst.a, inst.n)
-        want = oracle.exact_distribution(inst.l, r).probs
+        want = oracle.exact_distribution(inst.l, r)
         assert np.max(np.abs(graded_law(lower) - want)) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 20]), st.data())
     def test_ranks_match_dense_reference(self, case, data):
-        inst = fresh(*case)
+        inst = SemiprimeInstance(*case)
         for layout in ("static", "dynamic"):
             lower, alpha_hat, _, _ = graded_modexp(inst, layout)
             residue = data.draw(st.sampled_from(lower.residues.tolist()))
@@ -626,7 +621,7 @@ class TestGradedSampler:
     @settings(max_examples=30, deadline=None)
     @given(semiprime_and_base(ODD_PRIMES), st.data())
     def test_right_block_ranks_match_reference_loop(self, case, data):
-        inst = fresh(*case)
+        inst = SemiprimeInstance(*case)
         lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic")
         residues = data.draw(st.lists(st.sampled_from(lower.residues.tolist()),
                                       min_size=1, max_size=4))
@@ -641,7 +636,7 @@ class TestGradedSampler:
     def test_right_block_ranks_match_reference_loop_at_scale(self, n, a, alpha):
         # the published rows have alpha = 1 ... 4, and 458759 = 7 * 65537 with
         # a = 3 has r = 2^16 * 3, where the loop makes about 2^20 pow calls
-        inst = fresh(n, a)
+        inst = SemiprimeInstance(n, a)
         lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic", max_elements=1 << 44)
         assert alpha_hat == alpha
         residues = [int(lower.residues[-1])]
@@ -669,7 +664,7 @@ class TestAssembleS:
 
 class TestSampleRun:
     def test_record_fields_n21(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         rec = sample_run(inst, cfg, np.random.default_rng(7))
         assert rec.n == 21 and rec.a == 2 and rec.l == 5
@@ -683,7 +678,7 @@ class TestSampleRun:
         assert [p.stage for p in rec.rank_profiles] == ["modexp", "measure", "qft"]
 
     def test_factor_recovery_rate(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         wins = sum(
             sample_run(inst, cfg, np.random.default_rng(1000 + k)).factors
@@ -693,14 +688,14 @@ class TestSampleRun:
         assert wins >= 3
 
     def test_comb_instance_s_support(self):
-        inst = fresh(15, 7)  # order 4 divides 2^(2l): exact four-peak comb
+        inst = SemiprimeInstance(15, 7)  # order 4 divides 2^(2l): exact four-peak comb
         cfg = shor.PipelineConfig(layout="dynamic")
         for k in range(60):
             rec = sample_run(inst, cfg, np.random.default_rng(k))
             assert rec.measured_s in (0, 256, 512, 768)
 
     def test_static_layout_end_to_end(self):
-        inst = fresh(15, 7)
+        inst = SemiprimeInstance(15, 7)
         cfg = shor.PipelineConfig(layout="static")
         for k in range(20):
             rec = sample_run(inst, cfg, np.random.default_rng(k))
@@ -708,7 +703,7 @@ class TestSampleRun:
             assert rec.measured_s in (0, 256, 512, 768)
 
     def test_memory_limit_surfaces(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic", max_elements=10)
         with pytest.raises(shor.MemoryLimitError):
             sample_run(inst, cfg, np.random.default_rng(0))
@@ -718,7 +713,7 @@ class TestSampleRun:
            st.sampled_from(["static", "dynamic"]), st.integers(0, 2**32 - 1),
            st.integers(1, 12))
     def test_memory_guard_is_tight_and_keeps_the_base(self, case, layout, seed, m):
-        inst = fresh(*case)
+        inst = SemiprimeInstance(*case)
 
         def run(max_elements=1 << 30):
             cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
@@ -741,7 +736,7 @@ class TestSampleRun:
            st.integers(1, 12), st.data())
     def test_batches_give_the_records_of_separate_runs(self, case, layout, seed, m, data):
         # sample k draws from seed + k alone, whatever batch or call it is in
-        inst = fresh(*case)
+        inst = SemiprimeInstance(*case)
         cfg = shor.PipelineConfig(layout=layout)
         batch = without_timings(shor.sample_runs(inst, cfg, seeded(seed, m)))
         alone = [sample_run(inst, cfg, np.random.default_rng(seed + k)) for k in range(m)]
@@ -757,7 +752,7 @@ class TestSampleRun:
             assert without_timings(shor.sample_runs(inst, cfg, seeded(seed, m))) == batch
 
     def test_stage_seconds_share_the_call(self):
-        inst = fresh(247, 2)
+        inst = SemiprimeInstance(247, 2)
         cfg = shor.PipelineConfig(layout="static")
         per_sample = sample_run(inst, cfg, np.random.default_rng(0)).peak_elements
         bound = 2 * max(per_sample["measure"], per_sample["qft"])
@@ -774,7 +769,7 @@ class TestSampleRun:
     def test_classical_runs_once_per_distinct_s(self, n, distinct, monkeypatch):
         # at seed 5000, 85 of 100 samples at n=21 and 10 of 30 at n=247
         # repeat an earlier s
-        inst = fresh(n, 2)
+        inst = SemiprimeInstance(n, 2)
         cfg = shor.PipelineConfig(layout="static")
         m = 100 if n == 21 else 30
         alone = [sample_run(inst, cfg, rng) for rng in seeded(5000, m)]
@@ -801,7 +796,7 @@ class TestSampleRun:
     def test_records_own_what_they_may_change(self, layout):
         # a sample of n=21 holds 63 elements: batches of 2 samples, whose
         # records hold equal stage_seconds; the 12 of seed 5000 repeat their s
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout=layout)
         with mock.patch.object(shor, "BATCH_ELEMENTS", 2 * 63):
             records = shor.sample_runs(inst, cfg, seeded(5000, 12))
@@ -823,10 +818,10 @@ class TestSampleRun:
                 profile.ranks = ()
 
     def test_no_generator_no_record(self):
-        assert shor.sample_runs(fresh(21, 2), shor.PipelineConfig(), []) == []
+        assert shor.sample_runs(SemiprimeInstance(21, 2), shor.PipelineConfig(), []) == []
 
     def test_determinism(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         a = sample_run(inst, cfg, np.random.default_rng(42))
         b = sample_run(inst, cfg, np.random.default_rng(42))
@@ -839,7 +834,7 @@ class TestSampleRun:
 
 class TestEndToEndDistribution:
     def test_tvd_smoke_n21(self):
-        inst = fresh(21, 2)
+        inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         counts = np.zeros(1024)
         draws = 2000

@@ -47,11 +47,12 @@ each equals ``json.dumps(report, sort_keys=True, separators=(",", ":")) +
 "\\n"``.  ``profile``, ``oracle`` and ``verify-paper`` write theirs with that
 one call.  ``sample`` encodes the rest of its report with it, with a marker
 in place of each layout's records, and splices in the records arrays, which
-``_records_json`` writes from a sorted-key template per record: the int
-fields are formatted in place, and every other field is encoded once per
-distinct value and reused, since the records of a call repeat their rank
-profiles, peaks, layout and, within a batch, stage seconds.  Pretty-print a
-report with ``python -m json.tool r.json``.
+``_records_json`` writes from a sorted-key template: the call's values
+(instance, layout, alpha_hat, peaks, the "modexp" and "qft" profiles) fill
+it once per call, and each record fills in its own, with what records share
+(an s's convergents, factors and order, a "measure" profile, a batch's stage
+seconds) encoded once.  Pretty-print a report with ``python -m json.tool
+r.json``.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ from .oracle import DENSE_CAP, LAW_MAX_L, DenseCapError, exact_distribution, tvd
 from .rng import streams
 from .shor import (
     MAX_SIMULATED_MODULUS,
+    QFT_PROFILE,
     LowerRegisterIndex,
     MemoryLimitError,
     PipelineConfig,
-    SampleRecord,
+    SampleCall,
     run_modexp,
     sample_runs,
 )
@@ -346,84 +348,64 @@ def _reference_order(inst, dense_cap):
         return None
 
 
-# One record in sorted-key order, as json.dumps(vars(rec), sort_keys=True)
-# writes it: the int fields are formatted here, the rest come encoded.
-_RECORD = ('{"a":%d,"alpha_hat":%s,"convergents":%s,"factors":%s,"l":%d,"layout":%s,'
-           '"measured_residue":%d,"measured_s":%d,"n":%d,"peak_elements":%s,'
-           '"rank_profiles":%s,"stage_seconds":%s,"verified_r":%s}')
+# One record in sorted-key order, as json.dumps writes its schema-1 dict: the
+# single-% slots take the call's values, once per call, and the %%-slots, one
+# per sample, the record's.
+_RECORD = ('{"a":%d,"alpha_hat":%s,"convergents":%%s,"factors":%%s,"l":%d,"layout":%s,'
+           '"measured_residue":%%d,"measured_s":%%d,"n":%d,"peak_elements":%s,'
+           '"rank_profiles":[%s,%%s,%s],"stage_seconds":%%s,"verified_r":%%s}')
 
 
-class _Encoded(dict):
-    """``_dump_json`` text by key, each encoded on its first lookup from the
-    value ``value(key)`` gives (the key itself by default)."""
+def _records_json(call: SampleCall) -> str:
+    """The call's records as a JSON array of schema-1 records, each as
+    ``_dump_json`` writes its dict.
 
-    def __init__(self, value=None):
-        super().__init__()
-        self.value = value
-
-    def __missing__(self, key):
-        text = self[key] = _dump_json(key if self.value is None else self.value(key))
-        return text
-
-
-def _records_json(records: list[SampleRecord]) -> str:
-    """The records as a JSON array, each as ``_dump_json`` writes its fields.
-
-    The records of a call repeat most of their values: their convergents
-    and factors whenever their s repeats, and their layout, peaks, rank
-    profiles and (within a batch) stage seconds always.  So each compound
-    field is encoded once per distinct value and reused, from a memo of its
-    own keyed by the value itself (a tuple encodes as the list it is made
-    from, a tuple of items rebuilds its dict), or for the frozen rank
-    profiles, which records share, by the profiles' identities.  Keys that
-    compare equal must encode equally, which holds because records hold no
-    bools (True == 1) and no time of -0.0 (-0.0 == 0.0).
+    The call's values fill the template once.  Each s's convergents, factors
+    and verified order, each distinct "measure" profile and each batch's
+    stage seconds are encoded once: records with equal s share them, the
+    records of a batch are adjacent and share one dict, and the profiles are
+    shared, frozen objects.
     """
-    alpha_hat, convergents, factors, layout, verified_r = (_Encoded() for _ in range(5))
-    peak_elements, stage_seconds = _Encoded(dict), _Encoded(dict)
-    rank_profiles: dict[tuple[int, ...], str] = {}
+    inst = call.instance
+    template = _RECORD % (
+        inst.a, _dump_json(call.alpha_hat), inst.l, _dump_json(call.layout), inst.n,
+        _dump_json(call.peak_elements), _dump_json(vars(call.modexp_profile)),
+        _dump_json(vars(QFT_PROFILE)))
+    per_s: dict[int, tuple[str, str, str]] = {}
+    measures: dict[int, str] = {}
+    share, seconds = None, ""
     parts = []
-    for rec in records:
-        ids = tuple(map(id, rec.rank_profiles))
-        profiles = rank_profiles.get(ids)
-        if profiles is None:
-            profiles = rank_profiles[ids] = _dump_json([vars(p) for p in rec.rank_profiles])
-        parts.append(_RECORD % (
-            rec.a,
-            alpha_hat[rec.alpha_hat],
-            convergents[tuple(rec.convergents)],
-            factors[rec.factors],
-            rec.l,
-            layout[rec.layout],
-            rec.measured_residue,
-            rec.measured_s,
-            rec.n,
-            peak_elements[tuple(rec.peak_elements.items())],
-            profiles,
-            stage_seconds[tuple(rec.stage_seconds.items())],
-            verified_r[rec.verified_r],
-        ))
+    for rec in call.records:
+        classical = per_s.get(rec.measured_s)
+        if classical is None:
+            classical = per_s[rec.measured_s] = (
+                _dump_json(rec.convergents), _dump_json(rec.factors), _dump_json(rec.verified_r))
+        measure = measures.get(id(rec.measure_profile))
+        if measure is None:
+            measure = measures[id(rec.measure_profile)] = _dump_json(vars(rec.measure_profile))
+        if rec.stage_seconds is not share:
+            share = rec.stage_seconds
+            seconds = _dump_json(share)
+        convergents, factors, verified_r = classical
+        parts.append(template % (convergents, factors, rec.measured_residue, rec.measured_s,
+                                 measure, seconds, verified_r))
     return "[" + ",".join(parts) + "]"
 
 
-def _aggregate(records: list[SampleRecord], l: int, r: int | None) -> dict:
+def _aggregate(call: SampleCall, r: int | None) -> dict:
     hist: dict[int, int] = {}
-    for rec in records:
+    for rec in call.records:
         hist[rec.measured_s] = hist.get(rec.measured_s, 0) + 1
-    successes = sum(1 for rec in records if rec.factors is not None)
-    peaks: dict[str, int] = {}
-    for rec in records:
-        for stage, peak in rec.peak_elements.items():
-            peaks[stage] = max(peaks.get(stage, 0), peak)
+    successes = sum(1 for rec in call.records if rec.factors is not None)
     agg = {
         "s_histogram": {str(s): hist[s] for s in sorted(hist)},
         "factor_successes": successes,
-        "factor_success_rate": successes / len(records),
-        "peak_elements_per_stage": peaks,
+        "factor_success_rate": successes / len(call.records),
+        "peak_elements_per_stage": call.peak_elements,
         "tvd_vs_oracle": None,
     }
     if r is not None:
-        agg["tvd_vs_oracle"] = tvd_at_outcomes(l, r, hist)
+        agg["tvd_vs_oracle"] = tvd_at_outcomes(call.instance.l, r, hist)
         agg["order_r"] = r
     return agg
 
@@ -437,7 +419,7 @@ def cmd_sample(args) -> int:
         raise _UsageError(f"--dense-cap must be at least 1, got {args.dense_cap}")
     inst, lucky, configs = _pipeline_from_args(args)
     started = perf_counter()
-    records = {
+    calls = {
         layout: sample_runs(inst, cfg, streams(args.seed, args.samples))
         for layout, cfg in configs.items()
     }
@@ -446,8 +428,8 @@ def cmd_sample(args) -> int:
     # each layout's records stand in as a marker string that no other report
     # value holds, and their array is spliced in where its marker lands
     per_layout = {
-        layout: {"records": "\0" + layout, "aggregate": _aggregate(recs, inst.l, r)}
-        for layout, recs in records.items()
+        layout: {"records": "\0" + layout, "aggregate": _aggregate(call, r)}
+        for layout, call in calls.items()
     }
     report = {
         "schema": 1,
@@ -468,8 +450,8 @@ def cmd_sample(args) -> int:
         "elapsed_seconds": perf_counter() - started,
     }
     text = _dump_json(report)
-    for layout, recs in records.items():
-        text = text.replace(_dump_json("\0" + layout), _records_json(recs), 1)
+    for layout, call in calls.items():
+        text = text.replace(_dump_json("\0" + layout), _records_json(call), 1)
     return _write(text, args.out)
 
 

@@ -2,10 +2,7 @@
 
 ``RankProfile`` is the per-bond rank record that every sample and profile
 reports, and ``draw_outcome`` draws one outcome per generator from rows of
-probabilities, for R and for every qubit of the Fourier transform.  The dense
-MPS that once held the state site by site is kept in the test suite
-(``tests/_dense.py``) as the reference the residue-graded pipeline is tested
-against; nothing in this package builds a site tensor.
+probabilities, for R and for every qubit of the Fourier transform.
 """
 
 from __future__ import annotations

@@ -233,7 +233,7 @@ class SemiprimeInstance:
         if self.n < 9 or self.n % 2 == 0:
             raise ValueError(f"n must be an odd composite >= 9, got {self.n}")
         if self.n >= MAX_MODULUS:
-            raise ValueError(f"n exceeds the supported 62-bit range")
+            raise ValueError("n exceeds the supported 62-bit range")
         if not 1 < self.a < self.n:
             raise ValueError(f"base must satisfy 1 < a < n, got a={self.a}")
         if math.gcd(self.a, self.n) != 1:

@@ -191,21 +191,37 @@ class PipelineConfig:
             raise ValueError(f"max_elements must be positive, got {self.max_elements}")
 
 
+# qubit 0 is read last and is the only site left once the transform ends
+QFT_PROFILE = RankProfile(stage="qft", ranks=(), layout=(0,))
+
+
 @dataclass
 class SampleRecord:
-    n: int
-    a: int
-    l: int
-    layout: str
-    alpha_hat: int | None
+    """What one sample draws and derives; the values fixed per call are
+    its ``SampleCall``'s."""
+
     measured_residue: int
     measured_s: int
-    convergents: list[tuple[int, int]]
+    convergents: tuple[tuple[int, int], ...]
     verified_r: int | None
     factors: tuple[int, int] | None
-    rank_profiles: list[RankProfile]
-    peak_elements: dict[str, int]
+    measure_profile: RankProfile
     stage_seconds: dict[str, float]
+
+
+@dataclass
+class SampleCall:
+    """One ``sample_runs`` call: the values fixed per call, held once, and
+    its records.  A record's rank profiles are ``modexp_profile``, its
+    ``measure_profile`` and ``QFT_PROFILE``, in that order, and its element
+    peaks are ``peak_elements``."""
+
+    instance: SemiprimeInstance
+    layout: str
+    alpha_hat: int | None
+    modexp_profile: RankProfile
+    peak_elements: dict[str, int]
+    records: list[SampleRecord]
 
 
 # ----------------------------------------------------------------------- modexp
@@ -421,7 +437,7 @@ BATCH_ELEMENTS = 1 << 20
 
 def sample_runs(
     instance: SemiprimeInstance, config: PipelineConfig, rngs
-) -> list[SampleRecord]:
+) -> SampleCall:
     """End-to-end samples, one per generator in ``rngs``, in order.
 
     Modexp runs once and keeps only R's residue index and the chain's labels
@@ -433,7 +449,7 @@ def sample_runs(
     the left count #{u : a^u = c} times the right count R_j[c], so one
     complex weight per residue carries the state from qubit to qubit.  The
     "measure" ranks are those label counts and the "qft" chain ends as one
-    site.
+    site (``QFT_PROFILE``).
 
     The samples are drawn in batches, every array carrying a leading sample
     axis.  Sample k draws only from ``rngs[k]``, R first and then qubits
@@ -448,17 +464,16 @@ def sample_runs(
     the elements its chain's site tensors would hold if stored densely,
     "measure" the forward and right counts of one sample, and "qft" one
     sample's right counts plus its complex residue vector and branch pair.
-    These per-sample figures are each record's ``peak_elements``.  A batch
+    These per-sample figures are the call's ``peak_elements``.  A batch
     holds max(1, min(BATCH_ELEMENTS, max_elements) // E) samples, E being
     the larger of the "measure" and "qft" figures, so its arrays stay within
     ``config.max_elements`` too.  Each record's ``stage_seconds`` is its share
     of the stage times: what runs once per call (build, modexp, and the
     maps and forward counts of "measure") evenly over all samples, the rest
     evenly over its batch.  The classical post-processing of an s runs once
-    per call.  Every record owns its ``convergents``, ``peak_elements`` and
-    ``stage_seconds``, while the frozen ``RankProfile``s are shared: one
-    "modexp" and one "qft" profile per call, and one "measure" profile per
-    distinct rank tuple.
+    per call.  What records repeat they share: the records of a batch one
+    ``stage_seconds`` dict, records with equal s one ``convergents`` tuple
+    and records with equal "measure" ranks one frozen ``RankProfile``.
     """
     shared: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -486,12 +501,11 @@ def sample_runs(
     r_probs = counts / counts.sum()
     shared["measure"] = time.perf_counter() - t0
 
-    # qubit 0 is read last and is the only site left
-    qft_profile = RankProfile(stage="qft", ranks=(), layout=(0,))
+    call = SampleCall(instance, config.layout, alpha_hat, modexp_profile, peaks, [])
     measure_profiles: dict[tuple[int, ...], RankProfile] = {}
-    # each batch's stage shares and records; the shares are final once the
-    # number of samples, and so the call-wide share, is known
-    batches: list[tuple[dict[str, float], list[SampleRecord]]] = []
+    # each batch's stage shares, final once the number of samples, and so
+    # the call-wide share, is known
+    shares: list[dict[str, float]] = []
     # _classical depends on the instance and the bits alone, and samples of
     # a small r repeat their s often (85 of 100 at n=21, seeds 5000-5099)
     classical: dict[tuple, tuple] = {}
@@ -514,39 +528,22 @@ def sample_runs(
             done.append(classical[row])
         seconds["classical"] = time.perf_counter() - t2
         share = {stage: dt / len(chunk) for stage, dt in seconds.items()}
-        records = []
+        shares.append(share)
         for residue, rank, (s, convs, verified, factors) in zip(residues, ranks, done):
             if rank not in measure_profiles:
                 measure_profiles[rank] = RankProfile(stage="measure", ranks=rank, layout=labels)
-            records.append(SampleRecord(
-                n=instance.n,
-                a=instance.a,
-                l=instance.l,
-                layout=config.layout,
-                alpha_hat=alpha_hat,
-                measured_residue=residue,
-                measured_s=s,
-                convergents=list(convs),
-                verified_r=verified,
-                factors=factors,
-                rank_profiles=[modexp_profile, measure_profiles[rank], qft_profile],
-                peak_elements=dict(peaks),
-                stage_seconds=share,  # copied once the share is final
-            ))
-        batches.append((share, records))
-    total = sum(len(records) for _, records in batches)
-    for share, records in batches:
+            call.records.append(SampleRecord(
+                residue, s, convs, verified, factors, measure_profiles[rank], share))
+    for share in shares:
         for stage, dt in shared.items():
-            share[stage] = share.get(stage, 0.0) + dt / total
-        for rec in records:
-            rec.stage_seconds = dict(share)
-    return [rec for _, records in batches for rec in records]
+            share[stage] = share.get(stage, 0.0) + dt / len(call.records)
+    return call
 
 
 def _classical(instance: SemiprimeInstance, bits):
     """s from the bits, its convergents, the verified order and the factors."""
     s = assemble_s(bits, instance.l)
-    convs = continued_fraction_convergents(s, 1 << (2 * instance.l))
+    convs = tuple(continued_fraction_convergents(s, 1 << (2 * instance.l)))
     verified = None
     for _, k in convs:
         if k > 1 and pow(instance.a, k, instance.n) == 1:

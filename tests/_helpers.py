@@ -12,10 +12,12 @@ chain's index, and through ``reference_index`` the reference for the
 table-based ``shor.LowerRegisterIndex`` and its maps, and
 ``reference_graded_ranks`` counts the dynamic right block's ranks by brute
 force, as a reference for their closed form in ``shor.graded_ranks``.
-``reference_sample_report`` builds a ``sample`` report from its records as
-one dict, which one ``json.dumps`` call encodes, as a reference for the
-report that ``cli`` assembles from fragments.  ``sample_run`` draws one
-sample from one generator, for tests that compare samples one by one.
+``record_dict`` rebuilds a record's schema-1 dict from a ``shor.SampleCall``
+and one of its records, and ``reference_sample_report`` builds a ``sample``
+report from those dicts as one dict, which one ``json.dumps`` call encodes,
+as a reference for the report that ``cli`` assembles from fragments.
+``sample_run`` draws one sample from one generator and returns its schema-1
+dict, for tests that compare samples one by one.
 """
 
 import numpy as np
@@ -293,21 +295,36 @@ def identity_split_pair(block):
 
 # ------------------------------------------------------------------ sampling
 
-def sample_run(instance, config, rng) -> shor.SampleRecord:
-    """One end-to-end sample drawn from ``rng``: ``shor.sample_runs`` with
-    one generator, whose records do not depend on how the generators are
-    batched."""
-    return shor.sample_runs(instance, config, [rng])[0]
+def sample_run(instance, config, rng) -> dict:
+    """One end-to-end sample drawn from ``rng`` as its schema-1 dict:
+    ``shor.sample_runs`` with one generator, whose records do not depend on
+    how the generators are batched."""
+    call = shor.sample_runs(instance, config, [rng])
+    return record_dict(call, call.records[0])
 
 
 # -------------------------------------------------------- report reference
 
-def record_dict(rec: shor.SampleRecord) -> dict:
-    """The record as ``dataclasses.asdict`` gives it, without its deep copy:
-    the report only serializes the record's values."""
-    out = dict(vars(rec))
-    out["rank_profiles"] = [dict(vars(prof)) for prof in rec.rank_profiles]
-    return out
+def record_dict(call: shor.SampleCall, rec: shor.SampleRecord) -> dict:
+    """The schema-1 dict of ``rec``, a record of ``call``, from the call's
+    values and the record's."""
+    inst = call.instance
+    profiles = (call.modexp_profile, rec.measure_profile, shor.QFT_PROFILE)
+    return {
+        "n": inst.n,
+        "a": inst.a,
+        "l": inst.l,
+        "layout": call.layout,
+        "alpha_hat": call.alpha_hat,
+        "measured_residue": rec.measured_residue,
+        "measured_s": rec.measured_s,
+        "convergents": rec.convergents,
+        "verified_r": rec.verified_r,
+        "factors": rec.factors,
+        "rank_profiles": [dict(vars(prof)) for prof in profiles],
+        "peak_elements": call.peak_elements,
+        "stage_seconds": rec.stage_seconds,
+    }
 
 
 def reference_aggregate(records: list[dict], l: int, r: int | None) -> dict:
@@ -333,16 +350,16 @@ def reference_aggregate(records: list[dict], l: int, r: int | None) -> dict:
     return agg
 
 
-def reference_sample_report(argv: list[str], records: dict, elapsed_seconds: float) -> dict:
+def reference_sample_report(argv: list[str], calls: dict, elapsed_seconds: float) -> dict:
     """The report of ``shor-mps sample`` with ``argv`` (which names ``--a``)
-    as one dict, built from each layout's records (layout -> the list of
-    ``SampleRecord``s that ``shor.sample_runs`` returned)."""
+    as one dict, built from each layout's records (layout -> the
+    ``SampleCall`` that ``shor.sample_runs`` returned)."""
     args = cli._parse(argv)
     inst = SemiprimeInstance(args.n, args.a, args.p, args.q)
     r = cli._reference_order(inst, args.dense_cap)
     per_layout = {}
-    for layout, recs in records.items():
-        dicts = [record_dict(rec) for rec in recs]
+    for layout, call in calls.items():
+        dicts = [record_dict(call, rec) for rec in call.records]
         per_layout[layout] = {"records": dicts,
                               "aggregate": reference_aggregate(dicts, inst.l, r)}
     return {

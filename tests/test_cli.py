@@ -236,17 +236,17 @@ def dumped(monkeypatch):
 
 
 @contextlib.contextmanager
-def captured_records():
-    """The records of each ``cli.sample_runs`` call, by layout."""
-    records = {}
+def captured_calls():
+    """The ``shor.SampleCall`` of each ``cli.sample_runs`` call, by layout."""
+    calls = {}
     sample_runs = cli.sample_runs
 
     def recording(instance, config, rngs):
-        records[config.layout] = sample_runs(instance, config, rngs)
-        return records[config.layout]
+        calls[config.layout] = sample_runs(instance, config, rngs)
+        return calls[config.layout]
 
     with mock.patch.object(cli, "sample_runs", recording):
-        yield records
+        yield calls
 
 
 class TestReportForm:
@@ -256,7 +256,7 @@ class TestReportForm:
     @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=lambda argv: argv[0])
     def test_compact_and_same_content(self, argv, tmp_path, dumped):
         out = tmp_path / "r.json"
-        with captured_records() as records:
+        with captured_calls() as calls:
             assert run_cli(argv + ["--out", str(out)]) == 0
         text = out.read_text()
         report = json.loads(text)
@@ -264,7 +264,7 @@ class TestReportForm:
         assert report["schema"] == 1
         if argv[0] == "sample":
             # sample encodes its records apart from the rest of the report
-            obj = reference_sample_report(argv, records, report["elapsed_seconds"])
+            obj = reference_sample_report(argv, calls, report["elapsed_seconds"])
         else:
             [obj] = dumped
         assert report == json.loads(json.dumps(obj, indent=1, sort_keys=True))
@@ -273,11 +273,11 @@ class TestReportForm:
         out = tmp_path / "r.json"
         # cmd_sample reads the clock before and after its samples
         start, stop = 10.0, 10.0 + 1 / 3
-        with captured_records() as records, \
+        with captured_calls() as calls, \
                 mock.patch.object(cli, "perf_counter", iter([start, stop]).__next__):
             assert run_cli(REPORT_COMMANDS[0] + ["--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        obj = reference_sample_report(REPORT_COMMANDS[0], records, stop - start)
+        obj = reference_sample_report(REPORT_COMMANDS[0], calls, stop - start)
         for layout, block in obj["layouts"].items():
             parsed = report["layouts"][layout]
             for key in ("tvd_vs_oracle", "factor_success_rate"):
@@ -296,20 +296,21 @@ class TestReportForm:
 
 
 class TestRecordEncoding:
-    """``sample`` writes its records from fragments encoded once per distinct
-    value (``cli._records_json``); the report must be, byte for byte, the one
-    ``json.dumps`` gives for the same records as dicts."""
+    """``sample`` writes its records from a template that each call fills
+    once, with what records share encoded once (``cli._records_json``); the
+    report must be, byte for byte, the one ``json.dumps`` gives for the same
+    records as schema-1 dicts."""
 
     @staticmethod
     def assert_reference_bytes(argv, tmp_path):
         out = tmp_path / "r.json"
-        with captured_records() as records:
+        with captured_calls() as calls:
             assert run_cli(argv + ["--out", str(out)]) == 0
         text = out.read_text()
         elapsed = json.loads(text)["elapsed_seconds"]
-        reference = reference_sample_report(argv, records, elapsed)
+        reference = reference_sample_report(argv, calls, elapsed)
         assert text == json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
-        return records
+        return calls
 
     @settings(max_examples=60, deadline=None)
     @given(semiprime_and_base(), st.integers(0, 2**70),
@@ -333,10 +334,10 @@ class TestRecordEncoding:
         REPORT_COMMANDS[0],
     ], ids=["n1943", "factors"])
     def test_rows(self, argv, tmp_path):
-        records = self.assert_reference_bytes(argv, tmp_path)
+        calls = self.assert_reference_bytes(argv, tmp_path)
         if "--p" in argv:
-            assert any(rec.factors and rec.verified_r for recs in records.values()
-                       for rec in recs)
+            assert any(rec.factors and rec.verified_r for call in calls.values()
+                       for rec in call.records)
 
 
 class TestBadInput:

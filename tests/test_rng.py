@@ -39,8 +39,8 @@ def test_sample_records_equal_numpy_generators(tmp_path):
     inst = SemiprimeInstance(247, 2)
     for layout in ("static", "dynamic"):
         cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 30)
-        recs = shor.sample_runs(inst, cfg, [np.random.default_rng(5 + k) for k in range(20)])
-        expected = json.loads(json.dumps([record_dict(rec) for rec in recs]))
+        call = shor.sample_runs(inst, cfg, [np.random.default_rng(5 + k) for k in range(20)])
+        expected = json.loads(json.dumps([record_dict(call, rec) for rec in call.records]))
         got = layouts[layout]["records"]
         for rec in expected + got:
             del rec["stage_seconds"]

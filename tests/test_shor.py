@@ -1,8 +1,7 @@
 """Pipeline stages: modexp layouts, plateau detection, measurement, and the
 semiclassical QFT, which measures each qubit as soon as its phase is known."""
 
-import copy
-from dataclasses import FrozenInstanceError, asdict
+from dataclasses import FrozenInstanceError
 from math import gcd
 from unittest import mock
 
@@ -16,6 +15,7 @@ from _helpers import (
     graded_modexp,
     mps_as_canonical_dense,
     rank_oracle_for_bond,
+    record_dict,
     reference_graded_ranks,
     reference_index,
     sample_run,
@@ -43,8 +43,11 @@ def seeded(first, count):
     return (np.random.default_rng(first + k) for k in range(count))
 
 
-def without_timings(records):
-    return [{k: v for k, v in asdict(rec).items() if k != "stage_seconds"} for rec in records]
+def without_timings(*calls):
+    """The records of ``calls``, in order, as schema-1 dicts without their
+    stage seconds."""
+    return [{k: v for k, v in record_dict(call, rec).items() if k != "stage_seconds"}
+            for call in calls for rec in call.records]
 
 
 class TestBuildInitial:
@@ -275,7 +278,7 @@ class TestGradedModexp:
         monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
         rec = sample_run(SemiprimeInstance(247, 2), cfg, np.random.default_rng(0))
-        assert rec.peak_elements["build"] == 1
+        assert rec["peak_elements"]["build"] == 1
         # only the sampler reads the gates' maps
         monkeypatch.setattr(shor.LowerRegisterIndex, "gate_maps", banned)
         out = tmp_path / "p.json"
@@ -543,9 +546,9 @@ class TestGradedSampler:
         # one batch of 20 samples, each against the dense path on its own generator
         inst = SemiprimeInstance(n, a)
         cfg = shor.PipelineConfig(layout=layout)
-        records = shor.sample_runs(inst, cfg, [np.random.default_rng(k) for k in range(20)])
-        for seed, rec in enumerate(records):
-            measure = rec.rank_profiles[1]
+        call = shor.sample_runs(inst, cfg, [np.random.default_rng(k) for k in range(20)])
+        for seed, rec in enumerate(call.records):
+            measure = rec.measure_profile
             got = (rec.measured_residue, (measure.ranks, measure.layout), rec.measured_s)
             assert got == dense_reference(inst, layout, np.random.default_rng(seed)), seed
 
@@ -574,7 +577,7 @@ class TestGradedSampler:
         monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
         rec = sample_run(SemiprimeInstance(n, a), cfg, np.random.default_rng(3))
-        assert rec.rank_profiles[-1] == mps.RankProfile("qft", (), (0,))
+        assert rec["rank_profiles"][-1] == {"stage": "qft", "ranks": (), "layout": (0,)}
 
     def test_counts(self):
         inst = SemiprimeInstance(21, 2)
@@ -667,21 +670,21 @@ class TestSampleRun:
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         rec = sample_run(inst, cfg, np.random.default_rng(7))
-        assert rec.n == 21 and rec.a == 2 and rec.l == 5
-        assert rec.alpha_hat == 1
-        assert rec.measured_residue in {1, 2, 4, 8, 16, 11}
-        assert 0 <= rec.measured_s < 1024
-        assert rec.verified_r in (None, 6)
-        if rec.factors is not None:
-            assert rec.factors == (3, 7)
-        assert {"build", "modexp", "measure", "qft"} <= set(rec.peak_elements)
-        assert [p.stage for p in rec.rank_profiles] == ["modexp", "measure", "qft"]
+        assert rec["n"] == 21 and rec["a"] == 2 and rec["l"] == 5
+        assert rec["alpha_hat"] == 1
+        assert rec["measured_residue"] in {1, 2, 4, 8, 16, 11}
+        assert 0 <= rec["measured_s"] < 1024
+        assert rec["verified_r"] in (None, 6)
+        if rec["factors"] is not None:
+            assert rec["factors"] == (3, 7)
+        assert {"build", "modexp", "measure", "qft"} <= set(rec["peak_elements"])
+        assert [p["stage"] for p in rec["rank_profiles"]] == ["modexp", "measure", "qft"]
 
     def test_factor_recovery_rate(self):
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         wins = sum(
-            sample_run(inst, cfg, np.random.default_rng(1000 + k)).factors
+            sample_run(inst, cfg, np.random.default_rng(1000 + k))["factors"]
             == (3, 7)
             for k in range(20)
         )
@@ -692,15 +695,15 @@ class TestSampleRun:
         cfg = shor.PipelineConfig(layout="dynamic")
         for k in range(60):
             rec = sample_run(inst, cfg, np.random.default_rng(k))
-            assert rec.measured_s in (0, 256, 512, 768)
+            assert rec["measured_s"] in (0, 256, 512, 768)
 
     def test_static_layout_end_to_end(self):
         inst = SemiprimeInstance(15, 7)
         cfg = shor.PipelineConfig(layout="static")
         for k in range(20):
             rec = sample_run(inst, cfg, np.random.default_rng(k))
-            assert rec.layout == "static" and rec.alpha_hat is None
-            assert rec.measured_s in (0, 256, 512, 768)
+            assert rec["layout"] == "static" and rec["alpha_hat"] is None
+            assert rec["measured_s"] in (0, 256, 512, 768)
 
     def test_memory_limit_surfaces(self):
         inst = SemiprimeInstance(21, 2)
@@ -720,15 +723,15 @@ class TestSampleRun:
             return shor.sample_runs(inst, cfg, seeded(seed, m))
 
         free = run()
-        peak = max(free[0].peak_elements.values())
+        peak = max(free.peak_elements.values())
         tight = run(peak)
-        assert all(rec.a == inst.a for rec in tight)
+        assert tight.instance == inst
         assert without_timings(tight) == without_timings(free)
         with pytest.raises(shor.MemoryLimitError) as err:
             run(peak - 1)
         assert err.value.needed == peak
         # the graded stages hold less than modexp's final chain
-        assert err.value.stage == "modexp" and free[0].peak_elements["modexp"] == peak
+        assert err.value.stage == "modexp" and free.peak_elements["modexp"] == peak
 
     @settings(max_examples=40, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 40]),
@@ -739,12 +742,12 @@ class TestSampleRun:
         inst = SemiprimeInstance(*case)
         cfg = shor.PipelineConfig(layout=layout)
         batch = without_timings(shor.sample_runs(inst, cfg, seeded(seed, m)))
-        alone = [sample_run(inst, cfg, np.random.default_rng(seed + k)) for k in range(m)]
-        assert batch == without_timings(alone)
+        alone = [shor.sample_runs(inst, cfg, [rng]) for rng in seeded(seed, m)]
+        assert batch == without_timings(*alone)
         cut = data.draw(st.integers(0, m), label="split")
         first = shor.sample_runs(inst, cfg, seeded(seed, cut))
         second = shor.sample_runs(inst, cfg, seeded(seed + cut, m - cut))
-        assert without_timings(first + second) == batch
+        assert without_timings(first, second) == batch
         # a small batch bound cuts one call into batches of 1 ... 3 samples
         per_sample = max(alone[0].peak_elements["measure"], alone[0].peak_elements["qft"])
         bound = data.draw(st.integers(1, 4 * per_sample - 1), label="batch elements")
@@ -754,10 +757,10 @@ class TestSampleRun:
     def test_stage_seconds_share_the_call(self):
         inst = SemiprimeInstance(247, 2)
         cfg = shor.PipelineConfig(layout="static")
-        per_sample = sample_run(inst, cfg, np.random.default_rng(0)).peak_elements
+        per_sample = shor.sample_runs(inst, cfg, seeded(0, 1)).peak_elements
         bound = 2 * max(per_sample["measure"], per_sample["qft"])
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
-            records = shor.sample_runs(inst, cfg, seeded(0, 5))
+            records = shor.sample_runs(inst, cfg, seeded(0, 5)).records
         assert [set(rec.stage_seconds) for rec in records] == [
             {"build", "modexp", "measure", "qft", "classical"}] * 5
         # modexp runs once per call and is shared evenly; batches of 2, 2, 1
@@ -772,7 +775,7 @@ class TestSampleRun:
         inst = SemiprimeInstance(n, 2)
         cfg = shor.PipelineConfig(layout="static")
         m = 100 if n == 21 else 30
-        alone = [sample_run(inst, cfg, rng) for rng in seeded(5000, m)]
+        alone = [shor.sample_runs(inst, cfg, [rng]) for rng in seeded(5000, m)]
         calls = []
         classical = shor._classical
 
@@ -781,54 +784,53 @@ class TestSampleRun:
             return classical(instance, bits)
 
         monkeypatch.setattr(shor, "_classical", counted)
-        records = shor.sample_runs(inst, cfg, seeded(5000, m))
+        call = shor.sample_runs(inst, cfg, seeded(5000, m))
         assert len(calls) == len(set(calls)) == distinct
-        assert len({rec.measured_s for rec in records}) == distinct
-        assert without_timings(records) == without_timings(alone)
-        # every record owns its convergents
-        first = records[0]
-        twin = next(rec for rec in records[1:] if rec.measured_s == first.measured_s)
-        want = list(twin.convergents)
-        first.convergents.append((0, 1))
-        assert twin.convergents == want
+        assert len({rec.measured_s for rec in call.records}) == distinct
+        assert without_timings(call) == without_timings(*alone)
 
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
-    def test_records_own_what_they_may_change(self, layout):
-        # a sample of n=21 holds 63 elements: batches of 2 samples, whose
-        # records hold equal stage_seconds; the 12 of seed 5000 repeat their s
+    def test_records_share_what_repeats(self, layout):
+        # a sample of n=21 holds 63 elements: batches of 2 samples; the 12
+        # of seed 5000 repeat their s and their "measure" ranks
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout=layout)
         with mock.patch.object(shor, "BATCH_ELEMENTS", 2 * 63):
-            records = shor.sample_runs(inst, cfg, seeded(5000, 12))
-        assert len({rec.measured_s for rec in records}) < len(records)
-        owned = ("convergents", "peak_elements", "stage_seconds")
+            call = shor.sample_runs(inst, cfg, seeded(5000, 12))
+        records = call.records
         for k, rec in enumerate(records):
-            before = copy.deepcopy([[getattr(other, f) for f in owned] for other in records])
-            rec.convergents.append((0, 1))
-            rec.peak_elements["mutated"] = k
-            rec.stage_seconds["mutated"] = float(k)
-            after = [[getattr(other, f) for f in owned] for other in records]
-            assert after[:k] + after[k + 1:] == before[:k] + before[k + 1:]
-        # the rank profiles are frozen, so records may share them
-        modexp, measure, qft = records[0].rank_profiles
-        assert all(rec.rank_profiles[0] is modexp and rec.rank_profiles[2] is qft
-                   for rec in records)
-        for profile in (modexp, measure, qft):
+            for j in range(k + 1, len(records)):
+                other = records[j]
+                # records of one batch share one stage share, of two batches not
+                assert (rec.stage_seconds is other.stage_seconds) == (k // 2 == j // 2)
+                if rec.measured_s == other.measured_s:
+                    assert rec.convergents is other.convergents
+                if rec.measure_profile.ranks == other.measure_profile.ranks:
+                    assert rec.measure_profile is other.measure_profile
+        assert len({rec.measured_s for rec in records}) < len(records)
+        assert len({id(rec.measure_profile) for rec in records}) < len(records)
+        # what records share is immutable, or frozen
+        for rec in records:
+            assert isinstance(rec.convergents, tuple)
+            assert all(isinstance(pair, tuple) for pair in rec.convergents)
+        for profile in (call.modexp_profile, records[0].measure_profile, shor.QFT_PROFILE):
             with pytest.raises(FrozenInstanceError):
                 profile.ranks = ()
 
     def test_no_generator_no_record(self):
-        assert shor.sample_runs(SemiprimeInstance(21, 2), shor.PipelineConfig(), []) == []
+        assert shor.sample_runs(SemiprimeInstance(21, 2), shor.PipelineConfig(), []).records == []
 
     def test_determinism(self):
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
-        a = sample_run(inst, cfg, np.random.default_rng(42))
-        b = sample_run(inst, cfg, np.random.default_rng(42))
-        assert a.measured_s == b.measured_s
-        assert a.measured_residue == b.measured_residue
-        assert a.convergents == b.convergents
-        assert a.rank_profiles == b.rank_profiles
+        a = shor.sample_runs(inst, cfg, [np.random.default_rng(42)])
+        b = shor.sample_runs(inst, cfg, [np.random.default_rng(42)])
+        [rec_a], [rec_b] = a.records, b.records
+        assert rec_a.measured_s == rec_b.measured_s
+        assert rec_a.measured_residue == rec_b.measured_residue
+        assert rec_a.convergents == rec_b.convergents
+        assert a.modexp_profile == b.modexp_profile
+        assert rec_a.measure_profile == rec_b.measure_profile
         assert a.peak_elements == b.peak_elements
 
 
@@ -840,6 +842,6 @@ class TestEndToEndDistribution:
         draws = 2000
         for k in range(draws):
             rec = sample_run(inst, cfg, np.random.default_rng(10_000 + k))
-            counts[rec.measured_s] += 1
+            counts[rec["measured_s"]] += 1
         table = oracle.exact_distribution(5, 6)
         assert _dense.tvd(table, counts) < 0.08

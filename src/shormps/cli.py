@@ -33,19 +33,22 @@ Reports are deterministic for a fixed (flags, seed) pair.  Sample k draws
 from PCG64 seeded through ``SeedSequence(seed + k)``, the stream of
 ``numpy.random.default_rng(seed + k)``, computed in ``shormps.rng`` so that
 ``sample`` skips numpy's 15-18 ms import of ``numpy.random`` (only drawing
-``a`` when ``--a`` is omitted still imports it).  ``rng.streams`` hashes the
-seeds of up to 1024 samples in one array pass: about 0.4 ms for 100 samples
-and 0.2 ms for one, where seeding each in Python cost 20-28 us a seed.  So
-``--seed s --samples m`` and ``--seed s+m --samples m`` run as separate
-processes give the records of ``--seed s --samples 2m``, timings apart.
+``a`` when ``--a`` is omitted still imports it).  So ``--seed s --samples
+m`` and ``--seed s+m --samples m`` run as separate processes give the
+records of ``--seed s --samples 2m``, timings apart.  ``rng.uniforms``
+computes every float a batch of samples draws in one pass of ``uint64``
+lanes, up to 1024 seeds at a time: about 0.25 ms for 100 samples of n=21
+and 0.15 ms for one of n=1943 once numpy's loops are warm (0.4-0.5 ms for
+the first call of a process).
 ``sample`` and ``profile`` take n below 2^31 (the residue index's bound),
 ``oracle`` n below 2^62.
 
 JSON reports (``schema: 1``) are compact: sorted keys, no whitespace between
 tokens, one trailing newline, floats in Python's shortest round-trip form;
 each equals ``json.dumps(report, sort_keys=True, separators=(",", ":")) +
-"\\n"``.  ``profile``, ``oracle`` and ``verify-paper`` write theirs with that
-one call.  ``sample`` encodes the rest of its report with it, with a marker
+"\\n"``, which ``_dump_json`` computes with one encoder built at import.
+``profile``, ``oracle`` and ``verify-paper`` write theirs with that one
+call.  ``sample`` encodes the rest of its report with it, with a marker
 in place of each layout's records, and splices in the records arrays, which
 ``_records_json`` writes from a sorted-key template: the call's values
 (instance, layout, alpha_hat, peaks, the "modexp" and "qft" profiles) fill
@@ -82,7 +85,6 @@ from .numtheory import (
     two_adic_split,
 )
 from .oracle import DENSE_CAP, LAW_MAX_L, DenseCapError, exact_distribution, tvd_at_outcomes
-from .rng import streams
 from .shor import (
     MAX_SIMULATED_MODULUS,
     QFT_PROFILE,
@@ -268,9 +270,9 @@ def _unwritable(out: str | None) -> str | None:
     return None if code is None else os.strerror(code)
 
 
-def _dump_json(obj) -> str:
-    # no indent: only then does json.dumps use its C encoder
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps(obj, sort_keys=True, separators=(",", ":")) without building the
+# encoder on every call; no indent, so the C encoder runs
+_dump_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _validate_semiprime(n: int, bound: int = MAX_MODULUS) -> None:
@@ -420,7 +422,7 @@ def cmd_sample(args) -> int:
     inst, lucky, configs = _pipeline_from_args(args)
     started = perf_counter()
     calls = {
-        layout: sample_runs(inst, cfg, streams(args.seed, args.samples))
+        layout: sample_runs(inst, cfg, range(args.seed, args.seed + args.samples))
         for layout, cfg in configs.items()
     }
     # the order depends on the instance alone

@@ -1,8 +1,9 @@
 """Rank profiles, outcome draws and the lower-register label of the sampler.
 
 ``RankProfile`` is the per-bond rank record that every sample and profile
-reports, and ``draw_outcome`` draws one outcome per generator from rows of
-probabilities, for R and for every qubit of the Fourier transform.
+reports, and ``draw_outcome`` draws one outcome per uniform from rows of
+probabilities, for R and for every qubit of the Fourier transform that is
+not a fair coin.
 """
 
 from __future__ import annotations
@@ -27,16 +28,16 @@ class RankProfile:
     layout: tuple
 
 
-def draw_outcome(probs: np.ndarray, rngs, where: str = "") -> np.ndarray:
-    """Sample one outcome per generator from rows of unit mass.
+def draw_outcome(probs: np.ndarray, u: np.ndarray, where: str = "") -> np.ndarray:
+    """Sample one outcome per uniform in the column ``u`` from rows of unit mass.
 
-    ``probs`` has axes (..., outcome): one row shared by every generator in
-    ``rngs``, or one row per generator.  Tiny negative entries within the
-    floating-point floor are clamped to zero in place.  Every row's mass must
-    be 1 within 1e-6.  Row k draws ``u = rngs[k].random() * mass`` and takes
+    ``probs`` has axes (..., outcome): one row shared by every uniform, or
+    one row per uniform.  Tiny negative entries within the floating-point
+    floor are clamped to zero in place.  Every row's mass must be 1 within
+    1e-6.  Row k scales ``u[k]``, a float in [0, 1), by its mass and takes
     the first outcome whose cumulative probability exceeds it.  The
     arithmetic is elementwise or along the outcome axis, so a row's outcome
-    depends on that row and its generator alone, never on the other rows.
+    depends on that row and its uniform alone, never on the other rows.
     """
     lowest = probs.min()
     if lowest < 0:
@@ -47,6 +48,6 @@ def draw_outcome(probs: np.ndarray, rngs, where: str = "") -> np.ndarray:
     off = np.abs(total - 1.0) > 1e-6
     if off.any():
         raise NormalizationError(f"probability mass {np.extract(off, total)[0]} at {where}")
-    u = np.array([rng.random() for rng in rngs]) * total
+    u = u * total
     below = np.cumsum(probs, axis=-1) <= u[:, None]
     return np.minimum(below.sum(axis=-1), probs.shape[-1] - 1)

@@ -1,7 +1,7 @@
-"""PCG64 uniform draws in pure Python, seeded as numpy seeds them.
+"""PCG64 uniform draws in numpy ``uint64`` lanes, seeded as numpy seeds them.
 
-The k-th generator of ``streams(first, count)`` returns, draw for draw, the
-floats of ``numpy.random.default_rng(first + k).random()``: numpy's
+Row k of ``uniforms(first, count, draws)`` holds, bit for bit, the first
+``draws`` floats of ``numpy.random.default_rng(first + k).random()``: numpy's
 ``SeedSequence`` turns the seed into four 64-bit words (32-bit hash mixing of
 the seed's words into a pool of four, then eight output words), ``PCG64``
 takes them as its 128-bit initial state and increment (O'Neill 2014, PCG
@@ -9,20 +9,24 @@ XSL-RR 128/64), and ``Generator.random`` keeps the top 53 bits of each 64-bit
 output.  ``sample`` draws from it so that its process never imports
 ``numpy.random``, which costs 15-18 ms on first use.
 
-``streams(first, count)`` seeds the generators of seeds ``first ...
-first+count-1`` ``SEED_BLOCK`` at a time, hashing a whole block in numpy
-``uint64`` lanes (one seed per column, 32-bit arithmetic masked).  That is
-exact because the constant the hash uses at its k-th call is ``INIT *
-MULT^k mod 2^32`` whatever the seed, so the constants are tables built at
-import (``_hash_consts``); within one source row of the mixing loop the three
-hashes are independent, so each step is one array operation; and a seed of
-four words or fewer is hashed exactly as if zero-padded to four.  Words past
-the fourth mix into their own seeds' pools only, with constants computed for
-the block's longest seed, so seeds have no size cap.  In a fresh ``sample``
-process (2-vCPU VM) the first block costs about 0.4 ms for 100 seeds, 0.25 ms
-for 30 and 0.18 ms for one, against 2.6, 0.9 and 0.08 ms when each seed was
-hashed word by word in Python (20-28 us a seed once warm); a draw costs about
-a microsecond.
+The seeds are hashed ``SEED_BLOCK`` at a time in ``uint64`` lanes (one seed
+per column, 32-bit arithmetic masked).  That is exact because the constant
+the hash uses at its k-th call is ``INIT * MULT^k mod 2^32`` whatever the
+seed, so the constants are tables built at import (``_hash_consts``); within
+one source row of the mixing loop the three hashes are independent, so each
+step is one array operation; and a seed of four words or fewer is hashed
+exactly as if zero-padded to four.  Words past the fourth mix into their own
+seeds' pools only, with constants computed for the block's longest seed, so
+seeds have no size cap.
+
+The draws need no step-by-step generator either.  A PCG64 step is the affine
+map s -> s M + inc mod 2^128, and numpy's seeding starts at base = inc + the
+initial state and steps once, so draw i (1-based) reads the state base
+M^(i+1) + inc G_(i+1), with G_k = sum_(j<k) M^j.  The M^k and G_k are
+Python ints tabled per call, split into 64-bit words, and each block's
+(seed, draw) array of states comes from two 128-bit products built from
+32-bit partial products, one array operation per step for every draw of
+every seed at once.
 """
 
 from __future__ import annotations
@@ -37,11 +41,12 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _DOUBLE_UNIT = 2.0 ** -53
-# seeds hashed per array pass in ``streams``: bounds what a long campaign holds
+# seeds hashed and drawn per array pass in ``uniforms``: bounds the lanes held at once
 SEED_BLOCK = 1024
 
 # numpy scalars, so that no array operation converts a Python int
-_LANE_M32, _S16, _S32 = np.uint64(_M32), np.uint64(16), np.uint64(32)
+_LANE_M32, _ONE = np.uint64(_M32), np.uint64(1)
+_S1, _S11, _S16, _S32, _S58, _S63, _S64 = map(np.uint64, (1, 11, 16, 32, 58, 63, 64))
 _MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 
 
@@ -98,17 +103,15 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _entropy(first: int, count: int) -> np.ndarray:
     """Seeds ``first ... first+count-1`` as 32-bit words, axes (word, seed),
     least significant first and zero-padded to at least ``_POOL`` words."""
-    if first < 0:
-        raise ValueError(f"seed must be non-negative, got {first}")
     last = first + count - 1
     width = max(_POOL, -(-last.bit_length() // 32))
     raw = b"".join(s.to_bytes(4 * width, "little") for s in range(first, last + 1))
     return np.frombuffer(raw, dtype="<u4").reshape(count, width).T.astype(np.uint64)
 
 
-def _generate_states(first: int, count: int) -> list[list[int]]:
+def _generate_states(first: int, count: int) -> np.ndarray:
     """``SeedSequence(s).generate_state(4, np.uint64)`` for seeds ``first ...
-    first+count-1``, as Python ints, one list per seed."""
+    first+count-1``, axes (word, seed)."""
     words = _entropy(first, count)
     pool = _hash(words[:_POOL], _FILL[:-1], _FILL[1:])
     for src, xor, mul in _STEPS:
@@ -125,35 +128,71 @@ def _generate_states(first: int, count: int) -> list[list[int]]:
             hashed = _hash(word, consts[call : call + _POOL], consts[call + 1 : call + _POOL + 1])
             pool = np.where(mixes, _mix(pool, hashed), pool)
     out = _hash(pool[_OUT_ROWS], _OUT[:-1], _OUT[1:])
-    return (out[0::2] | out[1::2] << _S32).T.tolist()
+    return out[0::2] | out[1::2] << _S32
 
 
-class Pcg64:
-    """PCG64 started from the four state words that ``SeedSequence``
-    generates, for ``random()`` only; ``streams`` builds them."""
-
-    __slots__ = ("_state", "_inc")
-
-    def __init__(self, words: list[int]):
-        s0, s1, s2, s3 = words
-        self._inc = ((s2 << 64 | s3) << 1 | 1) & _M128
-        # numpy's srandom: state 0, step, add the initial state, step
-        state = self._inc + (s0 << 64 | s1)
-        self._state = state * _PCG_MULT + self._inc & _M128
-
-    def random(self) -> float:
-        """The next float in [0, 1), as ``Generator.random()`` gives it."""
-        state = self._state = self._state * _PCG_MULT + self._inc & _M128
-        rot = state >> 122
-        x = (state >> 64 ^ state) & _M64
-        x = (x >> rot | x << (64 - rot)) & _M64
-        return (x >> 11) * _DOUBLE_UNIT
+def _split(values: list[int]) -> tuple[np.ndarray, ...]:
+    """128-bit constants as ``uint64`` lanes: the high word, the low word and
+    the low word's two 32-bit halves, high first."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & _M64 for v in values], dtype=np.uint64)
+    return hi, lo, lo >> _S32, lo & _LANE_M32
 
 
-def streams(first: int, count: int):
-    """``Pcg64``s drawing as ``numpy.random.default_rng(first + k)`` for k <
-    ``count``, in order, seeded ``SEED_BLOCK`` at a time; a negative seed
-    raises ``ValueError`` at the first draw of the iterator."""
-    for start in range(first, first + count, SEED_BLOCK):
-        for words in _generate_states(start, min(SEED_BLOCK, first + count - start)):
-            yield Pcg64(words)
+def _jump_tables(draws: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """M^(i+1) and G_(i+1) = sum_(j <= i) M^j mod 2^128 for draws i = 1 ...
+    ``draws``, M being the PCG multiplier, split by ``_split``."""
+    powers, sums = [], []
+    power, total = _PCG_MULT, 1  # M^1 and G_1
+    for _ in range(draws):
+        total = total + power & _M128
+        power = power * _PCG_MULT & _M128
+        powers.append(power)
+        sums.append(total)
+    return _split(powers), _split(sums)
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) times each entry of ``table`` mod 2^128, as (hi, lo) lanes.
+
+    The low words' full 128-bit product comes from four 32-bit partial
+    products; the high words enter the high word of the result only."""
+    t_hi, t_lo, t1, t0 = table
+    a1, a0 = lo >> _S32, lo & _LANE_M32
+    p01, p10 = a0 * t1, a1 * t0
+    mid = (a0 * t0 >> _S32) + (p01 & _LANE_M32) + (p10 & _LANE_M32)
+    high = a1 * t1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + hi * t_lo + lo * t_hi
+    return high, lo * t_lo
+
+
+def _block_uniforms(words: np.ndarray, powers, sums) -> np.ndarray:
+    """The floats of one block of generators, axes (seed, draw), from their
+    ``SeedSequence`` words (``_generate_states``)."""
+    s0, s1, s2, s3 = (w[:, None] for w in words)
+    # numpy's srandom: state 0, step, add the initial state, step
+    inc_hi, inc_lo = s2 << _S1 | s3 >> _S63, s3 << _S1 | _ONE
+    base_lo = inc_lo + s1
+    base_hi = inc_hi + s0 + (base_lo < s1)
+    # draw i steps to base * M^(i+1) + inc * G_(i+1)
+    b_hi, b_lo = _mul128(base_hi, base_lo, powers)
+    i_hi, i_lo = _mul128(inc_hi, inc_lo, sums)
+    lo = b_lo + i_lo
+    hi = b_hi + i_hi + (lo < b_lo)
+    # XSL-RR output, then the top 53 bits as Generator.random keeps them
+    rot = hi >> _S58
+    x = hi ^ lo
+    x = x >> rot | x << (_S64 - rot & _S63)
+    return (x >> _S11) * _DOUBLE_UNIT
+
+
+def uniforms(first: int, count: int, draws: int) -> np.ndarray:
+    """The first ``draws`` floats of ``numpy.random.default_rng(first + k)
+    .random()`` for k < ``count``, axes (seed, draw), ``SEED_BLOCK`` seeds
+    per array pass.  A negative seed raises ``ValueError``."""
+    if first < 0:
+        raise ValueError(f"seed must be non-negative, got {first}")
+    powers, sums = _jump_tables(draws)
+    blocks = [_block_uniforms(_generate_states(start, min(SEED_BLOCK, first + count - start)),
+                              powers, sums)
+              for start in range(first, first + count, SEED_BLOCK)]
+    return np.concatenate(blocks) if blocks else np.empty((0, draws))

@@ -61,11 +61,16 @@ is semiclassical (Griffiths & Niu, PRL 76, 3228 (1996)): the most significant
 unread qubit's controlled phases from the qubits already read collapse into
 one single-site phase ahead of its Hadamard.  A sample therefore costs
 O(l * r) and runs no SVD, density read or dense contraction, and every bond's
-Schmidt rank is a label count, read off the same counts.  Modexp and the
+Schmidt rank is a label count, read off the same counts.  A gate that
+doubles R's residue set (``floor(log2 beta) + alpha`` of them) has a
+shifted identity as its map, and its qubit is an exact fair coin, read with
+one comparison and no probability sum (``graded_fourier``).  Modexp and the
 forward counts are the same for every sample of an instance, so
 ``sample_runs`` computes them once and draws its samples together, each
-array carrying a leading sample axis; sample k still draws only from its
-own generator, so its record does not depend on the batch it is in.
+array carrying a leading sample axis, and every float a batch draws is
+computed up front from its seeds (``rng.uniforms``); sample k still draws
+only from its own seed's stream, so its record does not depend on the batch
+it is in.
 
 The same stages on a dense chain, with site tensors, a whole-chain density
 read, rank-revealing sweeps and single-site measurements, live in the test
@@ -78,13 +83,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
 from math import sqrt
 
 import numpy as np
 
 from .mps import LOWER_REGISTER, RankProfile, draw_outcome
 from .numtheory import SemiprimeInstance, continued_fraction_convergents, recover_factors
+from .rng import uniforms
 
 SQRT_HALF = 1.0 / sqrt(2.0)
 # n must be below this for the residue index (see ``LowerRegisterIndex``)
@@ -164,7 +169,7 @@ class LowerRegisterIndex:
                                            dtype=np.int32)
             self.residues = np.concatenate((self.residues, fresh))
 
-    def gate_maps(self) -> list[np.ndarray]:
+    def gate_maps(self) -> list[np.ndarray | slice]:
         """Every recorded gate's multiplier map, in gate order.
 
         Map k sends the index of each residue reached before gate k to the
@@ -174,9 +179,16 @@ class LowerRegisterIndex:
         never renumbers a residue, so these are the indices the images had
         when gate k ran.  The maps are ``int32``, as the table: at n=16351,
         intp maps held at once raised the peak RSS by 30 MB.
+
+        A gate that doubles R's dimension (D_k to 2 D_k) reaches D_k fresh
+        images, which ``extend`` appends in the order of their sources, so
+        its map is ``arange(D_k, 2 D_k)``; it is returned as ``slice(D_k, 2
+        D_k)``, which indexes as a view and stores nothing, and its qubit is
+        a fair coin in the sampler (``graded_fourier``).
         """
-        return [self._where[self.residues[:d] * m % self.n] - 1
-                for m, d in zip(self.mults, self.dims)]
+        return [slice(d, 2 * d) if after == 2 * d
+                else self._where[self.residues[:d] * m % self.n] - 1
+                for m, d, after in zip(self.mults, self.dims, _dims_after(self))]
 
 
 @dataclass
@@ -308,12 +320,12 @@ def _dims_after(lower: LowerRegisterIndex) -> list[int]:
     return lower.dims[1:] + [lower.dim]
 
 
-def forward_counts(lower: LowerRegisterIndex, maps: list[np.ndarray]) -> np.ndarray:
+def forward_counts(lower: LowerRegisterIndex, maps: list[np.ndarray | slice]) -> np.ndarray:
     """f[c] = #{x < Q : a^x = c} over R's residue index, from the gates' maps.
 
-    ``maps`` are ``lower.gate_maps()``.  Each gate keeps every exponent
-    (control bit 0) and moves a copy through its multiplier map (control bit
-    1): f <- pad(f) + scatter(f, P).
+    ``maps`` are ``lower.gate_maps()``, arrays or slices.  Each gate keeps
+    every exponent (control bit 0) and moves a copy through its multiplier
+    map (control bit 1): f <- pad(f) + scatter(f, P).
     """
     f = np.ones(1)
     for perm, dim in zip(maps, _dims_after(lower)):
@@ -324,22 +336,24 @@ def forward_counts(lower: LowerRegisterIndex, maps: list[np.ndarray]) -> np.ndar
     return f
 
 
-def right_counts(lower: LowerRegisterIndex, maps: list[np.ndarray], targets) -> list[np.ndarray]:
+def right_counts(lower: LowerRegisterIndex, maps: list[np.ndarray | slice],
+                 targets) -> list[np.ndarray]:
     """R_j[c] = #{v < 2^j : c * a^v = residue t}, for j = 0 ... 2l.
 
     ``maps`` are ``lower.gate_maps()``, and ``targets`` holds the index of t
     in R's residue index, one per sample; each R_j has the axes (sample,
     residue).  R_j runs over the residues reached by the qubits at or above
     j, so its length is R's dimension after gate j.  R_0 is one-hot at t and
-    R_{j+1} = R_j[:D_{j+1}] + R_j[P_j], P_j being qubit j's multiplier map.
+    R_{j+1} = R_j[:D_j] + R_j[P_j], P_j being qubit j's multiplier map (an
+    array or a slice) and D_j R's dimension before gate j.
     """
     targets = np.asarray(targets)
     r_0 = np.zeros(targets.shape + (lower.dim,))
     np.put_along_axis(r_0, targets[..., None], 1.0, axis=-1)
     right = [r_0]
-    for perm in reversed(maps):
+    for perm, d in zip(reversed(maps), reversed(lower.dims)):
         r_j = right[-1]
-        right.append(r_j[..., : perm.size] + r_j[..., perm])
+        right.append(r_j[..., :d] + r_j[..., perm])
     return right
 
 
@@ -366,26 +380,43 @@ def residue_branches(w, perm, right_j, phase):
     return branches, ((branches.real**2 + branches.imag**2) * weight).sum(axis=-1)
 
 
-def graded_fourier(maps: list[np.ndarray], right: list[np.ndarray], rngs) -> np.ndarray:
+def graded_fourier(maps: list[np.ndarray | slice], right: list[np.ndarray],
+                   floats: np.ndarray) -> np.ndarray:
     """Semiclassical Fourier transform of the upper register, graded by residue.
 
     Reads qubits 2l-1 ... 0, most significant first, as the dense
     reference's ``apply_lnn_qft`` does, keeping one complex weight per
     residue reached by the qubits read so far, for every sample at once:
     ``maps`` are the gates' multiplier maps (``lower.gate_maps()``),
-    ``right`` holds the samples' right counts (``right_counts``) and sample
-    k draws from ``rngs[k]``.  Returns the bits, axes (sample, measurement
+    ``right`` holds the samples' right counts (``right_counts``) and
+    ``floats`` the samples' uniforms in [0, 1), axes (sample, measurement
+    order), one per qubit.  Returns the bits, axes (sample, measurement
     order).
+
+    A qubit whose map is a slice(D, 2D) is a fair coin, bit for bit.  Its
+    kept residues lie in [0, D) and its moved ones in [D, 2D), so its two
+    branches have equal |amplitude|^2 at every residue (x + 0 = x and 0 - y
+    = -y), summed with the same weights in the same order: p0 == p1, and
+    the draw p0 <= u (p0 + p1) is exactly u >= 1/2 (doubling is exact, and
+    u < 1/2 is at most 1/2 - 2^-53).  Its state is then w followed by
+    +-w exp(-i pi phase): the branch divided by sqrt(1/2), with no sums, no
+    normalization and no branch pair.
     """
-    rows = np.arange(len(rngs))
+    rows = np.arange(floats.shape[0])
     w = (1.0 / np.sqrt(right[-1])).astype(np.complex128)
     phase = np.zeros(rows.size)  # sum_k b_k / 2^(k-j) over the qubits k > j read so far
     bits = np.empty((rows.size, len(maps)), dtype=np.int64)
     top = len(maps) - 1
     for depth, (perm, right_j) in enumerate(zip(maps, reversed(right[:-1]))):
-        branches, probs = residue_branches(w, perm, right_j, phase)
-        bit = draw_outcome(probs, rngs, where=f"qubit {top - depth}")
-        w = branches[rows, bit] / np.sqrt(probs[rows, bit])[:, None]
+        u = floats[:, depth]
+        if isinstance(perm, slice):
+            bit = (u >= 0.5).astype(np.int64)
+            moved = w * ((1 - 2 * bit) * np.exp(-1j * np.pi * phase))[:, None]
+            w = np.concatenate((w, moved), axis=-1)
+        else:
+            branches, probs = residue_branches(w, perm, right_j, phase)
+            bit = draw_outcome(probs, u, where=f"qubit {top - depth}")
+            w = branches[rows, bit] / np.sqrt(probs[rows, bit])[:, None]
         phase = (phase + bit) / 2
         bits[:, depth] = bit
     return bits
@@ -436,28 +467,29 @@ BATCH_ELEMENTS = 1 << 20
 
 
 def sample_runs(
-    instance: SemiprimeInstance, config: PipelineConfig, rngs
+    instance: SemiprimeInstance, config: PipelineConfig, seeds: range
 ) -> SampleCall:
-    """End-to-end samples, one per generator in ``rngs``, in order.
+    """End-to-end samples, one per seed of the range ``seeds``, in order.
 
     Modexp runs once and keeps only R's residue index and the chain's labels
     and bond ranks (``run_modexp``); no site tensor is built.  The gates'
-    multiplier maps are then built once per call (``gate_maps``), and R and
-    the Fourier transform are drawn from those maps alone (see the module
-    docstring): after R reads t, the bond above qubit j has one Schmidt label
-    per residue c that both sides reach, with squared weight proportional to
-    the left count #{u : a^u = c} times the right count R_j[c], so one
-    complex weight per residue carries the state from qubit to qubit.  The
-    "measure" ranks are those label counts and the "qft" chain ends as one
-    site (``QFT_PROFILE``).
+    multiplier maps are then built once per call (``gate_maps``; a gate
+    that doubles R's dimension gets a slice, and its qubit is a fair coin),
+    and R and the Fourier transform are drawn from those maps alone (see
+    the module docstring): after R reads t, the bond above qubit j has one
+    Schmidt label per residue c that both sides reach, with squared weight
+    proportional to the left count #{u : a^u = c} times the right count
+    R_j[c], so one complex weight per residue carries the state from qubit
+    to qubit.  The "measure" ranks are those label counts and the "qft"
+    chain ends as one site (``QFT_PROFILE``).
 
     The samples are drawn in batches, every array carrying a leading sample
-    axis.  Sample k draws only from ``rngs[k]``, R first and then qubits
-    2l-1 ... 0, and its arithmetic is elementwise or along a residue axis, so
-    its record is the same whether it is drawn alone or in any batch.  ``rngs`` may be
-    any iterable of objects with a ``random()`` method returning a float in
-    [0, 1), such as numpy ``Generator``s or ``rng.Pcg64``s; it is read one
-    batch at a time.
+    axis.  The sample of seed s draws the first 2l+1 floats of
+    ``numpy.random.default_rng(s).random()``, R first and then qubits 2l-1
+    ... 0; each batch computes its seeds' floats up front in PCG64 lanes
+    (``rng.uniforms``).  A sample's arithmetic is elementwise or along a
+    residue axis, so its record is the same whether it is drawn alone or in
+    any batch.  ``seeds`` is a range of consecutive seeds.
 
     Every stage runs on ``instance`` as given.  A stage whose arrays would
     exceed ``config.max_elements`` raises ``MemoryLimitError``: modexp counts
@@ -509,16 +541,17 @@ def sample_runs(
     # _classical depends on the instance and the bits alone, and samples of
     # a small r repeat their s often (85 of 100 at n=21, seeds 5000-5099)
     classical: dict[tuple, tuple] = {}
-    rngs = iter(rngs)
-    while chunk := list(islice(rngs, batch)):
+    for start in range(0, len(seeds), batch):
+        chunk = seeds[start : start + batch]
         seconds: dict[str, float] = {}
         t0 = time.perf_counter()
-        targets = draw_outcome(r_probs, chunk, where="R")
+        u = uniforms(chunk.start, len(chunk), 2 * instance.l + 1)
+        targets = draw_outcome(r_probs, u[:, 0], where="R")
         residues = lower.residues[targets].tolist()
         right = right_counts(lower, maps, targets)
         ranks = graded_ranks(alpha_hat, right)
         t1 = time.perf_counter()
-        bits = graded_fourier(maps, right, chunk)
+        bits = graded_fourier(maps, right, u[:, 1:])
         t2 = time.perf_counter()
         seconds["measure"], seconds["qft"] = t1 - t0, t2 - t1
         done = []

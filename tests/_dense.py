@@ -402,7 +402,7 @@ class MpsState:
         rho = self.reduced_density(m)
         probs = np.real(np.diag(rho)).copy()
         if forced is None:
-            outcome = int(draw_outcome(probs, [rng], where=f"site {m}")[0])
+            outcome = int(draw_outcome(probs, np.array([rng.random()]), where=f"site {m}")[0])
         else:
             outcome = int(forced)
             total = probs.sum()

@@ -16,16 +16,24 @@ force, as a reference for their closed form in ``shor.graded_ranks``.
 and one of its records, and ``reference_sample_report`` builds a ``sample``
 report from those dicts as one dict, which one ``json.dumps`` call encodes,
 as a reference for the report that ``cli`` assembles from fragments.
-``sample_run`` draws one sample from one generator and returns its schema-1
-dict, for tests that compare samples one by one.
+``sample_run`` draws the sample of one seed and returns its schema-1 dict,
+for tests that compare samples one by one.  ``reference_sample_runs`` is the
+sampler as it was before its qubits of doubling gates became fair coins and
+its draws PCG64 lanes: full ``int32`` maps, a branch pair and a draw for
+every qubit, and one ``random()`` call per draw on numpy ``Generator``s, as
+the reference for ``shor.sample_runs``.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 
 import _dense
 from _dense import MpsState
+import shormps
 from shormps import __version__, cli, shor
-from shormps.mps import LOWER_REGISTER
+from shormps.mps import LOWER_REGISTER, RankProfile, draw_outcome
 from shormps.numtheory import SemiprimeInstance
 from shormps.oracle import tvd_at_outcomes
 
@@ -37,6 +45,16 @@ BEYOND_PAPER_ROWS = [
     (19, 458759, 3, 196608, 16, 3),
 ]
 
+
+def package_env() -> dict:
+    """The environment with the package's source directory first in
+    ``PYTHONPATH``, so that a child interpreter imports the package under
+    test whether or not it is installed."""
+    src = str(Path(shormps.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 # ------------------------------------------------------------ dense modexp
 
 class ReferenceIndex:
@@ -45,9 +63,10 @@ class ReferenceIndex:
     ``gate(mult)`` looks up the image of each residue reached so far in the
     dict, appends it when new, and returns the map from old residue indices
     to the indices of their images as ``int32``, the form
-    ``shor.LowerRegisterIndex.gate_maps`` must match byte for byte; ``maps``
-    keeps every gate's map.  ``residues``, ``dim`` and ``position`` read as
-    those of ``shor.LowerRegisterIndex`` do, so the dense stages take either.
+    ``shor.LowerRegisterIndex.gate_maps`` must match byte for byte where it
+    returns an array (``assert_gate_map``); ``maps`` keeps every gate's map.
+    ``residues``, ``dim`` and ``position`` read as those of
+    ``shor.LowerRegisterIndex`` do, so the dense stages take either.
     """
 
     def __init__(self, n: int):
@@ -215,6 +234,23 @@ def reference_index(instance):
     return index.order, index.maps
 
 
+def assert_gate_map(got, want: np.ndarray, d_after: int) -> None:
+    """``got``, a map of ``shor.LowerRegisterIndex.gate_maps``, against the
+    reference map ``want`` of a gate after which R has dimension ``d_after``.
+
+    A gate that doubles R's dimension D has the reference map arange(D, 2D),
+    and ``gate_maps`` gives it as slice(D, 2D); every other gate's map is the
+    reference's, byte for byte.
+    """
+    d = want.size
+    if d_after == 2 * d:
+        assert want.tobytes() == np.arange(d, 2 * d, dtype=np.int32).tobytes()
+        assert got == slice(d, 2 * d)
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.int32
+        assert got.tobytes() == want.tobytes()
+
+
 def reference_graded_ranks(lower, instance, alpha_hat, residues, right):
     """``shor.graded_ranks`` with the dynamic right block counted by brute force.
 
@@ -295,12 +331,73 @@ def identity_split_pair(block):
 
 # ------------------------------------------------------------------ sampling
 
-def sample_run(instance, config, rng) -> dict:
-    """One end-to-end sample drawn from ``rng`` as its schema-1 dict:
-    ``shor.sample_runs`` with one generator, whose records do not depend on
-    how the generators are batched."""
-    call = shor.sample_runs(instance, config, [rng])
+def sample_run(instance, config, seed: int) -> dict:
+    """The end-to-end sample of ``seed`` as its schema-1 dict: ``shor.sample_runs``
+    with one seed, whose records do not depend on how the seeds are batched."""
+    call = shor.sample_runs(instance, config, range(seed, seed + 1))
     return record_dict(call, call.records[0])
+
+
+def reference_maps(lower) -> list[np.ndarray]:
+    """Every gate's multiplier map of ``lower`` after its modexp as an
+    ``int32`` array, doubling gates included, from its residues through a
+    lookup table built here."""
+    where = np.zeros(lower.n, dtype=np.int32)
+    where[lower.residues] = np.arange(lower.dim, dtype=np.int32)
+    return [where[lower.residues[:d] * m % lower.n] for m, d in zip(lower.mults, lower.dims)]
+
+
+def _draws(rngs) -> np.ndarray:
+    return np.array([rng.random() for rng in rngs])
+
+
+def reference_fourier(maps, right, rngs, probs_seen=None) -> np.ndarray:
+    """``shor.graded_fourier`` without fair coins: every qubit's branch pair
+    and probability row, and one ``rngs[k].random()`` per qubit of sample
+    k.  ``probs_seen``, when given, collects each qubit's rows, axes
+    (sample, outcome), in measurement order."""
+    rows = np.arange(len(rngs))
+    w = (1.0 / np.sqrt(right[-1])).astype(np.complex128)
+    phase = np.zeros(rows.size)
+    bits = np.empty((rows.size, len(maps)), dtype=np.int64)
+    for depth, (perm, right_j) in enumerate(zip(maps, reversed(right[:-1]))):
+        branches, probs = shor.residue_branches(w, perm, right_j, phase)
+        if probs_seen is not None:
+            probs_seen.append(probs.copy())
+        bit = draw_outcome(probs, _draws(rngs), where=f"qubit {len(maps) - 1 - depth}")
+        w = branches[rows, bit] / np.sqrt(probs[rows, bit])[:, None]
+        phase = (phase + bit) / 2
+        bits[:, depth] = bit
+    return bits
+
+
+def reference_sample_runs(instance, config, rngs, probs_seen=None) -> shor.SampleCall:
+    """``shor.sample_runs`` with sample k drawing from ``rngs[k]``, a numpy
+    ``Generator``, one ``random()`` call per draw, over ``reference_maps``
+    and ``reference_fourier``, all samples in one batch and without the
+    element guards.  Records carry empty ``stage_seconds``."""
+    rngs = list(rngs)
+    lower = shor.LowerRegisterIndex(instance.n)
+    alpha_hat, modexp_profile, tally = shor.run_modexp(lower, instance, config)
+    labels = tuple(lab for lab in modexp_profile.layout if lab != LOWER_REGISTER)
+    dims = lower.dims[1:] + [lower.dim]
+    held = sum(dims) + 1
+    peaks = {"build": 1, "modexp": tally, "measure": lower.dim + held,
+             "qft": held + max(2 * (d_before + 2 * d) for d_before, d in zip(lower.dims, dims))}
+    call = shor.SampleCall(instance, config.layout, alpha_hat, modexp_profile, peaks, [])
+    if not rngs:
+        return call
+    maps = reference_maps(lower)
+    counts = shor.forward_counts(lower, maps)
+    targets = draw_outcome(counts / counts.sum(), _draws(rngs), where="R")
+    right = shor.right_counts(lower, maps, targets)
+    ranks = shor.graded_ranks(alpha_hat, right)
+    bits = reference_fourier(maps, right, rngs, probs_seen)
+    for residue, rank, row in zip(lower.residues[targets].tolist(), ranks, bits.tolist()):
+        s, convs, verified, factors = shor._classical(instance, tuple(row))
+        call.records.append(shor.SampleRecord(residue, s, convs, verified, factors,
+                                               RankProfile("measure", rank, labels), {}))
+    return call
 
 
 # -------------------------------------------------------- report reference

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 from test_shor import semiprime_and_base
 
 import _dense
-from _helpers import BEYOND_PAPER_ROWS, rank_oracle_for_bond, reference_sample_report
+from _helpers import (
+    BEYOND_PAPER_ROWS,
+    package_env,
+    rank_oracle_for_bond,
+    reference_sample_report,
+)
 
 from shormps import __version__, cli, oracle, shor
 from shormps.numtheory import (
@@ -241,8 +246,8 @@ def captured_calls():
     calls = {}
     sample_runs = cli.sample_runs
 
-    def recording(instance, config, rngs):
-        calls[config.layout] = sample_runs(instance, config, rngs)
+    def recording(instance, config, seeds):
+        calls[config.layout] = sample_runs(instance, config, seeds)
         return calls[config.layout]
 
     with mock.patch.object(cli, "sample_runs", recording):
@@ -819,6 +824,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "shormps.cli", "oracle", "--l", "3", "--r", "2"],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["r"] == 2

@@ -353,14 +353,14 @@ class TestMeasurement:
         assert chi2 < 16.266  # chi^2_{3} at significance 0.001
 
     def test_draw_rows_are_independent(self):
-        # a row's outcome depends on its own probabilities and generator alone
+        # a row's outcome depends on its own probabilities and uniform alone
         probs = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-        rngs = [np.random.default_rng(k) for k in range(4)]
-        rows = draw_outcome(probs.copy(), rngs)
-        alone = [draw_outcome(probs[k].copy(), [np.random.default_rng(k)])[0] for k in range(4)]
+        u = np.array([np.random.default_rng(k).random() for k in range(4)])
+        rows = draw_outcome(probs.copy(), u)
+        alone = [draw_outcome(probs[k].copy(), u[k : k + 1])[0] for k in range(4)]
         assert rows.tolist() == alone and rows[1] == 0 and rows[3] == 1
         with pytest.raises(NormalizationError, match="mass 0.5 at qubit 3"):
-            draw_outcome(np.array([[0.5, 0.5], [0.25, 0.25]]), [None, None], where="qubit 3")
+            draw_outcome(np.array([[0.5, 0.5], [0.25, 0.25]]), np.zeros(2), where="qubit 3")
 
     def test_forced_outcome_needs_positive_probability(self):
         state = MpsState.product_state((2,), (0,))

@@ -1,5 +1,5 @@
-"""A ``shormps.rng.streams`` generator is the stream of
-``numpy.random.default_rng``, and ``sample`` draws from it without importing
+"""The lanes of ``shormps.rng.uniforms`` are the streams of
+``numpy.random.default_rng``, and ``sample`` draws them without importing
 ``numpy.random``, nor the dense reference that lives with the tests."""
 
 import importlib
@@ -10,25 +10,27 @@ import textwrap
 
 import numpy as np
 import pytest
-from _helpers import record_dict
+from _helpers import package_env, record_dict, reference_sample_runs
 
 from shormps import cli, shor
 from shormps.numtheory import SemiprimeInstance
-from shormps.rng import streams
+from shormps.rng import uniforms
 
 SEEDS = [*range(3000), *range(901000, 901200), 2**32 - 1, 2**32, 2**64 + 3, 10**30]
 
 
 def test_same_draws_as_numpy():
-    for seed in SEEDS:
-        ours, theirs = next(streams(seed, 1)), np.random.default_rng(seed)
+    ours = np.concatenate([uniforms(0, 3000, 64), uniforms(901000, 200, 64)]
+                          + [uniforms(seed, 1, 64) for seed in SEEDS[3200:]])
+    for seed, row in zip(SEEDS, ours):
+        theirs = np.random.default_rng(seed)
         for draw in range(64):
-            assert ours.random() == theirs.random(), (seed, draw)
+            assert row[draw] == theirs.random(), (seed, draw)
 
 
 def test_negative_seed_is_refused():
     with pytest.raises(ValueError):
-        next(streams(-1, 1))
+        uniforms(-1, 1, 1)
 
 
 def test_sample_records_equal_numpy_generators(tmp_path):
@@ -39,7 +41,7 @@ def test_sample_records_equal_numpy_generators(tmp_path):
     inst = SemiprimeInstance(247, 2)
     for layout in ("static", "dynamic"):
         cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 30)
-        call = shor.sample_runs(inst, cfg, [np.random.default_rng(5 + k) for k in range(20)])
+        call = reference_sample_runs(inst, cfg, [np.random.default_rng(5 + k) for k in range(20)])
         expected = json.loads(json.dumps([record_dict(call, rec) for rec in call.records]))
         got = layouts[layout]["records"]
         for rec in expected + got:
@@ -50,7 +52,7 @@ def test_sample_records_equal_numpy_generators(tmp_path):
 def _run_fresh(body: str) -> str:
     code = "import sys\nfrom shormps import cli\n" + textwrap.dedent(body)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
+                          check=True, env=package_env())
     return proc.stdout
 
 

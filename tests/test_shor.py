@@ -10,6 +10,7 @@ import pytest
 from _helpers import (
     BEYOND_PAPER_ROWS,
     apply_controlled_modexp,
+    assert_gate_map,
     build_initial,
     dense_modexp,
     graded_modexp,
@@ -18,6 +19,7 @@ from _helpers import (
     record_dict,
     reference_graded_ranks,
     reference_index,
+    reference_sample_runs,
     sample_run,
 )
 from hypothesis import given, settings
@@ -36,11 +38,19 @@ from shormps.numtheory import (
 )
 
 ODD_PRIMES = [p for p in range(3, 60) if is_probable_prime(p)]
+# the published rows, l = 22 and 24, and the alpha = 16 row (l19)
+ROWS = cli.PUBLISHED_ORDER_DATA + BEYOND_PAPER_ROWS
+ROW_IDS = [f"l{row[0]}" for row in ROWS]
 
 
 def seeded(first, count):
-    """Generators seeded first, first+1, ..., created as they are read."""
+    """numpy Generators seeded first, first+1, ..., created as they are read."""
     return (np.random.default_rng(first + k) for k in range(count))
+
+
+def seeds(first, count):
+    """The seed range first, first+1, ..., first+count-1."""
+    return range(first, first + count)
 
 
 def without_timings(*calls):
@@ -135,15 +145,16 @@ class TestModexpProperties:
 
 def assert_matches_reference_index(lower, reference):
     """``lower`` after a whole modexp equals ``reference_index``'s result byte
-    for byte: residues in order, and every map's dtype and values."""
+    for byte: residues in order, and every map, a slice(D, 2D) where the
+    gate doubles R's dimension D (``assert_gate_map``)."""
     residues, maps = reference
     assert lower.residues.dtype == np.int64
     assert lower.residues.tolist() == residues
     got = lower.gate_maps()
     assert len(got) == len(maps)
-    for perm, want in zip(got, maps):
-        assert perm.dtype == want.dtype == np.int32
-        assert perm.tobytes() == want.tobytes()
+    dims_after = [perm.size for perm in maps[1:]] + [len(residues)]
+    for perm, want, d_after in zip(got, maps, dims_after):
+        assert_gate_map(perm, want, d_after)
 
 
 def assert_skips_only_idle_gates(instance, layout, reference):
@@ -184,10 +195,7 @@ class TestResidueIndex:
         assert [lower.position(v) for v in range(inst.n)] == [
             where.get(v, -1) for v in range(inst.n)]
 
-    @pytest.mark.parametrize("l, n, a, r, alpha, beta",
-                             cli.PUBLISHED_ORDER_DATA + BEYOND_PAPER_ROWS,
-                             ids=[f"l{row[0]}" for row in cli.PUBLISHED_ORDER_DATA
-                                  + BEYOND_PAPER_ROWS])
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", ROWS, ids=ROW_IDS)
     def test_matches_dict_reference_on_published_rows(self, l, n, a, r, alpha, beta):
         # and past the paper: l = 22, 24 and the alpha = 16 row (l19); the
         # maps do not depend on the layout, so one reference serves both
@@ -251,10 +259,7 @@ class TestGradedModexp:
         assert alpha_hat == dense_alpha
         assert lower.residues.dtype == dense_lower.residues.dtype
         assert np.array_equal(lower.residues, dense_lower.residues)
-        maps = lower.gate_maps()
-        assert len(maps) == len(dense_lower.maps)
-        for perm, dense_perm in zip(maps, dense_lower.maps):
-            assert perm.dtype == dense_perm.dtype and np.array_equal(perm, dense_perm)
+        assert_matches_reference_index(lower, (dense_lower.order, dense_lower.maps))
 
         limit = data.draw(st.integers(1, tally), label="max_elements")
         try:
@@ -277,7 +282,7 @@ class TestGradedModexp:
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
-        rec = sample_run(SemiprimeInstance(247, 2), cfg, np.random.default_rng(0))
+        rec = sample_run(SemiprimeInstance(247, 2), cfg, 0)
         assert rec["peak_elements"]["build"] == 1
         # only the sampler reads the gates' maps
         monkeypatch.setattr(shor.LowerRegisterIndex, "gate_maps", banned)
@@ -546,7 +551,7 @@ class TestGradedSampler:
         # one batch of 20 samples, each against the dense path on its own generator
         inst = SemiprimeInstance(n, a)
         cfg = shor.PipelineConfig(layout=layout)
-        call = shor.sample_runs(inst, cfg, [np.random.default_rng(k) for k in range(20)])
+        call = shor.sample_runs(inst, cfg, range(20))
         for seed, rec in enumerate(call.records):
             measure = rec.measure_profile
             got = (rec.measured_residue, (measure.ranks, measure.layout), rec.measured_s)
@@ -576,7 +581,7 @@ class TestGradedSampler:
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np, "einsum", banned)
         cfg = shor.PipelineConfig(layout=layout)
-        rec = sample_run(SemiprimeInstance(n, a), cfg, np.random.default_rng(3))
+        rec = sample_run(SemiprimeInstance(n, a), cfg, 3)
         assert rec["rank_profiles"][-1] == {"stage": "qft", "ranks": (), "layout": (0,)}
 
     def test_counts(self):
@@ -603,7 +608,8 @@ class TestGradedSampler:
         other = graded_modexp(inst, "dynamic")[0]
         maps, other_maps = lower.gate_maps(), other.gate_maps()
         assert len(maps) == len(other_maps)
-        assert all(np.array_equal(p, q) for p, q in zip(maps, other_maps))
+        assert all(p == q if isinstance(p, slice) else np.array_equal(p, q)
+                   for p, q in zip(maps, other_maps))
         r = multiplicative_order(inst.a, inst.n)
         want = oracle.exact_distribution(inst.l, r)
         assert np.max(np.abs(graded_law(lower) - want)) <= 1e-12
@@ -649,6 +655,63 @@ class TestGradedSampler:
         assert ranks[0][len(ranks[0]) - alpha + 1:] == (1,) * (alpha - 1)
 
 
+class TestFairCoins:
+    """A doubling gate's qubit is an exact fair coin, and the sampler that
+    reads it as one, with PCG64 lanes, draws the records of the reference
+    sampler (``reference_sample_runs``: full maps, a branch pair for every
+    qubit, numpy Generators)."""
+
+    @staticmethod
+    def assert_slice_rows_are_fair(inst, layout, first, count):
+        cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 44)
+        lower = graded_modexp(inst, layout, 1 << 44)[0]
+        coins = [isinstance(perm, slice) for perm in lower.gate_maps()]
+        probs_seen = []
+        reference_sample_runs(inst, cfg, seeded(first, count), probs_seen)
+        assert len(probs_seen) == len(coins)
+        for coin, probs in zip(coins, probs_seen):
+            if coin:
+                assert np.array_equal(probs[:, 0], probs[:, 1])
+        return sum(coins)
+
+    @settings(max_examples=40, deadline=None)
+    @given(semiprime_and_base(ODD_PRIMES), st.sampled_from(["static", "dynamic"]),
+           st.integers(0, 2**32 - 1))
+    def test_slice_rows_are_bitwise_fair(self, case, layout, seed):
+        self.assert_slice_rows_are_fair(SemiprimeInstance(*case), layout, seed, 4)
+
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", ROWS, ids=ROW_IDS)
+    def test_slice_rows_are_bitwise_fair_at_scale(self, l, n, a, r, alpha, beta):
+        # floor(log2 beta) + alpha fair coins: 7 + 2 of 22 qubits at n=1943,
+        # 14 + 4 of 40 at l=20, 1 + 16 at alpha = 16
+        coins = self.assert_slice_rows_are_fair(SemiprimeInstance(n, a), "static", 7, 1)
+        assert coins == beta.bit_length() - 1 + alpha
+
+    @settings(max_examples=40, deadline=None)
+    @given(semiprime_and_base(ODD_PRIMES), st.sampled_from(["static", "dynamic"]),
+           st.integers(0, 2**64), st.integers(0, 12), st.data())
+    def test_records_equal_the_reference_sampler(self, case, layout, seed, m, data):
+        inst = SemiprimeInstance(*case)
+        cfg = shor.PipelineConfig(layout=layout)
+        want = without_timings(reference_sample_runs(inst, cfg, seeded(seed, m)))
+        assert without_timings(shor.sample_runs(inst, cfg, seeds(seed, m))) == want
+        # batches of 1 ... 3 samples give the same records
+        per_sample = max(shor.sample_runs(inst, cfg, seeds(0, 1)).peak_elements[stage]
+                         for stage in ("measure", "qft"))
+        bound = data.draw(st.integers(1, 4 * per_sample - 1), label="batch elements")
+        with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
+            assert without_timings(shor.sample_runs(inst, cfg, seeds(seed, m))) == want
+
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", ROWS, ids=ROW_IDS)
+    def test_records_equal_the_reference_sampler_at_scale(self, l, n, a, r, alpha, beta,
+                                                          layout):
+        inst = SemiprimeInstance(n, a)
+        cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 44)
+        want = without_timings(reference_sample_runs(inst, cfg, seeded(900, 2)))
+        assert without_timings(shor.sample_runs(inst, cfg, seeds(900, 2))) == want
+
+
 class TestAssembleS:
     def test_all_zero(self):
         assert shor.assemble_s([0] * 10, 5) == 0
@@ -669,7 +732,7 @@ class TestSampleRun:
     def test_record_fields_n21(self):
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
-        rec = sample_run(inst, cfg, np.random.default_rng(7))
+        rec = sample_run(inst, cfg, 7)
         assert rec["n"] == 21 and rec["a"] == 2 and rec["l"] == 5
         assert rec["alpha_hat"] == 1
         assert rec["measured_residue"] in {1, 2, 4, 8, 16, 11}
@@ -684,7 +747,7 @@ class TestSampleRun:
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         wins = sum(
-            sample_run(inst, cfg, np.random.default_rng(1000 + k))["factors"]
+            sample_run(inst, cfg, 1000 + k)["factors"]
             == (3, 7)
             for k in range(20)
         )
@@ -694,14 +757,14 @@ class TestSampleRun:
         inst = SemiprimeInstance(15, 7)  # order 4 divides 2^(2l): exact four-peak comb
         cfg = shor.PipelineConfig(layout="dynamic")
         for k in range(60):
-            rec = sample_run(inst, cfg, np.random.default_rng(k))
+            rec = sample_run(inst, cfg, k)
             assert rec["measured_s"] in (0, 256, 512, 768)
 
     def test_static_layout_end_to_end(self):
         inst = SemiprimeInstance(15, 7)
         cfg = shor.PipelineConfig(layout="static")
         for k in range(20):
-            rec = sample_run(inst, cfg, np.random.default_rng(k))
+            rec = sample_run(inst, cfg, k)
             assert rec["layout"] == "static" and rec["alpha_hat"] is None
             assert rec["measured_s"] in (0, 256, 512, 768)
 
@@ -709,7 +772,7 @@ class TestSampleRun:
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic", max_elements=10)
         with pytest.raises(shor.MemoryLimitError):
-            sample_run(inst, cfg, np.random.default_rng(0))
+            sample_run(inst, cfg, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 40]),
@@ -720,7 +783,7 @@ class TestSampleRun:
 
         def run(max_elements=1 << 30):
             cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
-            return shor.sample_runs(inst, cfg, seeded(seed, m))
+            return shor.sample_runs(inst, cfg, seeds(seed, m))
 
         free = run()
         peak = max(free.peak_elements.values())
@@ -741,26 +804,26 @@ class TestSampleRun:
         # sample k draws from seed + k alone, whatever batch or call it is in
         inst = SemiprimeInstance(*case)
         cfg = shor.PipelineConfig(layout=layout)
-        batch = without_timings(shor.sample_runs(inst, cfg, seeded(seed, m)))
-        alone = [shor.sample_runs(inst, cfg, [rng]) for rng in seeded(seed, m)]
+        batch = without_timings(shor.sample_runs(inst, cfg, seeds(seed, m)))
+        alone = [shor.sample_runs(inst, cfg, seeds(s, 1)) for s in seeds(seed, m)]
         assert batch == without_timings(*alone)
         cut = data.draw(st.integers(0, m), label="split")
-        first = shor.sample_runs(inst, cfg, seeded(seed, cut))
-        second = shor.sample_runs(inst, cfg, seeded(seed + cut, m - cut))
+        first = shor.sample_runs(inst, cfg, seeds(seed, cut))
+        second = shor.sample_runs(inst, cfg, seeds(seed + cut, m - cut))
         assert without_timings(first, second) == batch
         # a small batch bound cuts one call into batches of 1 ... 3 samples
         per_sample = max(alone[0].peak_elements["measure"], alone[0].peak_elements["qft"])
         bound = data.draw(st.integers(1, 4 * per_sample - 1), label="batch elements")
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
-            assert without_timings(shor.sample_runs(inst, cfg, seeded(seed, m))) == batch
+            assert without_timings(shor.sample_runs(inst, cfg, seeds(seed, m))) == batch
 
     def test_stage_seconds_share_the_call(self):
         inst = SemiprimeInstance(247, 2)
         cfg = shor.PipelineConfig(layout="static")
-        per_sample = shor.sample_runs(inst, cfg, seeded(0, 1)).peak_elements
+        per_sample = shor.sample_runs(inst, cfg, seeds(0, 1)).peak_elements
         bound = 2 * max(per_sample["measure"], per_sample["qft"])
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
-            records = shor.sample_runs(inst, cfg, seeded(0, 5)).records
+            records = shor.sample_runs(inst, cfg, seeds(0, 5)).records
         assert [set(rec.stage_seconds) for rec in records] == [
             {"build", "modexp", "measure", "qft", "classical"}] * 5
         # modexp runs once per call and is shared evenly; batches of 2, 2, 1
@@ -775,7 +838,7 @@ class TestSampleRun:
         inst = SemiprimeInstance(n, 2)
         cfg = shor.PipelineConfig(layout="static")
         m = 100 if n == 21 else 30
-        alone = [shor.sample_runs(inst, cfg, [rng]) for rng in seeded(5000, m)]
+        alone = [shor.sample_runs(inst, cfg, seeds(s, 1)) for s in seeds(5000, m)]
         calls = []
         classical = shor._classical
 
@@ -784,7 +847,7 @@ class TestSampleRun:
             return classical(instance, bits)
 
         monkeypatch.setattr(shor, "_classical", counted)
-        call = shor.sample_runs(inst, cfg, seeded(5000, m))
+        call = shor.sample_runs(inst, cfg, seeds(5000, m))
         assert len(calls) == len(set(calls)) == distinct
         assert len({rec.measured_s for rec in call.records}) == distinct
         assert without_timings(call) == without_timings(*alone)
@@ -796,7 +859,7 @@ class TestSampleRun:
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout=layout)
         with mock.patch.object(shor, "BATCH_ELEMENTS", 2 * 63):
-            call = shor.sample_runs(inst, cfg, seeded(5000, 12))
+            call = shor.sample_runs(inst, cfg, seeds(5000, 12))
         records = call.records
         for k, rec in enumerate(records):
             for j in range(k + 1, len(records)):
@@ -818,13 +881,14 @@ class TestSampleRun:
                 profile.ranks = ()
 
     def test_no_generator_no_record(self):
-        assert shor.sample_runs(SemiprimeInstance(21, 2), shor.PipelineConfig(), []).records == []
+        call = shor.sample_runs(SemiprimeInstance(21, 2), shor.PipelineConfig(), range(0))
+        assert call.records == []
 
     def test_determinism(self):
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
-        a = shor.sample_runs(inst, cfg, [np.random.default_rng(42)])
-        b = shor.sample_runs(inst, cfg, [np.random.default_rng(42)])
+        a = shor.sample_runs(inst, cfg, seeds(42, 1))
+        b = shor.sample_runs(inst, cfg, seeds(42, 1))
         [rec_a], [rec_b] = a.records, b.records
         assert rec_a.measured_s == rec_b.measured_s
         assert rec_a.measured_residue == rec_b.measured_residue
@@ -839,9 +903,7 @@ class TestEndToEndDistribution:
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout="dynamic")
         counts = np.zeros(1024)
-        draws = 2000
-        for k in range(draws):
-            rec = sample_run(inst, cfg, np.random.default_rng(10_000 + k))
-            counts[rec["measured_s"]] += 1
+        for rec in shor.sample_runs(inst, cfg, seeds(10_000, 2000)).records:
+            counts[rec.measured_s] += 1
         table = oracle.exact_distribution(5, 6)
         assert _dense.tvd(table, counts) < 0.08

@@ -3,8 +3,9 @@
 For each instance, the records of ``shor-mps sample --layout both`` over the
 seeds below are written as canonical JSON (sorted keys, no whitespace) with
 ``stage_seconds`` removed, keyed by layout, and hashed with SHA-256.  The
-digests were recorded before the sampler drew its samples in batches, so any
-change to a sample's residue, outcome, ranks, element peaks, convergents or
+digests were recorded before the sampler drew its samples in batches (those
+of n = 961307 and 458759 before it read its counts off residue exponents), so
+any change to a sample's residue, outcome, ranks, element peaks, convergents or
 factors, or to the RNG stream behind them, shows here.
 """
 
@@ -15,7 +16,7 @@ import pytest
 
 from shormps import cli
 
-# (n, a): (seeds, SHA-256 of the records)
+# (n, a): (seeds, SHA-256 of the records[, extra arguments])
 GOLDEN = {
     (21, 2): (range(300),
               "bd658d6809515d81edb178c5a2805b486ed15a8c2edd6baabe66e8bcfbd9b34a"),
@@ -31,6 +32,14 @@ GOLDEN = {
               "5cb2471b8915bc793b5912a820821693d62826ae51d36198b229b6c6e2827889"),
     (1943, 2): ((1000, 2000, 3000),
               "6188c2a2d300651a80e9a5f994d25467d676e7d7791863ed5b1e4fae9880b7c9"),
+    # the paper's l=20 row and a right block of 16 qubits; the default
+    # --max-elements refuses both
+    (961307, 5): (range(2),
+              "7ffa1f561b6e8ab392f4f34838ef95e6488e2e760f6e68571d4a031994bbdf2a",
+              ("--max-elements", str(2**40))),
+    (458759, 3): (range(2),
+              "fda165d2150fd08c07c99cbc76829e8e17615b71cc835c735811fd52156436d7",
+              ("--max-elements", str(2**40))),
 }
 
 
@@ -45,13 +54,15 @@ def contiguous_runs(seeds):
     return runs
 
 
-def records_digest(n, a, seeds, tmp_path) -> str:
+def records_digest(n, a, seeds, tmp_path, extra=()) -> str:
+    """The digest of the records of ``sample --layout both`` over ``seeds``,
+    with the further command-line arguments ``extra``."""
     records = {"static": [], "dynamic": []}
     out = tmp_path / "r.json"
     for seed, count in contiguous_runs(seeds):
         assert cli.main(["sample", "--n", str(n), "--a", str(a), "--layout", "both",
                          "--seed", str(seed), "--samples", str(count),
-                         "--out", str(out)]) == 0
+                         "--out", str(out), *extra]) == 0
         for layout, block in json.loads(out.read_text())["layouts"].items():
             records[layout] += block["records"]
     for recs in records.values():
@@ -63,5 +74,5 @@ def records_digest(n, a, seeds, tmp_path) -> str:
 
 @pytest.mark.parametrize("n, a", list(GOLDEN))
 def test_records_match_the_pinned_digest(n, a, tmp_path):
-    seeds, digest = GOLDEN[(n, a)]
-    assert records_digest(n, a, seeds, tmp_path) == digest
+    seeds, digest, *extra = GOLDEN[(n, a)]
+    assert records_digest(n, a, seeds, tmp_path, *extra) == digest

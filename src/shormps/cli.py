@@ -51,9 +51,9 @@ each equals ``json.dumps(report, sort_keys=True, separators=(",", ":")) +
 call.  ``sample`` encodes the rest of its report with it, with a marker
 in place of each layout's records, and splices in the records arrays, which
 ``_records_json`` writes from a sorted-key template: the call's values
-(instance, layout, alpha_hat, peaks, the "modexp" and "qft" profiles) fill
-it once per call, and each record fills in its own, with what records share
-(an s's convergents, factors and order, a "measure" profile, a batch's stage
+(instance, layout, alpha_hat, peaks, the "modexp", "measure" and "qft"
+profiles) fill it once per call, and each record fills in its own, with what
+records share (an s's convergents, factors and order, a batch's stage
 seconds) encoded once.  Pretty-print a report with ``python -m json.tool
 r.json``.
 """
@@ -355,26 +355,24 @@ def _reference_order(inst, dense_cap):
 # per sample, the record's.
 _RECORD = ('{"a":%d,"alpha_hat":%s,"convergents":%%s,"factors":%%s,"l":%d,"layout":%s,'
            '"measured_residue":%%d,"measured_s":%%d,"n":%d,"peak_elements":%s,'
-           '"rank_profiles":[%s,%%s,%s],"stage_seconds":%%s,"verified_r":%%s}')
+           '"rank_profiles":[%s,%s,%s],"stage_seconds":%%s,"verified_r":%%s}')
 
 
 def _records_json(call: SampleCall) -> str:
     """The call's records as a JSON array of schema-1 records, each as
     ``_dump_json`` writes its dict.
 
-    The call's values fill the template once.  Each s's convergents, factors
-    and verified order, each distinct "measure" profile and each batch's
-    stage seconds are encoded once: records with equal s share them, the
-    records of a batch are adjacent and share one dict, and the profiles are
-    shared, frozen objects.
+    The call's values, its three rank profiles included, fill the template
+    once.  Each s's convergents, factors and verified order and each batch's
+    stage seconds are encoded once: records with equal s share them, and the
+    records of a batch are adjacent and share one dict.
     """
     inst = call.instance
     template = _RECORD % (
         inst.a, _dump_json(call.alpha_hat), inst.l, _dump_json(call.layout), inst.n,
         _dump_json(call.peak_elements), _dump_json(vars(call.modexp_profile)),
-        _dump_json(vars(QFT_PROFILE)))
+        _dump_json(vars(call.measure_profile)), _dump_json(vars(QFT_PROFILE)))
     per_s: dict[int, tuple[str, str, str]] = {}
-    measures: dict[int, str] = {}
     share, seconds = None, ""
     parts = []
     for rec in call.records:
@@ -382,15 +380,12 @@ def _records_json(call: SampleCall) -> str:
         if classical is None:
             classical = per_s[rec.measured_s] = (
                 _dump_json(rec.convergents), _dump_json(rec.factors), _dump_json(rec.verified_r))
-        measure = measures.get(id(rec.measure_profile))
-        if measure is None:
-            measure = measures[id(rec.measure_profile)] = _dump_json(vars(rec.measure_profile))
         if rec.stage_seconds is not share:
             share = rec.stage_seconds
             seconds = _dump_json(share)
         convergents, factors, verified_r = classical
         parts.append(template % (convergents, factors, rec.measured_residue, rec.measured_s,
-                                 measure, seconds, verified_r))
+                                 seconds, verified_r))
     return "[" + ",".join(parts) + "]"
 
 

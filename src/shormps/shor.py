@@ -55,22 +55,24 @@ the squared norm of group c's right state.  Gates and measurements on the
 qubits at or above j act on each group's left state alone, so once those
 qubits are read the state is sum_c w[c] |right state of c>, one complex
 weight per group, and the outcome o of qubit j has probability
-sum_c |w_o[c]|^2 R_j[c], with no cross terms.  R is drawn
-from the forward counts f[c] = #{x < Q : a^x = c}, and the Fourier transform
-is semiclassical (Griffiths & Niu, PRL 76, 3228 (1996)): the most significant
-unread qubit's controlled phases from the qubits already read collapse into
-one single-site phase ahead of its Hadamard.  A sample therefore costs
-O(l * r) and runs no SVD, density read or dense contraction, and every bond's
-Schmidt rank is a label count, read off the same counts.  A gate that
-doubles R's residue set (``floor(log2 beta) + alpha`` of them) has a
-shifted identity as its map, and its qubit is an exact fair coin, read with
-one comparison and no probability sum (``graded_fourier``).  Modexp and the
-forward counts are the same for every sample of an instance, so
-``sample_runs`` computes them once and draws its samples together, each
-array carrying a leading sample axis, and every float a batch draws is
-computed up front from its seeds (``rng.uniforms``); sample k still draws
-only from its own seed's stream, so its record does not depend on the batch
-it is in.
+sum_c |w_o[c]|^2 R_j[c], with no cross terms.  R is drawn from the forward
+counts f[c] = #{x < Q : a^x = c}.  Both counts are closed forms in one
+exponent e[c] per residue, a^(e[c]) = c (``residue_counts``), so no count is
+carried from gate to gate.  The Fourier transform is semiclassical
+(Griffiths & Niu, PRL 76, 3228 (1996)): the most significant unread qubit's
+controlled phases from the qubits already read collapse into one
+single-site phase ahead of its Hadamard.  A sample therefore costs O(l * r)
+and runs no SVD, density read or dense contraction, and every bond's
+Schmidt rank is a label count, the same for every sample
+(``measure_ranks``).  A gate that doubles R's residue set (``floor(log2
+beta) + alpha`` of them) has a shifted identity as its map, and its qubit is
+an exact fair coin, read with one comparison and no probability sum
+(``graded_fourier``).  Modexp, the exponents, the forward counts and the
+ranks are the same for every sample of an instance, so ``sample_runs``
+computes them once and draws its samples together, each array carrying a
+leading sample axis, and every float a batch draws is computed up front
+from its seeds (``rng.uniforms``); sample k still draws only from its own
+seed's stream, so its record does not depend on the batch it is in.
 
 The same stages on a dense chain, with site tensors, a whole-chain density
 read, rank-revealing sweeps and single-site measurements, live in the test
@@ -217,14 +219,13 @@ class SampleRecord:
     convergents: tuple[tuple[int, int], ...]
     verified_r: int | None
     factors: tuple[int, int] | None
-    measure_profile: RankProfile
     stage_seconds: dict[str, float]
 
 
 @dataclass
 class SampleCall:
     """One ``sample_runs`` call: the values fixed per call, held once, and
-    its records.  A record's rank profiles are ``modexp_profile``, its
+    its records.  A record's rank profiles are ``modexp_profile``,
     ``measure_profile`` and ``QFT_PROFILE``, in that order, and its element
     peaks are ``peak_elements``."""
 
@@ -232,6 +233,7 @@ class SampleCall:
     layout: str
     alpha_hat: int | None
     modexp_profile: RankProfile
+    measure_profile: RankProfile
     peak_elements: dict[str, int]
     records: list[SampleRecord]
 
@@ -320,41 +322,64 @@ def _dims_after(lower: LowerRegisterIndex) -> list[int]:
     return lower.dims[1:] + [lower.dim]
 
 
-def forward_counts(lower: LowerRegisterIndex, maps: list[np.ndarray | slice]) -> np.ndarray:
-    """f[c] = #{x < Q : a^x = c} over R's residue index, from the gates' maps.
+def residue_exponents(lower: LowerRegisterIndex, maps: list[np.ndarray | slice]) -> np.ndarray:
+    """e[c] with a^(e[c]) = residue c of ``lower``, reduced mod r = ``lower.dim``.
 
-    ``maps`` are ``lower.gate_maps()``, arrays or slices.  Each gate keeps
-    every exponent (control bit 0) and moves a copy through its multiplier
-    map (control bit 1): f <- pad(f) + scatter(f, P).
+    ``maps`` are ``lower.gate_maps()``.  The gate of qubit i multiplies by
+    a^(2^i), and D is R's dimension before it: a slice(D, 2D) gives e[D:2D]
+    = e[:D] + 2^i, an array map P gives e[P[k]] = e[k] + 2^i for each fresh
+    image, P[k] >= D, and a gate that keeps D gives nothing.
     """
-    f = np.ones(1)
-    for perm, dim in zip(maps, _dims_after(lower)):
-        grown = np.zeros(dim)
-        grown[: f.size] = f
-        grown[perm] += f
-        f = grown
-    return f
+    r = lower.dim
+    e = np.zeros(r, dtype=np.int64)
+    for i, perm, d, after in zip(reversed(range(len(maps))), maps, lower.dims, _dims_after(lower)):
+        if after == d:
+            continue
+        step = (1 << i) % r
+        if isinstance(perm, slice):
+            e[perm] = (e[:d] + step) % r
+        else:
+            fresh = perm >= d
+            e[perm[fresh]] = (e[:d][fresh] + step) % r
+    return e
 
 
-def right_counts(lower: LowerRegisterIndex, maps: list[np.ndarray | slice],
-                 targets) -> list[np.ndarray]:
-    """R_j[c] = #{v < 2^j : c * a^v = residue t}, for j = 0 ... 2l.
+def residue_counts(offsets: np.ndarray, j: int, r: int) -> np.ndarray:
+    """#{v < 2^j : v = o (mod r)} = floor(2^j / r) + [o < 2^j mod r], as
+    float64, for each offset o in [0, r) (Shor, SIAM J. Comput. 26, 1484 (1997)).
 
-    ``maps`` are ``lower.gate_maps()``, and ``targets`` holds the index of t
-    in R's residue index, one per sample; each R_j has the axes (sample,
-    residue).  R_j runs over the residues reached by the qubits at or above
-    j, so its length is R's dimension after gate j.  R_0 is one-hot at t and
-    R_{j+1} = R_j[:D_j] + R_j[P_j], P_j being qubit j's multiplier map (an
-    array or a slice) and D_j R's dimension before gate j.
+    With o = e[c] and j = 2l it is the forward count f[c] = #{x < Q : a^x =
+    c}, and with o = d_c = (e_t - e_c) mod r the right count R_j[c] = #{v <
+    2^j : c * a^v = t}.  Integers, so exact, and bitwise equal to the float64
+    sums of the map recursions, while Q / r < 2^53.
     """
-    targets = np.asarray(targets)
-    r_0 = np.zeros(targets.shape + (lower.dim,))
-    np.put_along_axis(r_0, targets[..., None], 1.0, axis=-1)
-    right = [r_0]
-    for perm, d in zip(reversed(maps), reversed(lower.dims)):
-        r_j = right[-1]
-        right.append(r_j[..., :d] + r_j[..., perm])
-    return right
+    whole, part = divmod(1 << j, r)
+    return (offsets < part) + float(whole)
+
+
+def measure_ranks(lower: LowerRegisterIndex, e: np.ndarray) -> tuple[int, ...]:
+    """Schmidt ranks of the upper-register chain once R has read a residue,
+    bonds from qubit 2l-1 down, from ``e = residue_exponents(lower, ...)``.
+
+    The tuple is the same for every residue t that R reads and for both
+    layouts, so it is counted once, at t = 1.  Proof: the bond above qubit
+    j splits the qubits into U, those at or above j, and V.  On the static
+    chain, and on every dynamic bond up to the right block, its rank is the
+    support of R_j (``residue_counts``) over the D_j residues U reaches,
+    #{c : d_c < 2^j}: all D_j when 2^j >= r.  Otherwise, U reaches a^(2^j m)
+    for m < 2^(2l-j), and 2^(2l-j) > Q / r > r, so the exponents of its
+    residues are the multiples of g = gcd(2^j, r) = 2^min(j, alpha) mod r;
+    d_c then runs over the residues mod r equal to e_t mod g, and g divides
+    2^j < r, so 2^j / g of them lie below 2^j: the rank is 2^(j - min(j,
+    alpha)), whatever t.  The dynamic right block, qubits 0, 1, ..., alpha-1
+    from left to right, has alpha-1 bonds of rank 1: every x in the support
+    has x = x0 (mod r), and 2^alpha divides r, so the block holds the fixed
+    bits of x0 mod 2^alpha.  The static bonds above qubits alpha-1 ... 1
+    have rank 2^0 = 1 too.
+    """
+    d = -e % e.size  # d_c at t = 1, whose exponent is 0
+    return tuple(int(np.count_nonzero(d[:size] < 1 << j))
+                 for j, size in zip(reversed(range(1, len(lower.dims))), _dims_after(lower)))
 
 
 def residue_branches(w, perm, right_j, phase):
@@ -380,67 +405,48 @@ def residue_branches(w, perm, right_j, phase):
     return branches, ((branches.real**2 + branches.imag**2) * weight).sum(axis=-1)
 
 
-def graded_fourier(maps: list[np.ndarray | slice], right: list[np.ndarray],
+def graded_fourier(maps: list[np.ndarray | slice], dims: list[int], d: np.ndarray,
                    floats: np.ndarray) -> np.ndarray:
     """Semiclassical Fourier transform of the upper register, graded by residue.
 
     Reads qubits 2l-1 ... 0, most significant first, as the dense
     reference's ``apply_lnn_qft`` does, keeping one complex weight per
     residue reached by the qubits read so far, for every sample at once:
-    ``maps`` are the gates' multiplier maps (``lower.gate_maps()``),
-    ``right`` holds the samples' right counts (``right_counts``) and
-    ``floats`` the samples' uniforms in [0, 1), axes (sample, measurement
-    order), one per qubit.  Returns the bits, axes (sample, measurement
-    order).
+    ``maps`` are the gates' multiplier maps (``lower.gate_maps()``), ``dims``
+    R's dimension after each gate, ``d`` the samples' offsets d_c = (e_t -
+    e_c) mod r, from which qubit j's right counts R_j are built as it reads
+    them (``residue_counts``), and ``floats`` the samples' uniforms in [0,
+    1), axes (sample, measurement order), one per qubit.  Returns the bits,
+    axes (sample, measurement order).
 
-    A qubit whose map is a slice(D, 2D) is a fair coin, bit for bit.  Its
-    kept residues lie in [0, D) and its moved ones in [D, 2D), so its two
-    branches have equal |amplitude|^2 at every residue (x + 0 = x and 0 - y
-    = -y), summed with the same weights in the same order: p0 == p1, and
-    the draw p0 <= u (p0 + p1) is exactly u >= 1/2 (doubling is exact, and
-    u < 1/2 is at most 1/2 - 2^-53).  Its state is then w followed by
-    +-w exp(-i pi phase): the branch divided by sqrt(1/2), with no sums, no
-    normalization and no branch pair.
+    A qubit whose map is a slice(D, 2D) is a fair coin, bit for bit (README,
+    "Fair coins"): its bit is u >= 1/2, and its state w followed by +-w
+    exp(-i pi phase), with no sums, no normalization and no branch pair.
+    Once every remaining map is a slice, no later qubit reads the weights,
+    and the remaining bits are u >= 1/2 alone.
     """
     rows = np.arange(floats.shape[0])
-    w = (1.0 / np.sqrt(right[-1])).astype(np.complex128)
+    r = d.shape[-1]
+    top = len(maps)
+    bits = (floats >= 0.5).astype(np.int64)
+    # past the last array map every qubit is a fair coin, and no weight is read
+    read = max((k + 1 for k, perm in enumerate(maps) if not isinstance(perm, slice)), default=0)
+    w = (1.0 / np.sqrt(residue_counts(d[:, :1], top, r))).astype(np.complex128)
     phase = np.zeros(rows.size)  # sum_k b_k / 2^(k-j) over the qubits k > j read so far
-    bits = np.empty((rows.size, len(maps)), dtype=np.int64)
-    top = len(maps) - 1
-    for depth, (perm, right_j) in enumerate(zip(maps, reversed(right[:-1]))):
-        u = floats[:, depth]
+    for depth in range(read):
+        perm = maps[depth]
         if isinstance(perm, slice):
-            bit = (u >= 0.5).astype(np.int64)
+            bit = bits[:, depth]
             moved = w * ((1 - 2 * bit) * np.exp(-1j * np.pi * phase))[:, None]
             w = np.concatenate((w, moved), axis=-1)
         else:
+            j = top - 1 - depth
+            right_j = residue_counts(d[:, : dims[depth]], j, r)
             branches, probs = residue_branches(w, perm, right_j, phase)
-            bit = draw_outcome(probs, u, where=f"qubit {top - depth}")
+            bit = bits[:, depth] = draw_outcome(probs, floats[:, depth], where=f"qubit {j}")
             w = branches[rows, bit] / np.sqrt(probs[rows, bit])[:, None]
         phase = (phase + bit) / 2
-        bits[:, depth] = bit
     return bits
-
-
-def graded_ranks(alpha_hat: int | None, right: list[np.ndarray]) -> list[tuple[int, ...]]:
-    """Schmidt ranks of the upper-register chain once R has read a residue.
-
-    One rank tuple per sample, from the samples' right counts ``right``
-    (``right_counts``).  A bond that splits the qubits into U and V has rank
-    #{c in S_U : residue / c in S_V}, S_U being the residues a^u over U's
-    bits.  Where U is the qubits at or above j, as on the static chain and on
-    every dynamic bond up to the right block, that is the support of R_j.
-    The dynamic right block holds qubits 0, 1, ..., alpha-1 from left to
-    right, and each of its alpha-1 bonds has rank 1: every x in the support
-    has x = x0 (mod r) and 2^alpha divides r, so x mod 2^alpha is the same
-    for all of them, and the right block is a product of fixed bits.
-    """
-    alpha = alpha_hat or 0
-    top = len(right) - 1
-    supports = np.stack([(right[j] > 0).sum(axis=-1)
-                         for j in range(top - 1, max(alpha, 1) - 1, -1)], axis=-1)
-    ones = (1,) * max(alpha - 1, 0)
-    return [tuple(support) + ones for support in supports.tolist()]
 
 
 def assemble_s(bits, l: int) -> int:
@@ -475,13 +481,14 @@ def sample_runs(
     and bond ranks (``run_modexp``); no site tensor is built.  The gates'
     multiplier maps are then built once per call (``gate_maps``; a gate
     that doubles R's dimension gets a slice, and its qubit is a fair coin),
-    and R and the Fourier transform are drawn from those maps alone (see
-    the module docstring): after R reads t, the bond above qubit j has one
-    Schmidt label per residue c that both sides reach, with squared weight
-    proportional to the left count #{u : a^u = c} times the right count
-    R_j[c], so one complex weight per residue carries the state from qubit
-    to qubit.  The "measure" ranks are those label counts and the "qft"
-    chain ends as one site (``QFT_PROFILE``).
+    and from them the residues' exponents e (``residue_exponents``).  R and
+    the Fourier transform are drawn from those alone (see the module
+    docstring): R from its forward counts, read off e once per call, and
+    each qubit from one complex weight per residue and its right counts,
+    built from one row of offsets d_c = (e_t - e_c) mod r per sample
+    (``residue_counts``).  The "measure" ranks are the same for every
+    sample, counted once per call (``measure_ranks``); the "qft" chain ends
+    as one site (``QFT_PROFILE``).
 
     The samples are drawn in batches, every array carrying a leading sample
     axis.  The sample of seed s draws the first 2l+1 floats of
@@ -496,16 +503,17 @@ def sample_runs(
     the elements its chain's site tensors would hold if stored densely,
     "measure" the forward and right counts of one sample, and "qft" one
     sample's right counts plus its complex residue vector and branch pair.
-    These per-sample figures are the call's ``peak_elements``.  A batch
-    holds max(1, min(BATCH_ELEMENTS, max_elements) // E) samples, E being
-    the larger of the "measure" and "qft" figures, so its arrays stay within
-    ``config.max_elements`` too.  Each record's ``stage_seconds`` is its share
-    of the stage times: what runs once per call (build, modexp, and the
-    maps and forward counts of "measure") evenly over all samples, the rest
-    evenly over its batch.  The classical post-processing of an s runs once
-    per call.  What records repeat they share: the records of a batch one
-    ``stage_seconds`` dict, records with equal s one ``convergents`` tuple
-    and records with equal "measure" ranks one frozen ``RankProfile``.
+    These per-sample figures, the call's ``peak_elements``, count every R_j
+    at once, an upper bound.  A batch holds max(1, min(BATCH_ELEMENTS,
+    max_elements) // E) samples, E being the larger of the "measure" and
+    "qft" figures, so its arrays stay within ``config.max_elements`` too.
+    Each record's ``stage_seconds`` is its share of the stage times: what
+    runs once per call (build, modexp, and the maps, exponents, forward
+    counts and ranks of "measure") evenly over all samples, the rest evenly
+    over its batch.  The classical post-processing of an s runs once per
+    call.  What records repeat they share: the records of a batch one
+    ``stage_seconds`` dict, and records with equal s one ``convergents``
+    tuple.
     """
     shared: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -529,12 +537,12 @@ def sample_runs(
 
     t0 = time.perf_counter()
     maps = lower.gate_maps()
-    counts = forward_counts(lower, maps)
-    r_probs = counts / counts.sum()
+    e = residue_exponents(lower, maps)
+    r_probs = residue_counts(e, 2 * instance.l, lower.dim) / (1 << (2 * instance.l))
+    measure = RankProfile(stage="measure", ranks=measure_ranks(lower, e), layout=labels)
     shared["measure"] = time.perf_counter() - t0
 
-    call = SampleCall(instance, config.layout, alpha_hat, modexp_profile, peaks, [])
-    measure_profiles: dict[tuple[int, ...], RankProfile] = {}
+    call = SampleCall(instance, config.layout, alpha_hat, modexp_profile, measure, peaks, [])
     # each batch's stage shares, final once the number of samples, and so
     # the call-wide share, is known
     shares: list[dict[str, float]] = []
@@ -548,10 +556,9 @@ def sample_runs(
         u = uniforms(chunk.start, len(chunk), 2 * instance.l + 1)
         targets = draw_outcome(r_probs, u[:, 0], where="R")
         residues = lower.residues[targets].tolist()
-        right = right_counts(lower, maps, targets)
-        ranks = graded_ranks(alpha_hat, right)
+        d = (e[targets][:, None] - e) % lower.dim
         t1 = time.perf_counter()
-        bits = graded_fourier(maps, right, u[:, 1:])
+        bits = graded_fourier(maps, dims, d, u[:, 1:])
         t2 = time.perf_counter()
         seconds["measure"], seconds["qft"] = t1 - t0, t2 - t1
         done = []
@@ -562,11 +569,8 @@ def sample_runs(
         seconds["classical"] = time.perf_counter() - t2
         share = {stage: dt / len(chunk) for stage, dt in seconds.items()}
         shares.append(share)
-        for residue, rank, (s, convs, verified, factors) in zip(residues, ranks, done):
-            if rank not in measure_profiles:
-                measure_profiles[rank] = RankProfile(stage="measure", ranks=rank, layout=labels)
-            call.records.append(SampleRecord(
-                residue, s, convs, verified, factors, measure_profiles[rank], share))
+        for residue, (s, convs, verified, factors) in zip(residues, done):
+            call.records.append(SampleRecord(residue, s, convs, verified, factors, share))
     for share in shares:
         for stage, dt in shared.items():
             share[stage] = share.get(stage, 0.0) + dt / len(call.records)

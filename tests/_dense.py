@@ -489,8 +489,8 @@ def measure_lower_register(
 ) -> int:
     """Measure R, contract it into its neighbour, and reveal the ranks.
 
-    The dense reference of ``shor.sample_runs``' draw of R and of
-    ``shor.graded_ranks``.  ``lower`` is R's residue index: anything with
+    The dense reference of ``shor.sample_runs``' draw of R and of its
+    "measure" ranks (``shor.measure_ranks``).  ``lower`` is R's residue index: anything with
     the ``position`` and ``residues`` of ``shor.LowerRegisterIndex``, such
     as the dense chain's ``_helpers.ReferenceIndex``.
     ``measure_qudit`` reads R's density matrix by contracting the closed

@@ -9,19 +9,23 @@ the input of the dense measurement and transform in ``_dense``.
 ``ReferenceIndex`` is R's residue index kept one residue at a time through a
 dict, with every gate's map taken from that dict as the gate runs: the dense
 chain's index, and through ``reference_index`` the reference for the
-table-based ``shor.LowerRegisterIndex`` and its maps, and
-``reference_graded_ranks`` counts the dynamic right block's ranks by brute
-force, as a reference for their closed form in ``shor.graded_ranks``.
+table-based ``shor.LowerRegisterIndex`` and its maps.  ``forward_counts``
+and ``right_counts`` are the map recursions of the sampler's integer counts,
+and ``graded_ranks`` counts each sample's "measure" ranks from them, as
+references for the closed forms ``shor.sample_runs`` reads off the residues'
+exponents; ``reference_graded_ranks`` counts the dynamic right block's ranks
+by brute force, as a reference for their value in ``graded_ranks``.
 ``record_dict`` rebuilds a record's schema-1 dict from a ``shor.SampleCall``
 and one of its records, and ``reference_sample_report`` builds a ``sample``
 report from those dicts as one dict, which one ``json.dumps`` call encodes,
 as a reference for the report that ``cli`` assembles from fragments.
 ``sample_run`` draws the sample of one seed and returns its schema-1 dict,
 for tests that compare samples one by one.  ``reference_sample_runs`` is the
-sampler as it was before its qubits of doubling gates became fair coins and
-its draws PCG64 lanes: full ``int32`` maps, a branch pair and a draw for
-every qubit, and one ``random()`` call per draw on numpy ``Generator``s, as
-the reference for ``shor.sample_runs``.
+sampler as it was before its qubits of doubling gates became fair coins, its
+draws PCG64 lanes and its counts closed forms: full ``int32`` maps, the map
+recursions, a branch pair and a draw for every qubit, per-sample ranks, and
+one ``random()`` call per draw on numpy ``Generator``s, as the reference for
+``shor.sample_runs``; it shares no count with the code it checks.
 """
 
 import os
@@ -251,8 +255,67 @@ def assert_gate_map(got, want: np.ndarray, d_after: int) -> None:
         assert got.tobytes() == want.tobytes()
 
 
+def forward_counts(lower, maps) -> np.ndarray:
+    """f[c] = #{x < Q : a^x = c} over R's residue index, from the gates' maps.
+
+    ``maps`` are ``lower.gate_maps()`` or ``reference_maps(lower)``, arrays or
+    slices.  Each gate keeps every exponent (control bit 0) and moves a copy
+    through its multiplier map (control bit 1): f <- pad(f) + scatter(f, P).
+    The reference for the closed form ``shor.sample_runs`` reads off the
+    residues' exponents.
+    """
+    f = np.ones(1)
+    for perm, dim in zip(maps, lower.dims[1:] + [lower.dim]):
+        grown = np.zeros(dim)
+        grown[: f.size] = f
+        grown[perm] += f
+        f = grown
+    return f
+
+
+def right_counts(lower, maps, targets) -> list[np.ndarray]:
+    """R_j[c] = #{v < 2^j : c * a^v = residue t}, for j = 0 ... 2l.
+
+    ``maps`` are as for ``forward_counts``, and ``targets`` holds the index of
+    t in R's residue index, one per sample; each R_j has the axes (sample,
+    residue).  R_j runs over the residues reached by the qubits at or above
+    j, so its length is R's dimension after gate j.  R_0 is one-hot at t and
+    R_{j+1} = R_j[:D_j] + R_j[P_j], P_j being qubit j's multiplier map (an
+    array or a slice) and D_j R's dimension before gate j.  The reference
+    for the closed form ``shor.graded_fourier`` builds R_j from.
+    """
+    targets = np.asarray(targets)
+    r_0 = np.zeros(targets.shape + (lower.dim,))
+    np.put_along_axis(r_0, targets[..., None], 1.0, axis=-1)
+    right = [r_0]
+    for perm, d in zip(reversed(maps), reversed(lower.dims)):
+        r_j = right[-1]
+        right.append(r_j[..., :d] + r_j[..., perm])
+    return right
+
+
+def graded_ranks(alpha_hat, right) -> list[tuple[int, ...]]:
+    """Schmidt ranks of the upper-register chain once R has read a residue,
+    one tuple per sample, counted from the samples' right counts ``right``
+    (``right_counts``): the reference for ``shor.measure_ranks``.
+
+    A bond that splits the qubits into U and V has rank #{c in S_U : residue
+    / c in S_V}, S_U being the residues a^u over U's bits.  Where U is the
+    qubits at or above j, as on the static chain and on every dynamic bond up
+    to the right block, that is the support of R_j.  The dynamic right block
+    holds qubits 0, 1, ..., alpha-1 from left to right, and each of its
+    alpha-1 bonds has rank 1 (``reference_graded_ranks`` counts them).
+    """
+    alpha = alpha_hat or 0
+    top = len(right) - 1
+    supports = np.stack([(right[j] > 0).sum(axis=-1)
+                         for j in range(top - 1, max(alpha, 1) - 1, -1)], axis=-1)
+    ones = (1,) * max(alpha - 1, 0)
+    return [tuple(support) + ones for support in supports.tolist()]
+
+
 def reference_graded_ranks(lower, instance, alpha_hat, residues, right):
-    """``shor.graded_ranks`` with the dynamic right block counted by brute force.
+    """``graded_ranks`` with the dynamic right block counted by brute force.
 
     A bond that splits the qubits into U and V has rank #{c in S_U : residue
     / c in S_V}; inside the right block (qubits 0 ... alpha-1, left to right)
@@ -352,10 +415,11 @@ def _draws(rngs) -> np.ndarray:
 
 
 def reference_fourier(maps, right, rngs, probs_seen=None) -> np.ndarray:
-    """``shor.graded_fourier`` without fair coins: every qubit's branch pair
-    and probability row, and one ``rngs[k].random()`` per qubit of sample
-    k.  ``probs_seen``, when given, collects each qubit's rows, axes
-    (sample, outcome), in measurement order."""
+    """``shor.graded_fourier`` without fair coins, over the right counts
+    ``right`` (``right_counts``): every qubit's branch pair and probability
+    row, and one ``rngs[k].random()`` per qubit of sample k.  ``probs_seen``,
+    when given, collects each qubit's rows, axes (sample, outcome), in
+    measurement order."""
     rows = np.arange(len(rngs))
     w = (1.0 / np.sqrt(right[-1])).astype(np.complex128)
     phase = np.zeros(rows.size)
@@ -373,9 +437,12 @@ def reference_fourier(maps, right, rngs, probs_seen=None) -> np.ndarray:
 
 def reference_sample_runs(instance, config, rngs, probs_seen=None) -> shor.SampleCall:
     """``shor.sample_runs`` with sample k drawing from ``rngs[k]``, a numpy
-    ``Generator``, one ``random()`` call per draw, over ``reference_maps``
-    and ``reference_fourier``, all samples in one batch and without the
-    element guards.  Records carry empty ``stage_seconds``."""
+    ``Generator``, one ``random()`` call per draw, over ``reference_maps``,
+    the map recursions ``forward_counts`` and ``right_counts``, and
+    ``reference_fourier``, all samples in one batch and without the element
+    guards.  The "measure" ranks are counted per sample (``graded_ranks``),
+    and asserted equal for every sample; with no sample, they are those of
+    t = 1.  Records carry empty ``stage_seconds``."""
     rngs = list(rngs)
     lower = shor.LowerRegisterIndex(instance.n)
     alpha_hat, modexp_profile, tally = shor.run_modexp(lower, instance, config)
@@ -384,19 +451,20 @@ def reference_sample_runs(instance, config, rngs, probs_seen=None) -> shor.Sampl
     held = sum(dims) + 1
     peaks = {"build": 1, "modexp": tally, "measure": lower.dim + held,
              "qft": held + max(2 * (d_before + 2 * d) for d_before, d in zip(lower.dims, dims))}
-    call = shor.SampleCall(instance, config.layout, alpha_hat, modexp_profile, peaks, [])
+    maps = reference_maps(lower)
+    counts = forward_counts(lower, maps)
+    targets = draw_outcome(counts / counts.sum(), _draws(rngs), where="R")
+    right = right_counts(lower, maps, targets if rngs else [0])
+    ranks = graded_ranks(alpha_hat, right)
+    assert len(set(ranks)) == 1, ranks
+    call = shor.SampleCall(instance, config.layout, alpha_hat, modexp_profile,
+                           RankProfile("measure", ranks[0], labels), peaks, [])
     if not rngs:
         return call
-    maps = reference_maps(lower)
-    counts = shor.forward_counts(lower, maps)
-    targets = draw_outcome(counts / counts.sum(), _draws(rngs), where="R")
-    right = shor.right_counts(lower, maps, targets)
-    ranks = shor.graded_ranks(alpha_hat, right)
     bits = reference_fourier(maps, right, rngs, probs_seen)
-    for residue, rank, row in zip(lower.residues[targets].tolist(), ranks, bits.tolist()):
+    for residue, row in zip(lower.residues[targets].tolist(), bits.tolist()):
         s, convs, verified, factors = shor._classical(instance, tuple(row))
-        call.records.append(shor.SampleRecord(residue, s, convs, verified, factors,
-                                               RankProfile("measure", rank, labels), {}))
+        call.records.append(shor.SampleRecord(residue, s, convs, verified, factors, {}))
     return call
 
 
@@ -406,7 +474,7 @@ def record_dict(call: shor.SampleCall, rec: shor.SampleRecord) -> dict:
     """The schema-1 dict of ``rec``, a record of ``call``, from the call's
     values and the record's."""
     inst = call.instance
-    profiles = (call.modexp_profile, rec.measure_profile, shor.QFT_PROFILE)
+    profiles = (call.modexp_profile, call.measure_profile, shor.QFT_PROFILE)
     return {
         "n": inst.n,
         "a": inst.a,

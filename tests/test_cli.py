@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -760,6 +761,47 @@ class TestProfile:
         assert max(dynamic["ranks"][:rpos]) == dynamic["ranks"][rpos - 1] == beta
         for layout in ("static", "dynamic"):
             assert report["elements"][layout]["lower_register_dim"] == r
+
+
+def readme_table() -> dict[int, tuple[int, ...]]:
+    """README's "The paper's table": l -> (n, a, r, alpha, beta, max rank
+    static, max rank dynamic, tally static, tally dynamic)."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## The paper's table", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip().replace(",", "") for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0].isdigit():
+            rows[int(cells[0])] = tuple(map(int, cells[1:10]))
+    return rows
+
+
+README_TABLE = readme_table()
+
+
+class TestReadmeTable:
+    def test_rows(self):
+        assert sorted(README_TABLE) == [11, 13, 14, 15, 16, 17, 20, 22, 24]
+
+    @pytest.mark.parametrize("l", sorted(README_TABLE), ids=lambda l: f"l{l}")
+    def test_ranks_and_tallies(self, l, tmp_path):
+        # the table's command line; l = 22 and 24 pass 2^40 and need 2^44
+        n, a, r, alpha, beta, *want = README_TABLE[l]
+        out = tmp_path / "p.json"
+        limit = 1 << 44 if l > 20 else 1 << 40
+        assert run_cli(["profile", "--n", str(n), "--a", str(a), "--layout", "both",
+                        "--max-elements", str(limit), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["instance"]["l"] == l
+        assert r == beta << alpha
+        ranks = {prof["layout"]: max(prof["ranks"]) for prof in report["profiles"]}
+        elements = report["elements"]
+        for layout in ("static", "dynamic"):
+            assert elements[layout]["lower_register_dim"] == r
+            assert elements[layout]["live"] == elements[layout]["peak"]
+        got = [ranks["static"], ranks["dynamic"],
+               elements["static"]["peak"], elements["dynamic"]["peak"]]
+        assert got == want
 
 
 class TestOracle:

@@ -13,13 +13,16 @@ from _helpers import (
     assert_gate_map,
     build_initial,
     dense_modexp,
+    forward_counts,
     graded_modexp,
+    graded_ranks,
     mps_as_canonical_dense,
     rank_oracle_for_bond,
     record_dict,
     reference_graded_ranks,
     reference_index,
     reference_sample_runs,
+    right_counts,
     sample_run,
 )
 from hypothesis import given, settings
@@ -524,11 +527,11 @@ def graded_law(lower):
     """Pr(s), summed over every outcome path of the graded sampler: each R
     residue, then both bits of every qubit, renormalized as the sampler does."""
     maps = lower.gate_maps()
-    counts = shor.forward_counts(lower, maps)
+    counts = forward_counts(lower, maps)
     big_q = counts.sum()
     law = np.zeros(int(big_q))
     for t in range(lower.dim):
-        right = shor.right_counts(lower, maps, t)
+        right = right_counts(lower, maps, t)
         w = np.full((1, 1), 1.0 / np.sqrt(right[-1][0]), dtype=np.complex128)
         prob = np.array([counts[t] / big_q])
         phase = np.zeros(1)
@@ -552,8 +555,8 @@ class TestGradedSampler:
         inst = SemiprimeInstance(n, a)
         cfg = shor.PipelineConfig(layout=layout)
         call = shor.sample_runs(inst, cfg, range(20))
+        measure = call.measure_profile
         for seed, rec in enumerate(call.records):
-            measure = rec.measure_profile
             got = (rec.measured_residue, (measure.ranks, measure.layout), rec.measured_s)
             assert got == dense_reference(inst, layout, np.random.default_rng(seed)), seed
 
@@ -590,9 +593,9 @@ class TestGradedSampler:
         x = np.arange(1 << (2 * inst.l))
         residues = np.array([lower.position(pow(2, int(k), 21)) for k in x])
         maps = lower.gate_maps()
-        assert np.array_equal(shor.forward_counts(lower, maps), np.bincount(residues))
+        assert np.array_equal(forward_counts(lower, maps), np.bincount(residues))
         t = lower.position(11)
-        right = shor.right_counts(lower, maps, t)
+        right = right_counts(lower, maps, t)
         for j in (0, 3, 2 * inst.l):
             want = [sum(c * pow(2, v, 21) % 21 == 11 for v in range(1 << j))
                     for c in lower.residues[: right[j].size]]
@@ -620,12 +623,14 @@ class TestGradedSampler:
         inst = SemiprimeInstance(*case)
         for layout in ("static", "dynamic"):
             lower, alpha_hat, _, _ = graded_modexp(inst, layout)
+            maps = lower.gate_maps()
             residue = data.draw(st.sampled_from(lower.residues.tolist()))
-            right = shor.right_counts(lower, lower.gate_maps(), [lower.position(residue)])
-            (ranks,) = shor.graded_ranks(alpha_hat, right)
+            (ranks,) = graded_ranks(alpha_hat, right_counts(lower, maps, [lower.position(residue)]))
             _, (want, _), _ = dense_reference(inst, layout, np.random.default_rng(0),
                                               forced_residue=residue)
             assert ranks == want, layout
+            # the package's one tuple per call, counted at t = 1
+            assert shor.measure_ranks(lower, shor.residue_exponents(lower, maps)) == want
 
     @settings(max_examples=30, deadline=None)
     @given(semiprime_and_base(ODD_PRIMES), st.data())
@@ -634,9 +639,8 @@ class TestGradedSampler:
         lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic")
         residues = data.draw(st.lists(st.sampled_from(lower.residues.tolist()),
                                       min_size=1, max_size=4))
-        right = shor.right_counts(lower, lower.gate_maps(),
-                                  [lower.position(c) for c in residues])
-        assert shor.graded_ranks(alpha_hat, right) == reference_graded_ranks(
+        right = right_counts(lower, lower.gate_maps(), [lower.position(c) for c in residues])
+        assert graded_ranks(alpha_hat, right) == reference_graded_ranks(
             lower, inst, alpha_hat, residues, right)
 
     @pytest.mark.parametrize("n, a, alpha",
@@ -649,10 +653,81 @@ class TestGradedSampler:
         lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic", max_elements=1 << 44)
         assert alpha_hat == alpha
         residues = [int(lower.residues[-1])]
-        right = shor.right_counts(lower, lower.gate_maps(), [lower.dim - 1])
-        ranks = shor.graded_ranks(alpha_hat, right)
+        right = right_counts(lower, lower.gate_maps(), [lower.dim - 1])
+        ranks = graded_ranks(alpha_hat, right)
         assert ranks == reference_graded_ranks(lower, inst, alpha_hat, residues, right)
         assert ranks[0][len(ranks[0]) - alpha + 1:] == (1,) * (alpha - 1)
+
+
+def supports_in_closed_form(lower, l, alpha):
+    """The "measure" ranks of ``shor.measure_ranks``' docstring: D_j where
+    2^j >= r, else 2^(j - min(j, alpha)), for j = 2l-1 ... 1."""
+    r = lower.dim
+    dims = lower.dims[1:] + [lower.dim]
+    return tuple(size if 1 << j >= r else 1 << (j - min(j, alpha))
+                 for j, size in zip(range(2 * l - 1, 0, -1), dims))
+
+
+class TestClosedForms:
+    """The exponents, counts and ranks the sampler reads in closed form,
+    against the map recursions ``forward_counts`` and ``right_counts`` and
+    the per-sample supports ``graded_ranks`` (``tests/_helpers.py``), which
+    the package does not share.  Counts are compared bit for bit, which holds
+    while Q / r < 2^53; on every instance here Q / r < 2^27."""
+
+    @staticmethod
+    def exponents(inst, layout="static"):
+        lower, alpha_hat, _, _ = graded_modexp(inst, layout, 1 << 44)
+        maps = lower.gate_maps()
+        return lower, alpha_hat, maps, shor.residue_exponents(lower, maps)
+
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", ROWS, ids=ROW_IDS)
+    def test_exponents_reach_their_residues(self, l, n, a, r, alpha, beta):
+        lower, _, _, e = self.exponents(SemiprimeInstance(n, a))
+        # distinct residues have distinct exponents mod r
+        assert np.array_equal(np.sort(e), np.arange(r))
+        # every residue up to l = 17, and 2,000 of them past it
+        picks = range(r) if l <= 17 else np.linspace(0, r - 1, 2000).astype(int).tolist()
+        residues = lower.residues.tolist()
+        assert all(pow(a, int(e[c]), n) == residues[c] for c in picks)
+
+    @pytest.mark.parametrize("n, a", [(21, 2), (247, 2), (1943, 2), (458759, 3),
+                                      (961307, 5), (8409991, 2)])
+    def test_counts_equal_the_map_recursions(self, n, a):
+        inst = SemiprimeInstance(n, a)
+        lower, _, maps, e = self.exponents(inst)
+        r = lower.dim
+        want = forward_counts(lower, maps)
+        assert shor.residue_counts(e, 2 * inst.l, r).tobytes() == want.tobytes()
+        for t in sorted({0, 1, r // 3, r - 1}):
+            d = (e[[t]][:, None] - e) % r  # as sample_runs builds it for one sample
+            for j, want in enumerate(right_counts(lower, maps, [t])):
+                got = shor.residue_counts(d[:, : want.shape[-1]], j, r)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, j)
+
+    @settings(max_examples=40, deadline=None)
+    @given(semiprime_and_base([p for p in ODD_PRIMES if p < 30]),
+           st.sampled_from(["static", "dynamic"]))
+    def test_ranks_are_the_supports_of_every_residue(self, case, layout):
+        inst = SemiprimeInstance(*case)
+        lower, alpha_hat, maps, e = self.exponents(inst, layout)
+        residues = lower.residues.tolist()
+        assert all(pow(inst.a, int(x), inst.n) == c for x, c in zip(e.tolist(), residues))
+        ranks = shor.measure_ranks(lower, e)
+        right = right_counts(lower, maps, range(lower.dim))
+        assert set(graded_ranks(alpha_hat, right)) == {ranks}
+        alpha = two_adic_split(lower.dim)[0]
+        assert ranks == supports_in_closed_form(lower, inst.l, alpha)
+
+    @pytest.mark.parametrize("layout", ["static", "dynamic"])
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", cli.PUBLISHED_ORDER_DATA,
+                             ids=[f"l{row[0]}" for row in cli.PUBLISHED_ORDER_DATA])
+    def test_ranks_are_the_supports_on_published_rows(self, l, n, a, r, alpha, beta, layout):
+        lower, alpha_hat, maps, e = self.exponents(SemiprimeInstance(n, a), layout)
+        ranks = shor.measure_ranks(lower, e)
+        assert ranks == supports_in_closed_form(lower, l, alpha)
+        for t in (0, r // 2, r - 1):
+            assert graded_ranks(alpha_hat, right_counts(lower, maps, [t])) == [ranks], t
 
 
 class TestFairCoins:
@@ -855,7 +930,7 @@ class TestSampleRun:
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
     def test_records_share_what_repeats(self, layout):
         # a sample of n=21 holds 63 elements: batches of 2 samples; the 12
-        # of seed 5000 repeat their s and their "measure" ranks
+        # of seed 5000 repeat their s
         inst = SemiprimeInstance(21, 2)
         cfg = shor.PipelineConfig(layout=layout)
         with mock.patch.object(shor, "BATCH_ELEMENTS", 2 * 63):
@@ -868,15 +943,12 @@ class TestSampleRun:
                 assert (rec.stage_seconds is other.stage_seconds) == (k // 2 == j // 2)
                 if rec.measured_s == other.measured_s:
                     assert rec.convergents is other.convergents
-                if rec.measure_profile.ranks == other.measure_profile.ranks:
-                    assert rec.measure_profile is other.measure_profile
         assert len({rec.measured_s for rec in records}) < len(records)
-        assert len({id(rec.measure_profile) for rec in records}) < len(records)
         # what records share is immutable, or frozen
         for rec in records:
             assert isinstance(rec.convergents, tuple)
             assert all(isinstance(pair, tuple) for pair in rec.convergents)
-        for profile in (call.modexp_profile, records[0].measure_profile, shor.QFT_PROFILE):
+        for profile in (call.modexp_profile, call.measure_profile, shor.QFT_PROFILE):
             with pytest.raises(FrozenInstanceError):
                 profile.ranks = ()
 
@@ -894,7 +966,7 @@ class TestSampleRun:
         assert rec_a.measured_residue == rec_b.measured_residue
         assert rec_a.convergents == rec_b.convergents
         assert a.modexp_profile == b.modexp_profile
-        assert rec_a.measure_profile == rec_b.measure_profile
+        assert a.measure_profile == b.measure_profile
         assert a.peak_elements == b.peak_elements
 
 

@@ -50,11 +50,12 @@ each equals ``json.dumps(report, sort_keys=True, separators=(",", ":")) +
 ``profile``, ``oracle`` and ``verify-paper`` write theirs with that one
 call.  ``sample`` encodes the rest of its report with it, with a marker
 in place of each layout's records, and splices in the records arrays, which
-``_records_json`` writes from a sorted-key template: the call's values
+``_records_json`` writes from a sorted-key template: a layout's values
 (instance, layout, alpha_hat, peaks, the "modexp", "measure" and "qft"
-profiles) fill it once per call, and each record fills in its own, with what
-records share (an s's convergents, factors and order, a batch's stage
-seconds) encoded once.  Pretty-print a report with ``python -m json.tool
+profiles) fill it once per layout, and each record of the call, one list
+that every layout shares, fills in its own, with what records share (an
+s's convergents, factors and order, a batch's stage seconds) encoded once
+per layout.  Pretty-print a report with ``python -m json.tool
 r.json``.
 """
 
@@ -70,7 +71,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .mps import RankProfile
 from .numtheory import (
     MAX_MODULUS,
     ORDER_ITERATION_CAP,
@@ -86,11 +86,12 @@ from .numtheory import (
 )
 from .oracle import DENSE_CAP, LAW_MAX_L, DenseCapError, exact_distribution, tvd_at_outcomes
 from .shor import (
+    LAYOUTS,
+    MAX_ELEMENTS,
     MAX_SIMULATED_MODULUS,
     QFT_PROFILE,
     LowerRegisterIndex,
     MemoryLimitError,
-    PipelineConfig,
     SampleCall,
     run_modexp,
     sample_runs,
@@ -127,8 +128,7 @@ _INSTANCE_FLAGS = {
     "--p": (int, None, "known factor (verification only)"),
     "--q": (int, None, "known factor (verification only)"),
     "--layout": _LAYOUT,
-    "--max-elements": (int, PipelineConfig.max_elements,
-                       "element limit of every stage; past it, exit 3"),
+    "--max-elements": (int, MAX_ELEMENTS, "element limit of every stage; past it, exit 3"),
     "--out": _OUT,
     "--format": _FORMAT,
 }
@@ -289,12 +289,11 @@ def _validate_semiprime(n: int, bound: int = MAX_MODULUS) -> None:
         raise _UsageError(f"n = {n} is a prime power")
 
 
-def _pipeline_from_args(args) -> tuple[SemiprimeInstance, list[int], dict[str, PipelineConfig]]:
+def _pipeline_from_args(args) -> tuple[SemiprimeInstance, list[int], tuple[str, ...]]:
     """The instance of ``sample``'s and ``profile``'s flags, the lucky
-    factors met while drawing its base, and one config per layout of
-    ``--layout``.  Raises _UsageError on invalid input."""
+    factors met while drawing its base, and the layouts of ``--layout``,
+    static first.  Raises _UsageError on invalid input."""
     _validate_semiprime(args.n, MAX_SIMULATED_MODULUS)
-    layouts = ["static", "dynamic"] if args.layout == "both" else [args.layout]
     a = args.a
     lucky: list[int] = []
     if a is None:
@@ -305,11 +304,11 @@ def _pipeline_from_args(args) -> tuple[SemiprimeInstance, list[int], dict[str, P
         a = random_coprime(args.n, rng, on_lucky_factor=lucky.append)
     try:
         inst = SemiprimeInstance(args.n, a, args.p, args.q)
-        configs = {layout: PipelineConfig(layout=layout, max_elements=args.max_elements)
-                   for layout in layouts}
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return inst, lucky, configs
+    if args.max_elements <= 0:
+        raise _UsageError(f"max_elements must be positive, got {args.max_elements}")
+    return inst, lucky, LAYOUTS if args.layout == "both" else (args.layout,)
 
 
 def _instance_echo(inst: SemiprimeInstance) -> dict:
@@ -351,7 +350,7 @@ def _reference_order(inst, dense_cap):
 
 
 # One record in sorted-key order, as json.dumps writes its schema-1 dict: the
-# single-% slots take the call's values, once per call, and the %%-slots, one
+# single-% slots take a layout's values, once per layout, and the %%-slots, one
 # per sample, the record's.
 _RECORD = ('{"a":%d,"alpha_hat":%s,"convergents":%%s,"factors":%%s,"l":%d,"layout":%s,'
            '"measured_residue":%%d,"measured_s":%%d,"n":%d,"peak_elements":%s,'
@@ -359,10 +358,10 @@ _RECORD = ('{"a":%d,"alpha_hat":%s,"convergents":%%s,"factors":%%s,"l":%d,"layou
 
 
 def _records_json(call: SampleCall) -> str:
-    """The call's records as a JSON array of schema-1 records, each as
-    ``_dump_json`` writes its dict.
+    """The call's records in the layout of its view ``call``, as a JSON
+    array of schema-1 records, each as ``_dump_json`` writes its dict.
 
-    The call's values, its three rank profiles included, fill the template
+    The view's values, its three rank profiles included, fill the template
     once.  Each s's convergents, factors and verified order and each batch's
     stage seconds are encoded once: records with equal s share them, and the
     records of a batch are adjacent and share one dict.
@@ -414,12 +413,10 @@ def cmd_sample(args) -> int:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.dense_cap < 1:
         raise _UsageError(f"--dense-cap must be at least 1, got {args.dense_cap}")
-    inst, lucky, configs = _pipeline_from_args(args)
+    inst, lucky, layouts = _pipeline_from_args(args)
     started = perf_counter()
-    calls = {
-        layout: sample_runs(inst, cfg, range(args.seed, args.seed + args.samples))
-        for layout, cfg in configs.items()
-    }
+    calls = sample_runs(inst, layouts, range(args.seed, args.seed + args.samples),
+                        args.max_elements)
     # the order depends on the instance alone
     r = _reference_order(inst, args.dense_cap)
     # each layout's records stand in as a marker string that no other report
@@ -486,19 +483,12 @@ def cmd_verify_paper(args) -> int:
 # --------------------------------------------------------------------- profile
 
 def cmd_profile(args) -> int:
-    inst, _, configs = _pipeline_from_args(args)
-    profiles: list[tuple[str, RankProfile]] = []
-    elements = {}
-    for layout, cfg in configs.items():
-        lower = LowerRegisterIndex(inst.n)
-        _, profile, tally = run_modexp(lower, inst, cfg)
-        profiles.append((layout, profile))
-        # the tally only grows, so the final one is the peak
-        elements[layout] = {
-            "live": tally,
-            "peak": tally,
-            "lower_register_dim": lower.dim,
-        }
+    inst, _, layouts = _pipeline_from_args(args)
+    lower = LowerRegisterIndex(inst.n)
+    chains = run_modexp(lower, inst, layouts, args.max_elements)
+    # the tally only grows, so the final one is the peak
+    elements = {layout: {"live": tally, "peak": tally, "lower_register_dim": lower.dim}
+                for layout, (_, _, tally) in chains.items()}
     if len(elements) == 2:
         print(
             "element count comparison:"
@@ -510,7 +500,7 @@ def cmd_profile(args) -> int:
         )
     if args.format == "csv":
         lines = ["stage,bond,rank,layout"]
-        for layout, prof in profiles:
+        for layout, (_, prof, _) in chains.items():
             for bond, rank in enumerate(prof.ranks):
                 lines.append(f"{prof.stage},{bond},{rank},{layout}")
         return _write("\n".join(lines), args.out)
@@ -525,7 +515,7 @@ def cmd_profile(args) -> int:
                 "ranks": list(prof.ranks),
                 "labels": [str(x) for x in prof.layout],
             }
-            for layout, prof in profiles
+            for layout, (_, prof, _) in chains.items()
         ],
         "elements": elements,
     }

@@ -67,12 +67,14 @@ Schmidt rank is a label count, the same for every sample
 (``measure_ranks``).  A gate that doubles R's residue set (``floor(log2
 beta) + alpha`` of them) has a shifted identity as its map, and its qubit is
 an exact fair coin, read with one comparison and no probability sum
-(``graded_fourier``).  Modexp, the exponents, the forward counts and the
-ranks are the same for every sample of an instance, so ``sample_runs``
-computes them once and draws its samples together, each array carrying a
-leading sample axis, and every float a batch draws is computed up front
-from its seeds (``rng.uniforms``); sample k still draws only from its own
-seed's stream, so its record does not depend on the batch it is in.
+(``graded_fourier``).  Modexp's gates, the exponents, the forward counts
+and the ranks are the same for every sample of an instance and for both
+layouts, whose chains differ only in their labels, bonds and tally, so
+``sample_runs`` computes them once per call, for every layout it is asked
+for, and draws its samples together, each array carrying a leading sample
+axis, and every float a batch draws is computed up front from its seeds
+(``rng.uniforms``); sample k still draws only from its own seed's stream,
+so its record does not depend on the batch it is in.
 
 The same stages on a dense chain, with site tensors, a whole-chain density
 read, rank-revealing sweeps and single-site measurements, live in the test
@@ -96,6 +98,10 @@ from .rng import uniforms
 SQRT_HALF = 1.0 / sqrt(2.0)
 # n must be below this for the residue index (see ``LowerRegisterIndex``)
 MAX_SIMULATED_MODULUS = 1 << 31
+# the default element limit of every stage (see ``run_modexp`` and ``sample_runs``)
+MAX_ELEMENTS = 1 << 30
+# both layouts, static first: the order in which each gate's guards are checked
+LAYOUTS = ("static", "dynamic")
 
 
 class MemoryLimitError(RuntimeError):
@@ -193,18 +199,6 @@ class LowerRegisterIndex:
                 for m, d, after in zip(self.mults, self.dims, _dims_after(self))]
 
 
-@dataclass
-class PipelineConfig:
-    layout: str = "dynamic"
-    max_elements: int = 1 << 30
-
-    def __post_init__(self):
-        if self.layout not in ("static", "dynamic"):
-            raise ValueError(f"unknown layout {self.layout!r}")
-        if self.max_elements <= 0:
-            raise ValueError(f"max_elements must be positive, got {self.max_elements}")
-
-
 # qubit 0 is read last and is the only site left once the transform ends
 QFT_PROFILE = RankProfile(stage="qft", ranks=(), layout=(0,))
 
@@ -224,10 +218,11 @@ class SampleRecord:
 
 @dataclass
 class SampleCall:
-    """One ``sample_runs`` call: the values fixed per call, held once, and
-    its records.  A record's rank profiles are ``modexp_profile``,
-    ``measure_profile`` and ``QFT_PROFILE``, in that order, and its element
-    peaks are ``peak_elements``."""
+    """One layout's view of a ``sample_runs`` call: the values fixed per call
+    and layout, held once, and the call's records, one list that the views
+    of every layout share.  A record's rank profiles are
+    ``modexp_profile``, ``measure_profile`` and ``QFT_PROFILE``, in that
+    order, and its element peaks are ``peak_elements``."""
 
     instance: SemiprimeInstance
     layout: str
@@ -246,8 +241,9 @@ def _guard(stage: str, needed: int, limit: int) -> None:
 
 
 def run_modexp(
-    lower: LowerRegisterIndex, instance: SemiprimeInstance, config: PipelineConfig
-) -> tuple[int | None, RankProfile, int]:
+    lower: LowerRegisterIndex, instance: SemiprimeInstance, layouts: tuple[str, ...],
+    max_elements: int = MAX_ELEMENTS,
+) -> dict[str, tuple[int | None, RankProfile, int]]:
     """Controlled multiplications for qubits 2l-1 ... 0, most significant first.
 
     Each gate creates upper qubit i in |+> next to R and scatters R's
@@ -260,33 +256,40 @@ def run_modexp(
     bond (1 at the chain end).  Every bond is a Schmidt rank (see the module
     docstring) and equals the residue rank oracle.
 
-    The plateau is flagged after one gate that leaves ``lower.dim``
-    unchanged.  From then on a gate whose multiplier is already a reached
-    residue is idle: it reaches no new residue, so it is only recorded and
-    ``lower.extend`` does not run.  The gate that flags the plateau still
-    runs ``extend``.  The static layout creates every qubit left of R.  The
-    dynamic layout creates every qubit after the plateau that is not idle
-    right of R; the first such qubit starts the right block, and every later
-    qubit is in it.  The proofs are in README, "Notes on the plateau
-    detector".
+    The gates, and so the index, are the same in every layout: one gate
+    loop places each gate's qubit in the chain of every layout of
+    ``layouts``.  The plateau is flagged after one gate that leaves
+    ``lower.dim`` unchanged.  From then on a gate whose multiplier is
+    already a reached residue is idle: it reaches no new residue, so it is
+    only recorded and ``lower.extend`` does not run.  The gate that flags
+    the plateau still runs ``extend``.  The static layout creates every
+    qubit left of R.  The dynamic layout creates every qubit after the
+    plateau that is not idle right of R; the first such qubit starts the
+    right block, and every later qubit is in it.  The proofs are in README,
+    "Notes on the plateau detector".
 
-    After each gate the dense-equivalent tally of the chain's site tensors,
-    the paper's sum_k b_k d_k b_(k+1) with the chain ends as bonds of
-    dimension 1, is checked against ``config.max_elements``.  A gate changes
-    only R's tensor and adds the new qubit's, so the tally grows by their
-    difference, with chi_l and chi_r the bonds beside R before the gate
-    (1 at a chain end): side B adds 2 chi_l D_new + D_new^2 - chi_l D_old,
-    side A adds chi_l D_new 2 chi_r + 4 chi_r^2 - chi_l D_old chi_r.  The
-    tally only grows, so the last one is the peak.  Returns the number of
-    right-side qubits (the measured two-adic exponent of r; None for the
-    static layout), the rank profile and that tally.
+    After each gate the dense-equivalent tally of each layout's site
+    tensors, the paper's sum_k b_k d_k b_(k+1) with the chain ends as bonds
+    of dimension 1, is checked against ``max_elements``, layout by layout in
+    the order of ``layouts``.  A gate changes only R's tensor and adds the
+    new qubit's, so the tally grows by their difference, with chi_l and
+    chi_r the bonds beside R before the gate (1 at a chain end): side B adds
+    2 chi_l D_new + D_new^2 - chi_l D_old, side A adds chi_l D_new 2 chi_r +
+    4 chi_r^2 - chi_l D_old chi_r.  No gate leaves the dynamic tally above
+    the static one: the chains agree up to the right block, and from there
+    on every gate doubles D = D_0 2^k (D_0 the left bond, 2^k the right
+    one), where side A adds (3 D_0^2 + 4) 4^k and the static side B 7 D^2 =
+    7 D_0^2 4^k.  So with ``LAYOUTS``, static first, both layouts trip as
+    static alone would, or else as dynamic alone would.  The tally only
+    grows, so the last one is the peak.  Returns, per layout,
+    the number of right-side qubits (the measured two-adic exponent of r;
+    None for the static layout), the rank profile and that tally.
     """
-    dynamic = config.layout == "dynamic"
     plateau = False
-    alpha_hat = 0
-    labels: list = [LOWER_REGISTER]
-    bonds: list[int] = []
-    tally = 1
+    labels = {layout: [LOWER_REGISTER] for layout in layouts}
+    bonds: dict[str, list[int]] = {layout: [] for layout in layouts}
+    right = dict.fromkeys(layouts, 0)  # qubits right of R
+    tally = dict.fromkeys(layouts, 1)
     for i in reversed(range(2 * instance.l)):
         d_before = lower.dim
         mult = pow(instance.a, 1 << i, instance.n)
@@ -296,23 +299,28 @@ def run_modexp(
         else:
             lower.extend(mult)
         d_new = lower.dim
-        rpos = len(bonds) - alpha_hat  # R's site: one per qubit left of it
-        chi_l = bonds[rpos - 1] if rpos else 1
-        if dynamic and plateau and not idle:
-            chi_r = bonds[rpos] if alpha_hat else 1
-            alpha_hat += 1
-            labels.insert(rpos + 1, i)
-            bonds.insert(rpos, 2 * chi_r)
-            tally += chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r - chi_l * d_before * chi_r
-        else:
-            # side B gates all come first, so R is still at the right end
-            labels.insert(rpos, i)
-            bonds.append(d_new)
-            tally += 2 * chi_l * d_new + d_new * d_new - chi_l * d_before
-        _guard("modexp", tally, config.max_elements)
+        for layout in layouts:
+            ranks = bonds[layout]
+            rpos = len(ranks) - right[layout]  # R's site: one per qubit left of it
+            chi_l = ranks[rpos - 1] if rpos else 1
+            if layout == "dynamic" and plateau and not idle:
+                chi_r = ranks[rpos] if right[layout] else 1
+                right[layout] += 1
+                labels[layout].insert(rpos + 1, i)
+                ranks.insert(rpos, 2 * chi_r)
+                tally[layout] += (chi_l * d_new * 2 * chi_r + 4 * chi_r * chi_r
+                                  - chi_l * d_before * chi_r)
+            else:
+                # side B gates all come first, so R is still at the right end
+                labels[layout].insert(rpos, i)
+                ranks.append(d_new)
+                tally[layout] += 2 * chi_l * d_new + d_new * d_new - chi_l * d_before
+            _guard("modexp", tally[layout], max_elements)
         plateau = plateau or d_new == d_before
-    profile = RankProfile(stage="modexp", ranks=tuple(bonds), layout=tuple(labels))
-    return (alpha_hat if dynamic else None), profile, tally
+    return {layout: (right[layout] if layout == "dynamic" else None,
+                     RankProfile("modexp", tuple(bonds[layout]), tuple(labels[layout])),
+                     tally[layout])
+            for layout in layouts}
 
 
 # --------------------------------------------------------------- graded sampler
@@ -473,22 +481,28 @@ BATCH_ELEMENTS = 1 << 20
 
 
 def sample_runs(
-    instance: SemiprimeInstance, config: PipelineConfig, seeds: range
-) -> SampleCall:
-    """End-to-end samples, one per seed of the range ``seeds``, in order.
+    instance: SemiprimeInstance, layouts: tuple[str, ...], seeds: range,
+    max_elements: int = MAX_ELEMENTS,
+) -> dict[str, SampleCall]:
+    """End-to-end samples, one per seed of the range ``seeds``, in order, as
+    one view per layout of ``layouts``.
 
-    Modexp runs once and keeps only R's residue index and the chain's labels
-    and bond ranks (``run_modexp``); no site tensor is built.  The gates'
-    multiplier maps are then built once per call (``gate_maps``; a gate
-    that doubles R's dimension gets a slice, and its qubit is a fair coin),
-    and from them the residues' exponents e (``residue_exponents``).  R and
-    the Fourier transform are drawn from those alone (see the module
-    docstring): R from its forward counts, read off e once per call, and
-    each qubit from one complex weight per residue and its right counts,
-    built from one row of offsets d_c = (e_t - e_c) mod r per sample
-    (``residue_counts``).  The "measure" ranks are the same for every
-    sample, counted once per call (``measure_ranks``); the "qft" chain ends
-    as one site (``QFT_PROFILE``).
+    Modexp runs once for every layout and keeps only R's residue index and
+    each layout's labels and bond ranks (``run_modexp``); no site tensor is
+    built.  The gates' multiplier maps are then built once per call
+    (``gate_maps``; a gate that doubles R's dimension gets a slice, and its
+    qubit is a fair coin), and from them the residues' exponents e
+    (``residue_exponents``).  R and the Fourier transform are drawn from
+    those alone (see the module docstring): R from its forward counts, read
+    off e once per call, and each qubit from one complex weight per residue
+    and its right counts, built from one row of offsets d_c = (e_t - e_c)
+    mod r per sample (``residue_counts``).  The "measure" ranks are the same
+    for every sample and both layouts, counted once per call
+    (``measure_ranks``); the "qft" chain ends as one site (``QFT_PROFILE``).
+    None of this depends on the layout, so the samples are drawn once and
+    every layout's view holds the same records; a view holds what is its
+    layout's own: the layout, alpha_hat, the "modexp" profile, the "measure"
+    labels and ``peak_elements``.
 
     The samples are drawn in batches, every array carrying a leading sample
     axis.  The sample of seed s draws the first 2l+1 floats of
@@ -499,50 +513,56 @@ def sample_runs(
     any batch.  ``seeds`` is a range of consecutive seeds.
 
     Every stage runs on ``instance`` as given.  A stage whose arrays would
-    exceed ``config.max_elements`` raises ``MemoryLimitError``: modexp counts
-    the elements its chain's site tensors would hold if stored densely,
+    exceed ``max_elements`` raises ``MemoryLimitError``: modexp counts the
+    elements each layout's site tensors would hold if stored densely,
     "measure" the forward and right counts of one sample, and "qft" one
     sample's right counts plus its complex residue vector and branch pair.
-    These per-sample figures, the call's ``peak_elements``, count every R_j
-    at once, an upper bound.  A batch holds max(1, min(BATCH_ELEMENTS,
+    These per-sample figures, a view's ``peak_elements``, count every R_j at
+    once, an upper bound.  A batch holds max(1, min(BATCH_ELEMENTS,
     max_elements) // E) samples, E being the larger of the "measure" and
-    "qft" figures, so its arrays stay within ``config.max_elements`` too.
-    Each record's ``stage_seconds`` is its share of the stage times: what
-    runs once per call (build, modexp, and the maps, exponents, forward
-    counts and ranks of "measure") evenly over all samples, the rest evenly
-    over its batch.  The classical post-processing of an s runs once per
-    call.  What records repeat they share: the records of a batch one
-    ``stage_seconds`` dict, and records with equal s one ``convergents``
-    tuple.
+    "qft" figures, the same in every layout, so its arrays stay within
+    ``max_elements`` too.  Each record's ``stage_seconds`` is its share of
+    the stage times: what runs once per call (build, modexp, and the maps,
+    exponents, forward counts and ranks of "measure") evenly over all
+    samples, the rest evenly over its batch.  The classical post-processing
+    of an s runs once per call.  What records repeat they share: the
+    records of a batch one ``stage_seconds`` dict, and records with equal s
+    one ``convergents`` tuple.
     """
     shared: dict[str, float] = {}
     t0 = time.perf_counter()
     lower = LowerRegisterIndex(instance.n)
     shared["build"] = time.perf_counter() - t0
-    peaks = {"build": 1}  # R alone, of dimension 1
     t0 = time.perf_counter()
-    alpha_hat, modexp_profile, peaks["modexp"] = run_modexp(lower, instance, config)
+    chains = run_modexp(lower, instance, layouts, max_elements)
     shared["modexp"] = time.perf_counter() - t0
-    labels = tuple(lab for lab in modexp_profile.layout if lab != LOWER_REGISTER)
 
     dims = _dims_after(lower)
     held = sum(dims) + 1  # right counts R_0 ... R_2l
+    peaks = {"build": 1}  # R alone, of dimension 1
     peaks["measure"] = lower.dim + held
-    _guard("measure", peaks["measure"], config.max_elements)
+    _guard("measure", peaks["measure"], max_elements)
     # complex units: the residue vector and its two branches
     peaks["qft"] = held + max(2 * (d_before + 2 * d) for d_before, d in zip(lower.dims, dims))
-    _guard("qft", peaks["qft"], config.max_elements)
-    batch = max(1, min(BATCH_ELEMENTS, config.max_elements)
-                // max(peaks["measure"], peaks["qft"]))
+    _guard("qft", peaks["qft"], max_elements)
+    batch = max(1, min(BATCH_ELEMENTS, max_elements) // max(peaks["measure"], peaks["qft"]))
 
     t0 = time.perf_counter()
     maps = lower.gate_maps()
     e = residue_exponents(lower, maps)
     r_probs = residue_counts(e, 2 * instance.l, lower.dim) / (1 << (2 * instance.l))
-    measure = RankProfile(stage="measure", ranks=measure_ranks(lower, e), layout=labels)
+    ranks = measure_ranks(lower, e)
     shared["measure"] = time.perf_counter() - t0
 
-    call = SampleCall(instance, config.layout, alpha_hat, modexp_profile, measure, peaks, [])
+    records: list[SampleRecord] = []
+    calls = {
+        layout: SampleCall(
+            instance, layout, alpha_hat, profile,
+            RankProfile("measure", ranks,
+                        tuple(lab for lab in profile.layout if lab != LOWER_REGISTER)),
+            {**peaks, "modexp": tally}, records)
+        for layout, (alpha_hat, profile, tally) in chains.items()
+    }
     # each batch's stage shares, final once the number of samples, and so
     # the call-wide share, is known
     shares: list[dict[str, float]] = []
@@ -570,11 +590,11 @@ def sample_runs(
         share = {stage: dt / len(chunk) for stage, dt in seconds.items()}
         shares.append(share)
         for residue, (s, convs, verified, factors) in zip(residues, done):
-            call.records.append(SampleRecord(residue, s, convs, verified, factors, share))
+            records.append(SampleRecord(residue, s, convs, verified, factors, share))
     for share in shares:
         for stage, dt in shared.items():
-            share[stage] = share.get(stage, 0.0) + dt / len(call.records)
-    return call
+            share[stage] = share.get(stage, 0.0) + dt / len(records)
+    return calls
 
 
 def _classical(instance: SemiprimeInstance, bits):

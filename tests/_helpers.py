@@ -19,13 +19,15 @@ by brute force, as a reference for their value in ``graded_ranks``.
 and one of its records, and ``reference_sample_report`` builds a ``sample``
 report from those dicts as one dict, which one ``json.dumps`` call encodes,
 as a reference for the report that ``cli`` assembles from fragments.
-``sample_run`` draws the sample of one seed and returns its schema-1 dict,
-for tests that compare samples one by one.  ``reference_sample_runs`` is the
-sampler as it was before its qubits of doubling gates became fair coins, its
-draws PCG64 lanes and its counts closed forms: full ``int32`` maps, the map
-recursions, a branch pair and a draw for every qubit, per-sample ranks, and
-one ``random()`` call per draw on numpy ``Generator``s, as the reference for
-``shor.sample_runs``; it shares no count with the code it checks.
+``sample_call`` is the view of a ``shor.sample_runs`` call for one layout
+alone, and ``sample_run`` draws the sample of one seed and returns its
+schema-1 dict, for tests that compare samples one by one.
+``reference_sample_runs`` is the sampler as it was before its qubits of
+doubling gates became fair coins, its draws PCG64 lanes and its counts
+closed forms: full ``int32`` maps, the map recursions, a branch pair and a
+draw for every qubit, per-sample ranks, and one ``random()`` call per draw
+on numpy ``Generator``s, as the reference for ``shor.sample_runs``; it
+shares no count with the code it checks.
 """
 
 import os
@@ -185,7 +187,8 @@ def apply_controlled_modexp(
     state._retally()
 
 
-def run_dense_modexp(state, lower, instance, config) -> int | None:
+def run_dense_modexp(state, lower, instance, layout,
+                     max_elements=shor.MAX_ELEMENTS) -> int | None:
     """Controlled multiplications for qubits 2l-1 ... 0, most significant first.
 
     The static layout creates every qubit left of R and returns None.  The
@@ -194,7 +197,7 @@ def run_dense_modexp(state, lower, instance, config) -> int | None:
     residue, and every qubit after it, is created right of R.  It returns the
     number of right-side qubits, the measured two-adic exponent of r.
     """
-    dynamic = config.layout == "dynamic"
+    dynamic = layout == "dynamic"
     plateau = False
     alpha_hat = 0
     for i in reversed(range(2 * instance.l)):
@@ -204,24 +207,23 @@ def run_dense_modexp(state, lower, instance, config) -> int | None:
                 plateau and lower.position(pow(instance.a, 1 << i, instance.n)) < 0)):
             side = "A"
             alpha_hat += 1
-        apply_controlled_modexp(state, lower, instance, i, side, config.max_elements)
+        apply_controlled_modexp(state, lower, instance, i, side, max_elements)
         plateau = plateau or lower.dim == d_before
     return alpha_hat if dynamic else None
 
 
-def dense_modexp(instance, layout, max_elements=1 << 30):
+def dense_modexp(instance, layout, max_elements=shor.MAX_ELEMENTS):
     """The dense modexp chain of ``instance``: (state, lower, alpha_hat)."""
     state, lower = build_initial(instance)
-    cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
-    alpha_hat = run_dense_modexp(state, lower, instance, cfg)
+    alpha_hat = run_dense_modexp(state, lower, instance, layout, max_elements)
     return state, lower, alpha_hat
 
 
-def graded_modexp(instance, layout, max_elements=1 << 30):
-    """``shor.run_modexp``: (lower, alpha_hat, rank profile, element tally)."""
+def graded_modexp(instance, layout, max_elements=shor.MAX_ELEMENTS):
+    """``shor.run_modexp`` for ``layout`` alone: (lower, alpha_hat, rank
+    profile, element tally)."""
     lower = shor.LowerRegisterIndex(instance.n)
-    cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
-    return (lower, *shor.run_modexp(lower, instance, cfg))
+    return (lower, *shor.run_modexp(lower, instance, (layout,), max_elements)[layout])
 
 
 def reference_index(instance):
@@ -394,10 +396,16 @@ def identity_split_pair(block):
 
 # ------------------------------------------------------------------ sampling
 
-def sample_run(instance, config, seed: int) -> dict:
+def sample_call(instance, layout, seeds: range, max_elements=shor.MAX_ELEMENTS):
+    """The ``shor.SampleCall`` of a ``shor.sample_runs`` call for ``layout``
+    alone."""
+    return shor.sample_runs(instance, (layout,), seeds, max_elements)[layout]
+
+
+def sample_run(instance, layout, seed: int, max_elements=shor.MAX_ELEMENTS) -> dict:
     """The end-to-end sample of ``seed`` as its schema-1 dict: ``shor.sample_runs``
     with one seed, whose records do not depend on how the seeds are batched."""
-    call = shor.sample_runs(instance, config, range(seed, seed + 1))
+    call = sample_call(instance, layout, range(seed, seed + 1), max_elements)
     return record_dict(call, call.records[0])
 
 
@@ -435,17 +443,19 @@ def reference_fourier(maps, right, rngs, probs_seen=None) -> np.ndarray:
     return bits
 
 
-def reference_sample_runs(instance, config, rngs, probs_seen=None) -> shor.SampleCall:
-    """``shor.sample_runs`` with sample k drawing from ``rngs[k]``, a numpy
-    ``Generator``, one ``random()`` call per draw, over ``reference_maps``,
-    the map recursions ``forward_counts`` and ``right_counts``, and
-    ``reference_fourier``, all samples in one batch and without the element
-    guards.  The "measure" ranks are counted per sample (``graded_ranks``),
+def reference_sample_runs(instance, layout, rngs, probs_seen=None,
+                          max_elements=shor.MAX_ELEMENTS) -> shor.SampleCall:
+    """``shor.sample_runs`` for ``layout`` alone, with sample k drawing from
+    ``rngs[k]``, a numpy ``Generator``, one ``random()`` call per draw, over
+    ``reference_maps``, the map recursions ``forward_counts`` and
+    ``right_counts``, and ``reference_fourier``, all samples in one batch and
+    with no element guard but modexp's (``max_elements``).  The "measure" ranks are counted per sample (``graded_ranks``),
     and asserted equal for every sample; with no sample, they are those of
     t = 1.  Records carry empty ``stage_seconds``."""
     rngs = list(rngs)
     lower = shor.LowerRegisterIndex(instance.n)
-    alpha_hat, modexp_profile, tally = shor.run_modexp(lower, instance, config)
+    alpha_hat, modexp_profile, tally = shor.run_modexp(lower, instance, (layout,),
+                                                       max_elements)[layout]
     labels = tuple(lab for lab in modexp_profile.layout if lab != LOWER_REGISTER)
     dims = lower.dims[1:] + [lower.dim]
     held = sum(dims) + 1
@@ -457,7 +467,7 @@ def reference_sample_runs(instance, config, rngs, probs_seen=None) -> shor.Sampl
     right = right_counts(lower, maps, targets if rngs else [0])
     ranks = graded_ranks(alpha_hat, right)
     assert len(set(ranks)) == 1, ranks
-    call = shor.SampleCall(instance, config.layout, alpha_hat, modexp_profile,
+    call = shor.SampleCall(instance, layout, alpha_hat, modexp_profile,
                            RankProfile("measure", ranks[0], labels), peaks, [])
     if not rngs:
         return call

@@ -17,11 +17,12 @@ from _helpers import (
     graded_modexp,
     mps_as_canonical_dense,
     rank_oracle_for_bond,
+    sample_call,
     sample_run,
 )
 
 import _dense
-from shormps import cli, oracle, shor
+from shormps import cli, oracle
 from shormps.mps import LOWER_REGISTER
 from shormps.numtheory import SemiprimeInstance
 
@@ -131,11 +132,10 @@ def test_criterion_6_sampling_distribution():
     """20k samples of (21, 2): TVD < 0.03; (15, 7): exact four-peak comb."""
     t0 = time.perf_counter()
     inst = SemiprimeInstance(21, 2)
-    cfg = shor.PipelineConfig(layout="dynamic")
     # one batched call per instance: the sample of seed k draws the stream of
     # numpy.random.default_rng(k), as a sample_run call of its own would
     counts = np.zeros(1024)
-    for rec in shor.sample_runs(inst, cfg, range(20_000)).records:
+    for rec in sample_call(inst, "dynamic", range(20_000)).records:
         counts[rec.measured_s] += 1
     dist = _dense.tvd(oracle.exact_distribution(5, 6), counts)
 
@@ -143,7 +143,7 @@ def test_criterion_6_sampling_distribution():
     draws = 4000
     comb_counts = {0: 0, 256: 0, 512: 0, 768: 0}
     stray = 0
-    for rec in shor.sample_runs(comb, cfg, range(10**6, 10**6 + draws)).records:
+    for rec in sample_call(comb, "dynamic", range(10**6, 10**6 + draws)).records:
         s = rec.measured_s
         if s in comb_counts:
             comb_counts[s] += 1
@@ -161,8 +161,7 @@ def test_criterion_6_sampling_distribution():
 def test_criterion_7_factor_recovery():
     """At least 10 factor recoveries over 50 seeded runs of (21, 2)."""
     inst = SemiprimeInstance(21, 2)
-    cfg = shor.PipelineConfig(layout="dynamic")
-    wins = sum(sample_run(inst, cfg, k)["factors"] == (3, 7) for k in range(50))
+    wins = sum(sample_run(inst, "dynamic", k)["factors"] == (3, 7) for k in range(50))
     announce(7, wins >= 10, f"({wins}/50 recoveries)")
 
 

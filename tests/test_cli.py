@@ -18,6 +18,7 @@ from test_shor import semiprime_and_base
 import _dense
 from _helpers import (
     BEYOND_PAPER_ROWS,
+    graded_modexp,
     package_env,
     rank_oracle_for_bond,
     reference_sample_report,
@@ -130,8 +131,8 @@ class TestSample:
         # modexp's own limit exposes their guards: "measure" holds 39
         # elements of residue counts, "qft" 63 with its complex vectors
         modexp = shor.run_modexp
-        monkeypatch.setattr(shor, "run_modexp", lambda lower, inst, cfg:
-                            modexp(lower, inst, shor.PipelineConfig(cfg.layout)))
+        monkeypatch.setattr(shor, "run_modexp", lambda lower, inst, layouts, max_elements:
+                            modexp(lower, inst, layouts))
         argv = ["sample", "--n", "21", "--a", "2", "--layout", "dynamic", "--samples",
                 "5", "--seed", "0", "--max-elements"]
         assert run_cli(argv + ["38"]) == 3
@@ -243,13 +244,14 @@ def dumped(monkeypatch):
 
 @contextlib.contextmanager
 def captured_calls():
-    """The ``shor.SampleCall`` of each ``cli.sample_runs`` call, by layout."""
+    """The ``shor.SampleCall`` views of each ``cli.sample_runs`` call, by layout."""
     calls = {}
     sample_runs = cli.sample_runs
 
-    def recording(instance, config, seeds):
-        calls[config.layout] = sample_runs(instance, config, seeds)
-        return calls[config.layout]
+    def recording(*args):
+        views = sample_runs(*args)
+        calls.update(views)
+        return views
 
     with mock.patch.object(cli, "sample_runs", recording):
         yield calls
@@ -344,6 +346,100 @@ class TestRecordEncoding:
         if "--p" in argv:
             assert any(rec.factors and rec.verified_r for call in calls.values()
                        for rec in call.records)
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def untimed(obj):
+    """``obj``, a parsed report or part of one, without its timings."""
+    if isinstance(obj, dict):
+        return {key: untimed(value) for key, value in obj.items()
+                if key not in ("stage_seconds", "elapsed_seconds")}
+    return [untimed(value) for value in obj] if isinstance(obj, list) else obj
+
+
+class TestLayoutsShareOneRun:
+    """``--layout both`` runs each call once for both layouts: one residue
+    index, one gate loop and one sampler, with each layout's report block
+    what that layout's call alone writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(semiprime_and_base(), st.sampled_from(["sample", "profile"]), st.data())
+    def test_guard_trips_as_the_layouts_in_turn(self, case, command, data):
+        # static's guard is checked first, at every gate; no gate leaves the
+        # dynamic tally above the static one, so both trips as static does,
+        # and otherwise as dynamic does
+        n, a = case
+        static_tally = graded_modexp(SemiprimeInstance(n, a), "static")[3]
+        limit = data.draw(st.integers(1, static_tally + 10), label="max elements")
+        argv = [command, "--n", str(n), "--a", str(a), "--max-elements", str(limit)]
+        if command == "sample":
+            argv += ["--samples", "2", "--seed", "3"]
+        code, _, err = run_captured(argv + ["--layout", "both"])
+        static = run_captured(argv + ["--layout", "static"])
+        dynamic = run_captured(argv + ["--layout", "dynamic"])
+        if static[0] == 3:
+            assert (code, err) == (3, static[2])
+        elif dynamic[0] == 3:
+            assert (code, err) == (3, dynamic[2])
+        else:
+            assert (static[0], dynamic[0], code) == (0, 0, 0)
+
+    @staticmethod
+    def count_calls(monkeypatch, *targets):
+        """Count the calls of each (owner, name) of ``targets``, by name."""
+        counts = dict.fromkeys((name for _, name in targets), 0)
+        for owner, name in targets:
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    def test_sample_runs_the_pipeline_once(self, monkeypatch, tmp_path):
+        # a sample of n=21 holds 63 elements: 5 samples in batches of 2, 2, 1
+        counts = self.count_calls(
+            monkeypatch, (shor.LowerRegisterIndex, "__init__"), (shor, "run_modexp"),
+            (shor.LowerRegisterIndex, "gate_maps"), (shor, "residue_exponents"),
+            (shor, "graded_fourier"))
+        monkeypatch.setattr(shor, "BATCH_ELEMENTS", 2 * 63)
+        assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "5", "--layout",
+                        "both", "--out", str(tmp_path / "r.json")]) == 0
+        assert counts == {"__init__": 1, "run_modexp": 1, "gate_maps": 1,
+                          "residue_exponents": 1, "graded_fourier": 3}
+
+    def test_profile_runs_modexp_once(self, monkeypatch, tmp_path):
+        counts = self.count_calls(
+            monkeypatch, (shor.LowerRegisterIndex, "__init__"), (cli, "run_modexp"))
+        assert run_cli(["profile", "--n", "247", "--a", "2", "--layout", "both",
+                        "--out", str(tmp_path / "p.json")]) == 0
+        assert counts == {"__init__": 1, "run_modexp": 1}
+
+    @settings(max_examples=30, deadline=None)
+    @given(semiprime_and_base(), st.integers(0, 2**40), st.integers(1, 30),
+           st.integers(1, 1000))
+    def test_both_is_the_two_single_layout_reports(self, case, seed, samples,
+                                                   batch_elements):
+        # apart from timings and the --layout echo
+        n, a = case
+        base = ["--n", str(n), "--a", str(a)]
+        sample = ["sample", *base, "--seed", str(seed), "--samples", str(samples)]
+        with mock.patch.object(shor, "BATCH_ELEMENTS", batch_elements):
+            (both, static, dynamic), (both_p, static_p, dynamic_p) = (
+                [json.loads(run_captured(argv + ["--layout", layout])[1])
+                 for layout in ("both", "static", "dynamic")]
+                for argv in (sample, ["profile", *base]))
+        want = {**static, "config": {**static["config"], "layout": "both"},
+                "layouts": {**static["layouts"], **dynamic["layouts"]}}
+        assert untimed(both) == untimed(want)
+        assert both_p == {**static_p, "profiles": static_p["profiles"] + dynamic_p["profiles"],
+                          "elements": {**static_p["elements"], **dynamic_p["elements"]}}
 
 
 class TestBadInput:
@@ -648,12 +744,10 @@ class TestBadInputProperties:
 
     @staticmethod
     def check(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_cli(argv)
+        code, out, err = run_captured(argv)
         assert code == 2, argv
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @settings(max_examples=150, deadline=None)
     @given(bad_flags("sample"))

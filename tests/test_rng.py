@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from _helpers import package_env, record_dict, reference_sample_runs
 
-from shormps import cli, shor
+from shormps import cli
 from shormps.numtheory import SemiprimeInstance
 from shormps.rng import uniforms
 
@@ -40,8 +40,8 @@ def test_sample_records_equal_numpy_generators(tmp_path):
     layouts = json.loads(out.read_text())["layouts"]
     inst = SemiprimeInstance(247, 2)
     for layout in ("static", "dynamic"):
-        cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 30)
-        call = reference_sample_runs(inst, cfg, [np.random.default_rng(5 + k) for k in range(20)])
+        call = reference_sample_runs(inst, layout,
+                                     [np.random.default_rng(5 + k) for k in range(20)])
         expected = json.loads(json.dumps([record_dict(call, rec) for rec in call.records]))
         got = layouts[layout]["records"]
         for rec in expected + got:

@@ -23,6 +23,7 @@ from _helpers import (
     reference_index,
     reference_sample_runs,
     right_counts,
+    sample_call,
     sample_run,
 )
 from hypothesis import given, settings
@@ -173,7 +174,7 @@ def assert_skips_only_idle_gates(instance, layout, reference):
         shor.LowerRegisterIndex.extend(lower, mult)
 
     lower.extend = spy
-    shor.run_modexp(lower, instance, shor.PipelineConfig(layout, 1 << 62))
+    shor.run_modexp(lower, instance, (layout,), 1 << 62)
     residues, maps = reference
     dims = [perm.size for perm in maps]
     idle = [k for k, d in enumerate(dims[1:] + [len(residues)]) if d == dims[k]]
@@ -284,8 +285,7 @@ class TestGradedModexp:
         # the package cannot import the dense reference, so ban what it could call
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np, "einsum", banned)
-        cfg = shor.PipelineConfig(layout=layout)
-        rec = sample_run(SemiprimeInstance(247, 2), cfg, 0)
+        rec = sample_run(SemiprimeInstance(247, 2), layout, 0)
         assert rec["peak_elements"]["build"] == 1
         # only the sampler reads the gates' maps
         monkeypatch.setattr(shor.LowerRegisterIndex, "gate_maps", banned)
@@ -553,8 +553,7 @@ class TestGradedSampler:
     def test_same_samples_as_dense_reference(self, n, a, layout):
         # one batch of 20 samples, each against the dense path on its own generator
         inst = SemiprimeInstance(n, a)
-        cfg = shor.PipelineConfig(layout=layout)
-        call = shor.sample_runs(inst, cfg, range(20))
+        call = sample_call(inst, layout, range(20))
         measure = call.measure_profile
         for seed, rec in enumerate(call.records):
             got = (rec.measured_residue, (measure.ranks, measure.layout), rec.measured_s)
@@ -583,8 +582,7 @@ class TestGradedSampler:
         # the package cannot import the dense reference, so ban what it could call
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np, "einsum", banned)
-        cfg = shor.PipelineConfig(layout=layout)
-        rec = sample_run(SemiprimeInstance(n, a), cfg, 3)
+        rec = sample_run(SemiprimeInstance(n, a), layout, 3)
         assert rec["rank_profiles"][-1] == {"stage": "qft", "ranks": (), "layout": (0,)}
 
     def test_counts(self):
@@ -738,11 +736,10 @@ class TestFairCoins:
 
     @staticmethod
     def assert_slice_rows_are_fair(inst, layout, first, count):
-        cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 44)
         lower = graded_modexp(inst, layout, 1 << 44)[0]
         coins = [isinstance(perm, slice) for perm in lower.gate_maps()]
         probs_seen = []
-        reference_sample_runs(inst, cfg, seeded(first, count), probs_seen)
+        reference_sample_runs(inst, layout, seeded(first, count), probs_seen, 1 << 44)
         assert len(probs_seen) == len(coins)
         for coin, probs in zip(coins, probs_seen):
             if coin:
@@ -767,24 +764,23 @@ class TestFairCoins:
            st.integers(0, 2**64), st.integers(0, 12), st.data())
     def test_records_equal_the_reference_sampler(self, case, layout, seed, m, data):
         inst = SemiprimeInstance(*case)
-        cfg = shor.PipelineConfig(layout=layout)
-        want = without_timings(reference_sample_runs(inst, cfg, seeded(seed, m)))
-        assert without_timings(shor.sample_runs(inst, cfg, seeds(seed, m))) == want
+        want = without_timings(reference_sample_runs(inst, layout, seeded(seed, m)))
+        assert without_timings(sample_call(inst, layout, seeds(seed, m))) == want
         # batches of 1 ... 3 samples give the same records
-        per_sample = max(shor.sample_runs(inst, cfg, seeds(0, 1)).peak_elements[stage]
+        per_sample = max(sample_call(inst, layout, seeds(0, 1)).peak_elements[stage]
                          for stage in ("measure", "qft"))
         bound = data.draw(st.integers(1, 4 * per_sample - 1), label="batch elements")
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
-            assert without_timings(shor.sample_runs(inst, cfg, seeds(seed, m))) == want
+            assert without_timings(sample_call(inst, layout, seeds(seed, m))) == want
 
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
     @pytest.mark.parametrize("l, n, a, r, alpha, beta", ROWS, ids=ROW_IDS)
     def test_records_equal_the_reference_sampler_at_scale(self, l, n, a, r, alpha, beta,
                                                           layout):
         inst = SemiprimeInstance(n, a)
-        cfg = shor.PipelineConfig(layout=layout, max_elements=1 << 44)
-        want = without_timings(reference_sample_runs(inst, cfg, seeded(900, 2)))
-        assert without_timings(shor.sample_runs(inst, cfg, seeds(900, 2))) == want
+        want = without_timings(reference_sample_runs(inst, layout, seeded(900, 2),
+                                                     max_elements=1 << 44))
+        assert without_timings(sample_call(inst, layout, seeds(900, 2), 1 << 44)) == want
 
 
 class TestAssembleS:
@@ -806,8 +802,7 @@ class TestAssembleS:
 class TestSampleRun:
     def test_record_fields_n21(self):
         inst = SemiprimeInstance(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic")
-        rec = sample_run(inst, cfg, 7)
+        rec = sample_run(inst, "dynamic", 7)
         assert rec["n"] == 21 and rec["a"] == 2 and rec["l"] == 5
         assert rec["alpha_hat"] == 1
         assert rec["measured_residue"] in {1, 2, 4, 8, 16, 11}
@@ -820,9 +815,8 @@ class TestSampleRun:
 
     def test_factor_recovery_rate(self):
         inst = SemiprimeInstance(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic")
         wins = sum(
-            sample_run(inst, cfg, 1000 + k)["factors"]
+            sample_run(inst, "dynamic", 1000 + k)["factors"]
             == (3, 7)
             for k in range(20)
         )
@@ -830,24 +824,21 @@ class TestSampleRun:
 
     def test_comb_instance_s_support(self):
         inst = SemiprimeInstance(15, 7)  # order 4 divides 2^(2l): exact four-peak comb
-        cfg = shor.PipelineConfig(layout="dynamic")
         for k in range(60):
-            rec = sample_run(inst, cfg, k)
+            rec = sample_run(inst, "dynamic", k)
             assert rec["measured_s"] in (0, 256, 512, 768)
 
     def test_static_layout_end_to_end(self):
         inst = SemiprimeInstance(15, 7)
-        cfg = shor.PipelineConfig(layout="static")
         for k in range(20):
-            rec = sample_run(inst, cfg, k)
+            rec = sample_run(inst, "static", k)
             assert rec["layout"] == "static" and rec["alpha_hat"] is None
             assert rec["measured_s"] in (0, 256, 512, 768)
 
     def test_memory_limit_surfaces(self):
         inst = SemiprimeInstance(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic", max_elements=10)
         with pytest.raises(shor.MemoryLimitError):
-            sample_run(inst, cfg, 0)
+            sample_run(inst, "dynamic", 0, max_elements=10)
 
     @settings(max_examples=40, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 40]),
@@ -856,9 +847,8 @@ class TestSampleRun:
     def test_memory_guard_is_tight_and_keeps_the_base(self, case, layout, seed, m):
         inst = SemiprimeInstance(*case)
 
-        def run(max_elements=1 << 30):
-            cfg = shor.PipelineConfig(layout=layout, max_elements=max_elements)
-            return shor.sample_runs(inst, cfg, seeds(seed, m))
+        def run(max_elements=shor.MAX_ELEMENTS):
+            return sample_call(inst, layout, seeds(seed, m), max_elements)
 
         free = run()
         peak = max(free.peak_elements.values())
@@ -878,27 +868,25 @@ class TestSampleRun:
     def test_batches_give_the_records_of_separate_runs(self, case, layout, seed, m, data):
         # sample k draws from seed + k alone, whatever batch or call it is in
         inst = SemiprimeInstance(*case)
-        cfg = shor.PipelineConfig(layout=layout)
-        batch = without_timings(shor.sample_runs(inst, cfg, seeds(seed, m)))
-        alone = [shor.sample_runs(inst, cfg, seeds(s, 1)) for s in seeds(seed, m)]
+        batch = without_timings(sample_call(inst, layout, seeds(seed, m)))
+        alone = [sample_call(inst, layout, seeds(s, 1)) for s in seeds(seed, m)]
         assert batch == without_timings(*alone)
         cut = data.draw(st.integers(0, m), label="split")
-        first = shor.sample_runs(inst, cfg, seeds(seed, cut))
-        second = shor.sample_runs(inst, cfg, seeds(seed + cut, m - cut))
+        first = sample_call(inst, layout, seeds(seed, cut))
+        second = sample_call(inst, layout, seeds(seed + cut, m - cut))
         assert without_timings(first, second) == batch
         # a small batch bound cuts one call into batches of 1 ... 3 samples
         per_sample = max(alone[0].peak_elements["measure"], alone[0].peak_elements["qft"])
         bound = data.draw(st.integers(1, 4 * per_sample - 1), label="batch elements")
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
-            assert without_timings(shor.sample_runs(inst, cfg, seeds(seed, m))) == batch
+            assert without_timings(sample_call(inst, layout, seeds(seed, m))) == batch
 
     def test_stage_seconds_share_the_call(self):
         inst = SemiprimeInstance(247, 2)
-        cfg = shor.PipelineConfig(layout="static")
-        per_sample = shor.sample_runs(inst, cfg, seeds(0, 1)).peak_elements
+        per_sample = sample_call(inst, "static", seeds(0, 1)).peak_elements
         bound = 2 * max(per_sample["measure"], per_sample["qft"])
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
-            records = shor.sample_runs(inst, cfg, seeds(0, 5)).records
+            records = sample_call(inst, "static", seeds(0, 5)).records
         assert [set(rec.stage_seconds) for rec in records] == [
             {"build", "modexp", "measure", "qft", "classical"}] * 5
         # modexp runs once per call and is shared evenly; batches of 2, 2, 1
@@ -911,9 +899,8 @@ class TestSampleRun:
         # at seed 5000, 85 of 100 samples at n=21 and 10 of 30 at n=247
         # repeat an earlier s
         inst = SemiprimeInstance(n, 2)
-        cfg = shor.PipelineConfig(layout="static")
         m = 100 if n == 21 else 30
-        alone = [shor.sample_runs(inst, cfg, seeds(s, 1)) for s in seeds(5000, m)]
+        alone = [sample_call(inst, "static", seeds(s, 1)) for s in seeds(5000, m)]
         calls = []
         classical = shor._classical
 
@@ -922,7 +909,7 @@ class TestSampleRun:
             return classical(instance, bits)
 
         monkeypatch.setattr(shor, "_classical", counted)
-        call = shor.sample_runs(inst, cfg, seeds(5000, m))
+        call = sample_call(inst, "static", seeds(5000, m))
         assert len(calls) == len(set(calls)) == distinct
         assert len({rec.measured_s for rec in call.records}) == distinct
         assert without_timings(call) == without_timings(*alone)
@@ -932,9 +919,8 @@ class TestSampleRun:
         # a sample of n=21 holds 63 elements: batches of 2 samples; the 12
         # of seed 5000 repeat their s
         inst = SemiprimeInstance(21, 2)
-        cfg = shor.PipelineConfig(layout=layout)
         with mock.patch.object(shor, "BATCH_ELEMENTS", 2 * 63):
-            call = shor.sample_runs(inst, cfg, seeds(5000, 12))
+            call = sample_call(inst, layout, seeds(5000, 12))
         records = call.records
         for k, rec in enumerate(records):
             for j in range(k + 1, len(records)):
@@ -953,14 +939,13 @@ class TestSampleRun:
                 profile.ranks = ()
 
     def test_no_generator_no_record(self):
-        call = shor.sample_runs(SemiprimeInstance(21, 2), shor.PipelineConfig(), range(0))
-        assert call.records == []
+        calls = shor.sample_runs(SemiprimeInstance(21, 2), shor.LAYOUTS, range(0))
+        assert [call.records for call in calls.values()] == [[], []]
 
     def test_determinism(self):
         inst = SemiprimeInstance(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic")
-        a = shor.sample_runs(inst, cfg, seeds(42, 1))
-        b = shor.sample_runs(inst, cfg, seeds(42, 1))
+        a = sample_call(inst, "dynamic", seeds(42, 1))
+        b = sample_call(inst, "dynamic", seeds(42, 1))
         [rec_a], [rec_b] = a.records, b.records
         assert rec_a.measured_s == rec_b.measured_s
         assert rec_a.measured_residue == rec_b.measured_residue
@@ -973,9 +958,8 @@ class TestSampleRun:
 class TestEndToEndDistribution:
     def test_tvd_smoke_n21(self):
         inst = SemiprimeInstance(21, 2)
-        cfg = shor.PipelineConfig(layout="dynamic")
         counts = np.zeros(1024)
-        for rec in shor.sample_runs(inst, cfg, seeds(10_000, 2000)).records:
+        for rec in sample_call(inst, "dynamic", seeds(10_000, 2000)).records:
             counts[rec.measured_s] += 1
         table = oracle.exact_distribution(5, 6)
         assert _dense.tvd(table, counts) < 0.08

@@ -49,14 +49,16 @@ each equals ``json.dumps(report, sort_keys=True, separators=(",", ":")) +
 "\\n"``, which ``_dump_json`` computes with one encoder built at import.
 ``profile``, ``oracle`` and ``verify-paper`` write theirs with that one
 call.  ``sample`` encodes the rest of its report with it, with a marker
-in place of each layout's records, and splices in the records arrays, which
-``_records_json`` writes from a sorted-key template: a layout's values
-(instance, layout, alpha_hat, peaks, the "modexp", "measure" and "qft"
-profiles) fill it once per layout, and each record of the call, one list
-that every layout shares, fills in its own, with what records share (an
-s's convergents, factors and order, a batch's stage seconds) encoded once
-per layout.  Pretty-print a report with ``python -m json.tool
-r.json``.
+in place of each layout's records, cuts that text at the markers, and
+writes its pieces and the records arrays in order, never joined into one
+report text.
+``_records_json`` writes the arrays from a sorted-key template: a layout's
+values (instance, layout, alpha_hat, peaks, the "modexp", "measure" and
+"qft" profiles) fill it once per layout, and each record of the call, one
+list that every layout shares, fills in its own, with what the call holds
+once for every layout (an s's convergents, factors and order, a batch's
+stage seconds) encoded once per call.  The aggregate is computed once per
+call too.  Pretty-print a report with ``python -m json.tool r.json``.
 """
 
 from __future__ import annotations
@@ -231,18 +233,18 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def _write(text: str, out: str | None) -> int:
-    """Write ``text``, ending in one newline, to ``out`` (stdout when None)
-    and return EXIT_OK.  Raises _UsageError when ``out`` cannot be written
-    (a missing directory, a directory, no permission)."""
-    if not text.endswith("\n"):
-        text += "\n"
+def _write(pieces: list[str], out: str | None) -> int:
+    """Write the text ``pieces`` in order and one newline, which no report
+    text ends in, to ``out`` (stdout when None) and return EXIT_OK.  Raises
+    _UsageError when ``out`` cannot be written (a missing directory, a
+    directory, no permission)."""
+    pieces = [*pieces, "\n"]
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return EXIT_OK
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     return EXIT_OK
@@ -357,47 +359,47 @@ _RECORD = ('{"a":%d,"alpha_hat":%s,"convergents":%%s,"factors":%%s,"l":%d,"layou
            '"rank_profiles":[%s,%s,%s],"stage_seconds":%%s,"verified_r":%%s}')
 
 
-def _records_json(call: SampleCall) -> str:
-    """The call's records in the layout of its view ``call``, as a JSON
-    array of schema-1 records, each as ``_dump_json`` writes its dict.
+def _records_json(calls: dict[str, SampleCall]) -> dict[str, str]:
+    """Each view's records as JSON, layout -> its schema-1 records, each as
+    ``_dump_json`` writes its dict, comma-separated: the inside of the
+    report's records array.
 
-    The view's values, its three rank profiles included, fill the template
-    once.  Each s's convergents, factors and verified order and each batch's
-    stage seconds are encoded once: records with equal s share them, and the
-    records of a batch are adjacent and share one dict.
+    What the views share is encoded once per call: each s's convergents,
+    factors and verified order (``classical``) and each batch's stage
+    seconds.  A view's values, its three rank profiles included, fill the
+    template once, and each record fills in its own.
     """
-    inst = call.instance
-    template = _RECORD % (
-        inst.a, _dump_json(call.alpha_hat), inst.l, _dump_json(call.layout), inst.n,
-        _dump_json(call.peak_elements), _dump_json(vars(call.modexp_profile)),
-        _dump_json(vars(call.measure_profile)), _dump_json(vars(QFT_PROFILE)))
-    per_s: dict[int, tuple[str, str, str]] = {}
-    share, seconds = None, ""
-    parts = []
-    for rec in call.records:
-        classical = per_s.get(rec.measured_s)
-        if classical is None:
-            classical = per_s[rec.measured_s] = (
-                _dump_json(rec.convergents), _dump_json(rec.factors), _dump_json(rec.verified_r))
-        if rec.stage_seconds is not share:
-            share = rec.stage_seconds
-            seconds = _dump_json(share)
-        convergents, factors, verified_r = classical
-        parts.append(template % (convergents, factors, rec.measured_residue, rec.measured_s,
-                                 seconds, verified_r))
-    return "[" + ",".join(parts) + "]"
+    first = next(iter(calls.values()))
+    classical = {s: tuple(map(_dump_json, values)) for s, values in first.classical.items()}
+    seconds = [_dump_json(share) for share in first.stage_seconds]
+    arrays = {}
+    for layout, call in calls.items():
+        inst = call.instance
+        template = _RECORD % (
+            inst.a, _dump_json(call.alpha_hat), inst.l, _dump_json(layout), inst.n,
+            _dump_json(call.peak_elements), _dump_json(vars(call.modexp_profile)),
+            _dump_json(vars(call.measure_profile)), _dump_json(vars(QFT_PROFILE)))
+        parts = []
+        for rec in call.records:
+            convergents, factors, verified_r = classical[rec.measured_s]
+            parts.append(template % (convergents, factors, rec.measured_residue,
+                                     rec.measured_s, seconds[rec.batch], verified_r))
+        arrays[layout] = ",".join(parts)
+    return arrays
 
 
 def _aggregate(call: SampleCall, r: int | None) -> dict:
+    """What every layout's aggregate holds but its element peaks: the
+    histogram of s, the factor successes and the TVD from the reference
+    law of order ``r`` (None: skipped)."""
     hist: dict[int, int] = {}
     for rec in call.records:
         hist[rec.measured_s] = hist.get(rec.measured_s, 0) + 1
-    successes = sum(1 for rec in call.records if rec.factors is not None)
+    successes = sum(count for s, count in hist.items() if call.classical[s][1] is not None)
     agg = {
         "s_histogram": {str(s): hist[s] for s in sorted(hist)},
         "factor_successes": successes,
         "factor_success_rate": successes / len(call.records),
-        "peak_elements_per_stage": call.peak_elements,
         "tvd_vs_oracle": None,
     }
     if r is not None:
@@ -417,12 +419,14 @@ def cmd_sample(args) -> int:
     started = perf_counter()
     calls = sample_runs(inst, layouts, range(args.seed, args.seed + args.samples),
                         args.max_elements)
-    # the order depends on the instance alone
-    r = _reference_order(inst, args.dense_cap)
+    # the order depends on the instance alone, and the aggregate but for its
+    # peaks on the records, which the views share
+    agg = _aggregate(next(iter(calls.values())), _reference_order(inst, args.dense_cap))
     # each layout's records stand in as a marker string that no other report
-    # value holds, and their array is spliced in where its marker lands
+    # value holds, and the report is cut at the markers
     per_layout = {
-        layout: {"records": "\0" + layout, "aggregate": _aggregate(call, r)}
+        layout: {"records": "\0" + layout,
+                 "aggregate": {**agg, "peak_elements_per_stage": call.peak_elements}}
         for layout, call in calls.items()
     }
     report = {
@@ -443,10 +447,13 @@ def cmd_sample(args) -> int:
         "layouts": per_layout,
         "elapsed_seconds": perf_counter() - started,
     }
-    text = _dump_json(report)
-    for layout, call in calls.items():
-        text = text.replace(_dump_json("\0" + layout), _records_json(call), 1)
-    return _write(text, args.out)
+    rest = _dump_json(report)
+    pieces = []
+    # sorted keys: the layouts' markers appear in sorted order
+    for layout, records in sorted(_records_json(calls).items()):
+        head, rest = rest.split(_dump_json("\0" + layout))
+        pieces += [head, "[", records, "]"]
+    return _write(pieces + [rest], args.out)
 
 
 # ---------------------------------------------------------------- verify-paper
@@ -476,7 +483,7 @@ def cmd_verify_paper(args) -> int:
             f"{'PASS' if row_ok else 'FAIL'}"
         )
     if args.out:
-        _write(_dump_json({"schema": 1, "command": "verify-paper", "rows": rows}), args.out)
+        _write([_dump_json({"schema": 1, "command": "verify-paper", "rows": rows})], args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -503,7 +510,7 @@ def cmd_profile(args) -> int:
         for layout, (_, prof, _) in chains.items():
             for bond, rank in enumerate(prof.ranks):
                 lines.append(f"{prof.stage},{bond},{rank},{layout}")
-        return _write("\n".join(lines), args.out)
+        return _write(["\n".join(lines)], args.out)
     report = {
         "schema": 1,
         "command": "profile",
@@ -519,7 +526,7 @@ def cmd_profile(args) -> int:
         ],
         "elements": elements,
     }
-    return _write(_dump_json(report), args.out)
+    return _write([_dump_json(report)], args.out)
 
 
 # ---------------------------------------------------------------------- oracle
@@ -549,7 +556,7 @@ def cmd_oracle(args) -> int:
         lines = ["s,probability"] + [
             f"{s},{float(p)!r}" for s, p in enumerate(probs)
         ]
-        return _write("\n".join(lines), args.out)
+        return _write(["\n".join(lines)], args.out)
     report = {
         "schema": 1,
         "command": "oracle",
@@ -557,7 +564,7 @@ def cmd_oracle(args) -> int:
         "r": r,
         "probs": probs.tolist(),
     }
-    return _write(_dump_json(report), args.out)
+    return _write([_dump_json(report)], args.out)
 
 
 def main(argv=None) -> int:

@@ -205,24 +205,25 @@ QFT_PROFILE = RankProfile(stage="qft", ranks=(), layout=(0,))
 
 @dataclass
 class SampleRecord:
-    """What one sample draws and derives; the values fixed per call are
-    its ``SampleCall``'s."""
+    """What one sample draws: the residue R reads, the s the transform reads,
+    and the index of its batch in its ``SampleCall``'s ``stage_seconds``.
+    What follows from s, and the values fixed per call, are the call's."""
 
     measured_residue: int
     measured_s: int
-    convergents: tuple[tuple[int, int], ...]
-    verified_r: int | None
-    factors: tuple[int, int] | None
-    stage_seconds: dict[str, float]
+    batch: int
 
 
 @dataclass
 class SampleCall:
     """One layout's view of a ``sample_runs`` call: the values fixed per call
-    and layout, held once, and the call's records, one list that the views
-    of every layout share.  A record's rank profiles are
-    ``modexp_profile``, ``measure_profile`` and ``QFT_PROFILE``, in that
-    order, and its element peaks are ``peak_elements``."""
+    and layout, held once, and what the views of every layout share: the
+    call's records, ``classical`` and ``stage_seconds``.  A record's rank
+    profiles are ``modexp_profile``, ``measure_profile`` and ``QFT_PROFILE``,
+    in that order, and its element peaks are ``peak_elements``.
+    ``classical`` maps each measured s to its continued-fraction
+    convergents, factors and verified order, and ``stage_seconds`` holds one
+    dict per batch, each of its records' share of the stage times."""
 
     instance: SemiprimeInstance
     layout: str
@@ -231,6 +232,8 @@ class SampleCall:
     measure_profile: RankProfile
     peak_elements: dict[str, int]
     records: list[SampleRecord]
+    classical: dict[int, tuple]
+    stage_seconds: list[dict[str, float]]
 
 
 # ----------------------------------------------------------------------- modexp
@@ -457,20 +460,18 @@ def graded_fourier(maps: list[np.ndarray | slice], dims: list[int], d: np.ndarra
     return bits
 
 
-def assemble_s(bits, l: int) -> int:
-    """Measured bits (measurement order) to the integer s < 2^(2l).
+def assemble_s(bits, l: int):
+    """Measured bits to the integers s < 2^(2l): a ``(batch, 2l)`` array,
+    each row in measurement order, gives one s per row, and one row gives
+    its s.
 
     The first measured bit is the least significant; the mapping is pinned by
-    the exact-distribution validation in the test suite.
+    the exact-distribution validation in the test suite.  The sums are exact
+    in int64, 2l being at most 62 below ``MAX_SIMULATED_MODULUS``.
     """
-    if len(bits) != 2 * l:
-        raise ValueError(f"expected {2 * l} bits, got {len(bits)}")
-    s = 0
-    for k, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        s |= b << k
-    return s
+    if np.shape(bits)[-1] != 2 * l:
+        raise ValueError(f"expected {2 * l} bits, got {np.shape(bits)[-1]}")
+    return bits @ (1 << np.arange(2 * l))
 
 
 # ------------------------------------------------------------------ full sample
@@ -521,13 +522,16 @@ def sample_runs(
     once, an upper bound.  A batch holds max(1, min(BATCH_ELEMENTS,
     max_elements) // E) samples, E being the larger of the "measure" and
     "qft" figures, the same in every layout, so its arrays stay within
-    ``max_elements`` too.  Each record's ``stage_seconds`` is its share of
-    the stage times: what runs once per call (build, modexp, and the maps,
+    ``max_elements`` too.
+
+    A record holds only what it drew, its residue and s, and its batch's
+    index.  What follows from them is held once per call and shared by every
+    view, as the records are: ``classical``, the convergents, factors and
+    verified order of each distinct s, computed once per call, and
+    ``stage_seconds``, one dict per batch, each of its records' share of the
+    stage times: what runs once per call (build, modexp, and the maps,
     exponents, forward counts and ranks of "measure") evenly over all
-    samples, the rest evenly over its batch.  The classical post-processing
-    of an s runs once per call.  What records repeat they share: the
-    records of a batch one ``stage_seconds`` dict, and records with equal s
-    one ``convergents`` tuple.
+    samples, the rest evenly over the batch.
     """
     shared: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -555,23 +559,18 @@ def sample_runs(
     shared["measure"] = time.perf_counter() - t0
 
     records: list[SampleRecord] = []
+    classical: dict[int, tuple] = {}
+    stage_seconds: list[dict[str, float]] = []
     calls = {
         layout: SampleCall(
             instance, layout, alpha_hat, profile,
             RankProfile("measure", ranks,
                         tuple(lab for lab in profile.layout if lab != LOWER_REGISTER)),
-            {**peaks, "modexp": tally}, records)
+            {**peaks, "modexp": tally}, records, classical, stage_seconds)
         for layout, (alpha_hat, profile, tally) in chains.items()
     }
-    # each batch's stage shares, final once the number of samples, and so
-    # the call-wide share, is known
-    shares: list[dict[str, float]] = []
-    # _classical depends on the instance and the bits alone, and samples of
-    # a small r repeat their s often (85 of 100 at n=21, seeds 5000-5099)
-    classical: dict[tuple, tuple] = {}
-    for start in range(0, len(seeds), batch):
+    for index, start in enumerate(range(0, len(seeds), batch)):
         chunk = seeds[start : start + batch]
-        seconds: dict[str, float] = {}
         t0 = time.perf_counter()
         u = uniforms(chunk.start, len(chunk), 2 * instance.l + 1)
         targets = draw_outcome(r_probs, u[:, 0], where="R")
@@ -580,26 +579,23 @@ def sample_runs(
         t1 = time.perf_counter()
         bits = graded_fourier(maps, dims, d, u[:, 1:])
         t2 = time.perf_counter()
-        seconds["measure"], seconds["qft"] = t1 - t0, t2 - t1
-        done = []
-        for row in map(tuple, bits.tolist()):
-            if row not in classical:
-                classical[row] = _classical(instance, row)
-            done.append(classical[row])
-        seconds["classical"] = time.perf_counter() - t2
-        share = {stage: dt / len(chunk) for stage, dt in seconds.items()}
-        shares.append(share)
-        for residue, (s, convs, verified, factors) in zip(residues, done):
-            records.append(SampleRecord(residue, s, convs, verified, factors, share))
-    for share in shares:
+        s_values = assemble_s(bits, instance.l).tolist()
+        # samples of a small r repeat their s often (85 of 100 at n=21,
+        # seeds 5000-5099)
+        for s in set(s_values).difference(classical):
+            classical[s] = _classical(instance, s)
+        seconds = {"measure": t1 - t0, "qft": t2 - t1, "classical": time.perf_counter() - t2}
+        stage_seconds.append({stage: dt / len(chunk) for stage, dt in seconds.items()})
+        records += (SampleRecord(t, s, index) for t, s in zip(residues, s_values))
+    # what runs once per call is shared evenly over all samples
+    for share in stage_seconds:
         for stage, dt in shared.items():
             share[stage] = share.get(stage, 0.0) + dt / len(records)
     return calls
 
 
-def _classical(instance: SemiprimeInstance, bits):
-    """s from the bits, its convergents, the verified order and the factors."""
-    s = assemble_s(bits, instance.l)
+def _classical(instance: SemiprimeInstance, s: int):
+    """The convergents of s / 2^(2l), the factors and the verified order."""
     convs = tuple(continued_fraction_convergents(s, 1 << (2 * instance.l)))
     verified = None
     for _, k in convs:
@@ -607,4 +603,4 @@ def _classical(instance: SemiprimeInstance, bits):
             verified = k
             break
     factors = recover_factors(instance.n, instance.a, verified) if verified else None
-    return s, convs, verified, factors
+    return convs, factors, verified

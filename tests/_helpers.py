@@ -451,7 +451,8 @@ def reference_sample_runs(instance, layout, rngs, probs_seen=None,
     ``right_counts``, and ``reference_fourier``, all samples in one batch and
     with no element guard but modexp's (``max_elements``).  The "measure" ranks are counted per sample (``graded_ranks``),
     and asserted equal for every sample; with no sample, they are those of
-    t = 1.  Records carry empty ``stage_seconds``."""
+    t = 1.  Its one batch has empty ``stage_seconds``, and s is read off the
+    bits here, first bit least significant."""
     rngs = list(rngs)
     lower = shor.LowerRegisterIndex(instance.n)
     alpha_hat, modexp_profile, tally = shor.run_modexp(lower, instance, (layout,),
@@ -468,13 +469,15 @@ def reference_sample_runs(instance, layout, rngs, probs_seen=None,
     ranks = graded_ranks(alpha_hat, right)
     assert len(set(ranks)) == 1, ranks
     call = shor.SampleCall(instance, layout, alpha_hat, modexp_profile,
-                           RankProfile("measure", ranks[0], labels), peaks, [])
+                           RankProfile("measure", ranks[0], labels), peaks, [], {}, [])
     if not rngs:
         return call
+    call.stage_seconds.append({})
     bits = reference_fourier(maps, right, rngs, probs_seen)
     for residue, row in zip(lower.residues[targets].tolist(), bits.tolist()):
-        s, convs, verified, factors = shor._classical(instance, tuple(row))
-        call.records.append(shor.SampleRecord(residue, s, convs, verified, factors, {}))
+        s = sum(bit << k for k, bit in enumerate(row))
+        call.classical[s] = shor._classical(instance, s)
+        call.records.append(shor.SampleRecord(residue, s, 0))
     return call
 
 
@@ -482,9 +485,10 @@ def reference_sample_runs(instance, layout, rngs, probs_seen=None,
 
 def record_dict(call: shor.SampleCall, rec: shor.SampleRecord) -> dict:
     """The schema-1 dict of ``rec``, a record of ``call``, from the call's
-    values and the record's."""
+    values, the record's, and the call's entries for its s and its batch."""
     inst = call.instance
     profiles = (call.modexp_profile, call.measure_profile, shor.QFT_PROFILE)
+    convergents, factors, verified_r = call.classical[rec.measured_s]
     return {
         "n": inst.n,
         "a": inst.a,
@@ -493,12 +497,12 @@ def record_dict(call: shor.SampleCall, rec: shor.SampleRecord) -> dict:
         "alpha_hat": call.alpha_hat,
         "measured_residue": rec.measured_residue,
         "measured_s": rec.measured_s,
-        "convergents": rec.convergents,
-        "verified_r": rec.verified_r,
-        "factors": rec.factors,
+        "convergents": convergents,
+        "verified_r": verified_r,
+        "factors": factors,
         "rank_profiles": [dict(vars(prof)) for prof in profiles],
         "peak_elements": call.peak_elements,
-        "stage_seconds": rec.stage_seconds,
+        "stage_seconds": call.stage_seconds[rec.batch],
     }
 
 

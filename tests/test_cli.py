@@ -305,16 +305,21 @@ class TestReportForm:
 
 class TestRecordEncoding:
     """``sample`` writes its records from a template that each call fills
-    once, with what records share encoded once (``cli._records_json``); the
-    report must be, byte for byte, the one ``json.dumps`` gives for the same
-    records as schema-1 dicts."""
+    once, with what records share encoded once (``cli._records_json``), and
+    writes the report in pieces; the report must be, byte for byte, on
+    stdout or in ``--out``, the one ``json.dumps`` gives for the same records
+    as schema-1 dicts."""
 
     @staticmethod
-    def assert_reference_bytes(argv, tmp_path):
+    def assert_reference_bytes(argv, tmp_path, sink="--out"):
         out = tmp_path / "r.json"
         with captured_calls() as calls:
-            assert run_cli(argv + ["--out", str(out)]) == 0
-        text = out.read_text()
+            if sink == "--out":
+                assert run_cli(argv + ["--out", str(out)]) == 0
+                text = out.read_text()
+            else:
+                code, text, _ = run_captured(argv)
+                assert code == 0
         elapsed = json.loads(text)["elapsed_seconds"]
         reference = reference_sample_report(argv, calls, elapsed)
         assert text == json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
@@ -323,18 +328,20 @@ class TestRecordEncoding:
     @settings(max_examples=60, deadline=None)
     @given(semiprime_and_base(), st.integers(0, 2**70),
            st.sampled_from(["static", "dynamic", "both"]), st.integers(1, 30),
-           st.integers(1, 1000))
-    @example((15, 7), 2**70, "both", 30, 1)
+           st.integers(1, 1000), st.sampled_from(["stdout", "--out"]))
+    @example((15, 7), 2**70, "both", 30, 1, "--out")
+    @example((15, 7), 2**70, "both", 30, 1, "stdout")
     def test_report_is_the_reference_encoding(self, tmp_path_factory, case, seed, layout,
-                                               samples, batch_elements):
+                                               samples, batch_elements, sink):
         # a batch holds batch_elements // 63 samples of n=21 and one of
         # n=3127, so many calls here are cut into batches, whose records
-        # differ in their stage_seconds
+        # differ in their stage_seconds; the report is written in pieces,
+        # to either sink
         n, a = case
         argv = ["sample", "--n", str(n), "--a", str(a), "--seed", str(seed),
                 "--samples", str(samples), "--layout", layout]
         with mock.patch.object(shor, "BATCH_ELEMENTS", batch_elements):
-            self.assert_reference_bytes(argv, tmp_path_factory.mktemp("report"))
+            self.assert_reference_bytes(argv, tmp_path_factory.mktemp("report"), sink)
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--n", "1943", "--a", "2", "--seed", "7", "--samples", "2",
@@ -344,8 +351,8 @@ class TestRecordEncoding:
     def test_rows(self, argv, tmp_path):
         calls = self.assert_reference_bytes(argv, tmp_path)
         if "--p" in argv:
-            assert any(rec.factors and rec.verified_r for call in calls.values()
-                       for rec in call.records)
+            assert any(factors and verified_r for call in calls.values()
+                       for _, factors, verified_r in call.classical.values())
 
 
 def run_captured(argv):
@@ -407,12 +414,28 @@ class TestLayoutsShareOneRun:
         counts = self.count_calls(
             monkeypatch, (shor.LowerRegisterIndex, "__init__"), (shor, "run_modexp"),
             (shor.LowerRegisterIndex, "gate_maps"), (shor, "residue_exponents"),
-            (shor, "graded_fourier"))
+            (shor, "graded_fourier"), (cli, "tvd_at_outcomes"))
         monkeypatch.setattr(shor, "BATCH_ELEMENTS", 2 * 63)
         assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "5", "--layout",
                         "both", "--out", str(tmp_path / "r.json")]) == 0
         assert counts == {"__init__": 1, "run_modexp": 1, "gate_maps": 1,
-                          "residue_exponents": 1, "graded_fourier": 3}
+                          "residue_exponents": 1, "graded_fourier": 3,
+                          "tvd_at_outcomes": 1}
+        # what the layouts share, each s's classical results and each batch's
+        # seconds, is encoded once per call: both encodes only its second
+        # layout's own values more than static, however many s and batches
+        gaps = []
+        for samples in (20, 200):
+            dumps = {}
+            for layout in ("static", "both"):
+                with monkeypatch.context() as patch:
+                    counts = self.count_calls(patch, (cli, "_dump_json"))
+                    assert run_cli(["sample", "--n", "21", "--a", "2", "--samples",
+                                    str(samples), "--layout", layout,
+                                    "--out", str(tmp_path / "r.json")]) == 0
+                dumps[layout] = counts["_dump_json"]
+            gaps.append(dumps["both"] - dumps["static"])
+        assert gaps[0] == gaps[1]
 
     def test_profile_runs_modexp_once(self, monkeypatch, tmp_path):
         counts = self.count_calls(

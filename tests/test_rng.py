@@ -16,13 +16,19 @@ from shormps import cli
 from shormps.numtheory import SemiprimeInstance
 from shormps.rng import uniforms
 
-SEEDS = [*range(3000), *range(901000, 901200), 2**32 - 1, 2**32, 2**64 + 3, 10**30]
+# seeds of five or more 32-bit words (from 2^128) mix their words past the
+# fourth into the pool; the block from 2^128 - 2 holds seeds of four and of
+# five words
+SEEDS = [*range(3000), *range(901000, 901200), *range(2**128 - 2, 2**128 + 2),
+         2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**128 - 1, 2**128, 2**128 + 5,
+         2**160 + 12345, 3**150]
 
 
 def test_same_draws_as_numpy():
-    ours = np.concatenate([uniforms(0, 3000, 64), uniforms(901000, 200, 64)]
-                          + [uniforms(seed, 1, 64) for seed in SEEDS[3200:]])
-    for seed, row in zip(SEEDS, ours):
+    ours = np.concatenate([uniforms(0, 3000, 64), uniforms(901000, 200, 64),
+                           uniforms(2**128 - 2, 4, 64)]
+                          + [uniforms(seed, 1, 64) for seed in SEEDS[3204:]])
+    for seed, row in zip(SEEDS, ours, strict=True):
         theirs = np.random.default_rng(seed)
         for draw in range(64):
             assert row[draw] == theirs.random(), (seed, draw)

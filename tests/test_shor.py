@@ -789,10 +789,13 @@ class TestAssembleS:
 
     def test_all_one(self):
         assert shor.assemble_s([1] * 10, 5) == 2**10 - 1
+        # one s per row, exact in int64 at 2l = 62, the widest register simulated
+        assert shor.assemble_s(np.ones((3, 62), dtype=np.int64), 31).tolist() == [2**62 - 1] * 3
 
     def test_first_bit_least_significant(self):
         assert shor.assemble_s([1, 0, 0, 0], 2) == 1
         assert shor.assemble_s([0, 0, 0, 1], 2) == 8
+        assert shor.assemble_s(np.array([[1, 0, 0, 0], [0, 0, 0, 1]]), 2).tolist() == [1, 8]
 
     def test_wrong_count(self):
         with pytest.raises(ValueError):
@@ -886,13 +889,15 @@ class TestSampleRun:
         per_sample = sample_call(inst, "static", seeds(0, 1)).peak_elements
         bound = 2 * max(per_sample["measure"], per_sample["qft"])
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
-            records = sample_call(inst, "static", seeds(0, 5)).records
-        assert [set(rec.stage_seconds) for rec in records] == [
+            call = sample_call(inst, "static", seeds(0, 5))
+        shares = [call.stage_seconds[rec.batch] for rec in call.records]
+        assert [set(share) for share in shares] == [
             {"build", "modexp", "measure", "qft", "classical"}] * 5
         # modexp runs once per call and is shared evenly; batches of 2, 2, 1
-        assert len({rec.stage_seconds["modexp"] for rec in records}) == 1
-        assert records[0].stage_seconds["qft"] == records[1].stage_seconds["qft"]
-        assert all(dt >= 0 for rec in records for dt in rec.stage_seconds.values())
+        assert [rec.batch for rec in call.records] == [0, 0, 1, 1, 2]
+        assert len({share["modexp"] for share in shares}) == 1
+        assert shares[0]["qft"] == shares[1]["qft"]
+        assert all(dt >= 0 for share in shares for dt in share.values())
 
     @pytest.mark.parametrize("n, distinct", [(21, 15), (247, 20)])
     def test_classical_runs_once_per_distinct_s(self, n, distinct, monkeypatch):
@@ -904,13 +909,14 @@ class TestSampleRun:
         calls = []
         classical = shor._classical
 
-        def counted(instance, bits):
-            calls.append(tuple(bits))
-            return classical(instance, bits)
+        def counted(instance, s):
+            calls.append(s)
+            return classical(instance, s)
 
         monkeypatch.setattr(shor, "_classical", counted)
         call = sample_call(inst, "static", seeds(5000, m))
         assert len(calls) == len(set(calls)) == distinct
+        assert set(call.classical) == set(calls)
         assert len({rec.measured_s for rec in call.records}) == distinct
         assert without_timings(call) == without_timings(*alone)
 
@@ -920,20 +926,25 @@ class TestSampleRun:
         # of seed 5000 repeat their s
         inst = SemiprimeInstance(21, 2)
         with mock.patch.object(shor, "BATCH_ELEMENTS", 2 * 63):
-            call = sample_call(inst, layout, seeds(5000, 12))
+            views = shor.sample_runs(inst, shor.LAYOUTS, seeds(5000, 12))
+        call = views[layout]
+        other_view = views["dynamic" if layout == "static" else "static"]
+        # the views share the records and what follows from them
+        for field in ("records", "classical", "stage_seconds"):
+            assert getattr(call, field) is getattr(other_view, field)
         records = call.records
         for k, rec in enumerate(records):
             for j in range(k + 1, len(records)):
-                other = records[j]
-                # records of one batch share one stage share, of two batches not
-                assert (rec.stage_seconds is other.stage_seconds) == (k // 2 == j // 2)
-                if rec.measured_s == other.measured_s:
-                    assert rec.convergents is other.convergents
-        assert len({rec.measured_s for rec in records}) < len(records)
+                # records of one batch share its stage share, of two batches not
+                assert (rec.batch == records[j].batch) == (k // 2 == j // 2)
+        assert len(call.stage_seconds) == 6
+        # one classical entry per s
+        assert set(call.classical) == {rec.measured_s for rec in records}
+        assert len(call.classical) < len(records)
         # what records share is immutable, or frozen
-        for rec in records:
-            assert isinstance(rec.convergents, tuple)
-            assert all(isinstance(pair, tuple) for pair in rec.convergents)
+        for convergents, _, _ in call.classical.values():
+            assert isinstance(convergents, tuple)
+            assert all(isinstance(pair, tuple) for pair in convergents)
         for profile in (call.modexp_profile, call.measure_profile, shor.QFT_PROFILE):
             with pytest.raises(FrozenInstanceError):
                 profile.ranks = ()
@@ -949,7 +960,7 @@ class TestSampleRun:
         [rec_a], [rec_b] = a.records, b.records
         assert rec_a.measured_s == rec_b.measured_s
         assert rec_a.measured_residue == rec_b.measured_residue
-        assert rec_a.convergents == rec_b.convergents
+        assert a.classical == b.classical
         assert a.modexp_profile == b.modexp_profile
         assert a.measure_profile == b.measure_profile
         assert a.peak_elements == b.peak_elements

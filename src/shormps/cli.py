@@ -27,7 +27,7 @@ cannot reproduce).  Commands and their helpers raise on failure, and
 on stderr, never a traceback: ``_UsageError`` exits 2, and
 ``MemoryLimitError``, ``OrderSearchCapError`` and ``MemoryError`` exit 3.
 A ``ValueError`` counts as invalid input only where the flags build the
-instance and where ``oracle`` builds its table; anywhere else it is a fault
+instance and where ``oracle`` checks its table; anywhere else it is a fault
 of the program and propagates.
 Reports are deterministic for a fixed (flags, seed) pair.  Sample k draws
 from PCG64 seeded through ``SeedSequence(seed + k)``, the stream of
@@ -53,11 +53,12 @@ in place of each layout's records, cuts that text at the markers, and
 writes its pieces and the records arrays in order, never joined into one
 report text.
 ``_records_json`` writes the arrays from a sorted-key template: a layout's
-values (instance, layout, alpha_hat, peaks, the "modexp", "measure" and
-"qft" profiles) fill it once per layout, and each record of the call, one
-list that every layout shares, fills in its own, with what the call holds
-once for every layout (an s's convergents, factors and order, a batch's
-stage seconds) encoded once per call.  The aggregate is computed once per
+values (instance, layout, its chain's alpha_hat, peaks, the "modexp",
+"measure" and "qft" profiles) fill it once per layout, and each sample of
+the call's one ``SampleRun`` fills in its own residue and s, read off the
+run's two columns, which every layout shares, with what the run holds once
+for every layout (an s's convergents, factors and order, a batch's stage
+seconds) encoded once per call.  The aggregate is read off the run once per
 call too.  Pretty-print a report with ``python -m json.tool r.json``.
 """
 
@@ -67,6 +68,7 @@ import errno
 import json
 import os
 import sys
+from collections import Counter
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -86,15 +88,14 @@ from .numtheory import (
     register_bits,
     two_adic_split,
 )
-from .oracle import DENSE_CAP, LAW_MAX_L, DenseCapError, exact_distribution, tvd_at_outcomes
+from .oracle import DENSE_CAP, DenseCapError, check_table, exact_distribution, tvd_at_outcomes
 from .shor import (
     LAYOUTS,
     MAX_ELEMENTS,
     MAX_SIMULATED_MODULUS,
-    QFT_PROFILE,
     LowerRegisterIndex,
     MemoryLimitError,
-    SampleCall,
+    SampleRun,
     run_modexp,
     sample_runs,
 )
@@ -338,11 +339,11 @@ def _order_profile_echo(inst: SemiprimeInstance) -> dict | None:
 
 def _reference_order(inst, dense_cap):
     """The order r for the report's reference law, or None when the law is
-    skipped: its table of Q = 2^(2l) entries would exceed ``dense_cap``, l
-    exceeds the closed form's ``LAW_MAX_L``, or the order search would run
-    too long.  The law itself is evaluated at the sampled outcomes only
-    (``tvd_at_outcomes``), never as a table."""
-    if 1 << (2 * inst.l) > dense_cap or inst.l > LAW_MAX_L:
+    skipped: its table of Q = 2^(2l) entries would exceed ``dense_cap``, or
+    the order search would run too long.  The law itself is evaluated at the
+    sampled outcomes only (``tvd_at_outcomes``), never as a table; ``sample``
+    takes n below 2^31, so l <= 31 is within the closed form's limit."""
+    if 1 << (2 * inst.l) > dense_cap:
         return None
     try:
         return multiplicative_order(inst.a, inst.n, inst.p, inst.q,
@@ -359,51 +360,49 @@ _RECORD = ('{"a":%d,"alpha_hat":%s,"convergents":%%s,"factors":%%s,"l":%d,"layou
            '"rank_profiles":[%s,%s,%s],"stage_seconds":%%s,"verified_r":%%s}')
 
 
-def _records_json(calls: dict[str, SampleCall]) -> dict[str, str]:
-    """Each view's records as JSON, layout -> its schema-1 records, each as
+def _records_json(run: SampleRun) -> dict[str, str]:
+    """Each layout's records as JSON, layout -> its schema-1 records, each as
     ``_dump_json`` writes its dict, comma-separated: the inside of the
     report's records array.
 
-    What the views share is encoded once per call: each s's convergents,
-    factors and verified order (``classical``) and each batch's stage
-    seconds.  A view's values, its three rank profiles included, fill the
-    template once, and each record fills in its own.
+    What every layout shares is encoded once per call: each s's
+    convergents, factors and verified order (``classical``) and each batch's
+    stage seconds.  A layout's values, from its ``Chain`` and its three rank
+    profiles, fill the template once, and each sample, read off the run's
+    two columns, fills in its own.
     """
-    first = next(iter(calls.values()))
-    classical = {s: tuple(map(_dump_json, values)) for s, values in first.classical.items()}
-    seconds = [_dump_json(share) for share in first.stage_seconds]
+    inst = run.instance
+    classical = {s: tuple(map(_dump_json, values)) for s, values in run.classical.items()}
+    seconds = [_dump_json(share) for share in run.stage_seconds]
     arrays = {}
-    for layout, call in calls.items():
-        inst = call.instance
+    for layout, chain in run.chains.items():
         template = _RECORD % (
-            inst.a, _dump_json(call.alpha_hat), inst.l, _dump_json(layout), inst.n,
-            _dump_json(call.peak_elements), _dump_json(vars(call.modexp_profile)),
-            _dump_json(vars(call.measure_profile)), _dump_json(vars(QFT_PROFILE)))
+            inst.a, _dump_json(chain.alpha_hat), inst.l, _dump_json(layout), inst.n,
+            _dump_json(run.peaks(layout)),
+            *(_dump_json(vars(profile)) for profile in run.rank_profiles(layout)))
         parts = []
-        for rec in call.records:
-            convergents, factors, verified_r = classical[rec.measured_s]
-            parts.append(template % (convergents, factors, rec.measured_residue,
-                                     rec.measured_s, seconds[rec.batch], verified_r))
+        for k, (residue, s) in enumerate(zip(run.measured_residue, run.measured_s)):
+            convergents, factors, verified_r = classical[s]
+            parts.append(template % (convergents, factors, residue, s,
+                                     seconds[k // run.batch], verified_r))
         arrays[layout] = ",".join(parts)
     return arrays
 
 
-def _aggregate(call: SampleCall, r: int | None) -> dict:
-    """What every layout's aggregate holds but its element peaks: the
-    histogram of s, the factor successes and the TVD from the reference
-    law of order ``r`` (None: skipped)."""
-    hist: dict[int, int] = {}
-    for rec in call.records:
-        hist[rec.measured_s] = hist.get(rec.measured_s, 0) + 1
-    successes = sum(count for s, count in hist.items() if call.classical[s][1] is not None)
+def _aggregate(run: SampleRun, r: int | None) -> dict:
+    """What every layout's aggregate holds but its element peaks, read off
+    the run's column of s: the histogram of s, the factor successes and the
+    TVD from the reference law of order ``r`` (None: skipped)."""
+    hist = Counter(run.measured_s)
+    successes = sum(count for s, count in hist.items() if run.classical[s][1] is not None)
     agg = {
         "s_histogram": {str(s): hist[s] for s in sorted(hist)},
         "factor_successes": successes,
-        "factor_success_rate": successes / len(call.records),
+        "factor_success_rate": successes / len(run.measured_s),
         "tvd_vs_oracle": None,
     }
     if r is not None:
-        agg["tvd_vs_oracle"] = tvd_at_outcomes(call.instance.l, r, hist)
+        agg["tvd_vs_oracle"] = tvd_at_outcomes(run.instance.l, r, hist)
         agg["order_r"] = r
     return agg
 
@@ -417,17 +416,17 @@ def cmd_sample(args) -> int:
         raise _UsageError(f"--dense-cap must be at least 1, got {args.dense_cap}")
     inst, lucky, layouts = _pipeline_from_args(args)
     started = perf_counter()
-    calls = sample_runs(inst, layouts, range(args.seed, args.seed + args.samples),
-                        args.max_elements)
+    run = sample_runs(inst, layouts, range(args.seed, args.seed + args.samples),
+                      args.max_elements)
     # the order depends on the instance alone, and the aggregate but for its
-    # peaks on the records, which the views share
-    agg = _aggregate(next(iter(calls.values())), _reference_order(inst, args.dense_cap))
+    # peaks on what the samples drew, which every layout shares
+    agg = _aggregate(run, _reference_order(inst, args.dense_cap))
     # each layout's records stand in as a marker string that no other report
     # value holds, and the report is cut at the markers
     per_layout = {
         layout: {"records": "\0" + layout,
-                 "aggregate": {**agg, "peak_elements_per_stage": call.peak_elements}}
-        for layout, call in calls.items()
+                 "aggregate": {**agg, "peak_elements_per_stage": run.peaks(layout)}}
+        for layout in run.chains
     }
     report = {
         "schema": 1,
@@ -450,7 +449,7 @@ def cmd_sample(args) -> int:
     rest = _dump_json(report)
     pieces = []
     # sorted keys: the layouts' markers appear in sorted order
-    for layout, records in sorted(_records_json(calls).items()):
+    for layout, records in sorted(_records_json(run).items()):
         head, rest = rest.split(_dump_json("\0" + layout))
         pieces += [head, "[", records, "]"]
     return _write(pieces + [rest], args.out)
@@ -494,8 +493,9 @@ def cmd_profile(args) -> int:
     lower = LowerRegisterIndex(inst.n)
     chains = run_modexp(lower, inst, layouts, args.max_elements)
     # the tally only grows, so the final one is the peak
-    elements = {layout: {"live": tally, "peak": tally, "lower_register_dim": lower.dim}
-                for layout, (_, _, tally) in chains.items()}
+    elements = {layout: {"live": chain.tally, "peak": chain.tally,
+                         "lower_register_dim": lower.dim}
+                for layout, chain in chains.items()}
     if len(elements) == 2:
         print(
             "element count comparison:"
@@ -507,9 +507,9 @@ def cmd_profile(args) -> int:
         )
     if args.format == "csv":
         lines = ["stage,bond,rank,layout"]
-        for layout, (_, prof, _) in chains.items():
-            for bond, rank in enumerate(prof.ranks):
-                lines.append(f"{prof.stage},{bond},{rank},{layout}")
+        for layout, chain in chains.items():
+            for bond, rank in enumerate(chain.profile.ranks):
+                lines.append(f"{chain.profile.stage},{bond},{rank},{layout}")
         return _write(["\n".join(lines)], args.out)
     report = {
         "schema": 1,
@@ -518,11 +518,11 @@ def cmd_profile(args) -> int:
         "profiles": [
             {
                 "layout": layout,
-                "stage": prof.stage,
-                "ranks": list(prof.ranks),
-                "labels": [str(x) for x in prof.layout],
+                "stage": chain.profile.stage,
+                "ranks": list(chain.profile.ranks),
+                "labels": [str(x) for x in chain.profile.layout],
             }
-            for layout, (_, prof, _) in chains.items()
+            for layout, chain in chains.items()
         ],
         "elements": elements,
     }
@@ -546,12 +546,16 @@ def cmd_oracle(args) -> int:
             inst = SemiprimeInstance(args.n, args.a, args.p, args.q)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        l = inst.l if args.l is None else args.l
-        r = multiplicative_order(inst.a, inst.n, inst.p, inst.q)
+        l, r = (inst.l if args.l is None else args.l), None
     try:
-        probs = exact_distribution(l, r, cap=args.dense_cap)
+        # the table is checked before the order search, which can run for
+        # seconds; an order is at least 1, so its own r passes the check
+        check_table(l, 1 if r is None else r, args.dense_cap)
     except (ValueError, DenseCapError) as exc:
         raise _UsageError(str(exc)) from None
+    if r is None:
+        r = multiplicative_order(inst.a, inst.n, inst.p, inst.q)
+    probs = exact_distribution(l, r, cap=args.dense_cap)
     if args.format == "csv":
         lines = ["s,probability"] + [
             f"{s},{float(p)!r}" for s, p in enumerate(probs)

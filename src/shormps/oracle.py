@@ -61,16 +61,21 @@ def outcome_probabilities(l: int, r: int, s) -> np.ndarray:
     return (t * fejer(q + 1) + (r - t) * fejer(q)) / float(big_q) ** 2
 
 
+def check_table(l: int, r: int, cap: int) -> None:
+    """Refuse the table of (l, r): raise ValueError when (l, r) is outside
+    the closed form's domain, DenseCapError when Q = 2^(2l) exceeds ``cap``."""
+    _check_law(l, r)
+    if 1 << (2 * l) > cap:
+        raise DenseCapError(f"table of {1 << (2 * l)} entries exceeds cap {cap}")
+
+
 def exact_distribution(l: int, r: int, cap: int = DENSE_CAP) -> np.ndarray:
     """Exact law of the measured value s as a float64 array over all
     s < Q = 2^(2l) (``outcome_probabilities`` at every s).  (l, r) must be in
     the closed form's domain and Q within ``cap``, both checked before the
-    table is allocated."""
-    _check_law(l, r)
-    big_q = 1 << (2 * l)
-    if big_q > cap:
-        raise DenseCapError(f"table of {big_q} entries exceeds cap {cap}")
-    return outcome_probabilities(l, r, np.arange(big_q))
+    table is allocated (``check_table``)."""
+    check_table(l, r, cap)
+    return outcome_probabilities(l, r, np.arange(1 << (2 * l)))
 
 
 def tvd_at_outcomes(l: int, r: int, histogram: dict[int, int]) -> float:

@@ -74,7 +74,9 @@ layouts, whose chains differ only in their labels, bonds and tally, so
 for, and draws its samples together, each array carrying a leading sample
 axis, and every float a batch draws is computed up front from its seeds
 (``rng.uniforms``); sample k still draws only from its own seed's stream,
-so its record does not depend on the batch it is in.
+so what it draws does not depend on the batch it is in.  A call returns one
+``SampleRun``: each layout's ``Chain``, and once for every layout what the
+samples drew, a column of residues and a column of s.
 
 The same stages on a dense chain, with site tensors, a whole-chain density
 read, rank-revealing sweeps and single-site measurements, live in the test
@@ -203,37 +205,49 @@ class LowerRegisterIndex:
 QFT_PROFILE = RankProfile(stage="qft", ranks=(), layout=(0,))
 
 
+@dataclass(frozen=True)
+class Chain:
+    """One layout's modexp chain (``run_modexp``): the number of right-side
+    qubits (the measured two-adic exponent of r; None for the static
+    layout), the "modexp" rank profile and the element tally."""
+
+    alpha_hat: int | None
+    profile: RankProfile
+    tally: int
+
+
 @dataclass
-class SampleRecord:
-    """What one sample draws: the residue R reads, the s the transform reads,
-    and the index of its batch in its ``SampleCall``'s ``stage_seconds``.
-    What follows from s, and the values fixed per call, are the call's."""
+class SampleRun:
+    """What one ``sample_runs`` call drew, for every layout it was asked for.
 
-    measured_residue: int
-    measured_s: int
-    batch: int
-
-
-@dataclass
-class SampleCall:
-    """One layout's view of a ``sample_runs`` call: the values fixed per call
-    and layout, held once, and what the views of every layout share: the
-    call's records, ``classical`` and ``stage_seconds``.  A record's rank
-    profiles are ``modexp_profile``, ``measure_profile`` and ``QFT_PROFILE``,
-    in that order, and its element peaks are ``peak_elements``.
-    ``classical`` maps each measured s to its continued-fraction
-    convergents, factors and verified order, and ``stage_seconds`` holds one
-    dict per batch, each of its records' share of the stage times."""
+    ``chains`` holds each layout's own values; everything else is the same
+    in every layout and held once: the "measure" ranks, the element peaks
+    of build, measure and qft, each sample's residue and s, in seed order,
+    ``classical``, which maps each measured s to its continued-fraction
+    convergents, factors and verified order, and ``stage_seconds``, one dict
+    per batch of ``batch`` samples, each of its samples' share of the stage
+    times: sample k's is ``stage_seconds[k // batch]``."""
 
     instance: SemiprimeInstance
-    layout: str
-    alpha_hat: int | None
-    modexp_profile: RankProfile
-    measure_profile: RankProfile
+    chains: dict[str, Chain]
+    measure_ranks: tuple[int, ...]
     peak_elements: dict[str, int]
-    records: list[SampleRecord]
+    measured_residue: list[int]
+    measured_s: list[int]
+    batch: int
     classical: dict[int, tuple]
     stage_seconds: list[dict[str, float]]
+
+    def rank_profiles(self, layout: str) -> tuple[RankProfile, RankProfile, RankProfile]:
+        """A sample's "modexp", "measure" and "qft" profiles in ``layout``;
+        the "measure" chain is the modexp chain without R."""
+        profile = self.chains[layout].profile
+        labels = tuple(lab for lab in profile.layout if lab != LOWER_REGISTER)
+        return profile, RankProfile("measure", self.measure_ranks, labels), QFT_PROFILE
+
+    def peaks(self, layout: str) -> dict[str, int]:
+        """A sample's element peak per stage in ``layout``."""
+        return {**self.peak_elements, "modexp": self.chains[layout].tally}
 
 
 # ----------------------------------------------------------------------- modexp
@@ -246,7 +260,7 @@ def _guard(stage: str, needed: int, limit: int) -> None:
 def run_modexp(
     lower: LowerRegisterIndex, instance: SemiprimeInstance, layouts: tuple[str, ...],
     max_elements: int = MAX_ELEMENTS,
-) -> dict[str, tuple[int | None, RankProfile, int]]:
+) -> dict[str, Chain]:
     """Controlled multiplications for qubits 2l-1 ... 0, most significant first.
 
     Each gate creates upper qubit i in |+> next to R and scatters R's
@@ -284,9 +298,8 @@ def run_modexp(
     one), where side A adds (3 D_0^2 + 4) 4^k and the static side B 7 D^2 =
     7 D_0^2 4^k.  So with ``LAYOUTS``, static first, both layouts trip as
     static alone would, or else as dynamic alone would.  The tally only
-    grows, so the last one is the peak.  Returns, per layout,
-    the number of right-side qubits (the measured two-adic exponent of r;
-    None for the static layout), the rank profile and that tally.
+    grows, so the last one is the peak.  Returns each layout's ``Chain``:
+    its number of right-side qubits, its rank profile and that tally.
     """
     plateau = False
     labels = {layout: [LOWER_REGISTER] for layout in layouts}
@@ -320,9 +333,9 @@ def run_modexp(
                 tally[layout] += 2 * chi_l * d_new + d_new * d_new - chi_l * d_before
             _guard("modexp", tally[layout], max_elements)
         plateau = plateau or d_new == d_before
-    return {layout: (right[layout] if layout == "dynamic" else None,
-                     RankProfile("modexp", tuple(bonds[layout]), tuple(labels[layout])),
-                     tally[layout])
+    return {layout: Chain(right[layout] if layout == "dynamic" else None,
+                          RankProfile("modexp", tuple(bonds[layout]), tuple(labels[layout])),
+                          tally[layout])
             for layout in layouts}
 
 
@@ -484,15 +497,15 @@ BATCH_ELEMENTS = 1 << 20
 def sample_runs(
     instance: SemiprimeInstance, layouts: tuple[str, ...], seeds: range,
     max_elements: int = MAX_ELEMENTS,
-) -> dict[str, SampleCall]:
+) -> SampleRun:
     """End-to-end samples, one per seed of the range ``seeds``, in order, as
-    one view per layout of ``layouts``.
+    one ``SampleRun`` for every layout of ``layouts``.
 
     Modexp runs once for every layout and keeps only R's residue index and
-    each layout's labels and bond ranks (``run_modexp``); no site tensor is
-    built.  The gates' multiplier maps are then built once per call
-    (``gate_maps``; a gate that doubles R's dimension gets a slice, and its
-    qubit is a fair coin), and from them the residues' exponents e
+    each layout's ``Chain``, its labels and bond ranks (``run_modexp``); no
+    site tensor is built.  The gates' multiplier maps are then built once per
+    call (``gate_maps``; a gate that doubles R's dimension gets a slice, and
+    its qubit is a fair coin), and from them the residues' exponents e
     (``residue_exponents``).  R and the Fourier transform are drawn from
     those alone (see the module docstring): R from its forward counts, read
     off e once per call, and each qubit from one complex weight per residue
@@ -500,38 +513,33 @@ def sample_runs(
     mod r per sample (``residue_counts``).  The "measure" ranks are the same
     for every sample and both layouts, counted once per call
     (``measure_ranks``); the "qft" chain ends as one site (``QFT_PROFILE``).
-    None of this depends on the layout, so the samples are drawn once and
-    every layout's view holds the same records; a view holds what is its
-    layout's own: the layout, alpha_hat, the "modexp" profile, the "measure"
-    labels and ``peak_elements``.
+    None of this depends on the layout, so the samples are drawn once for
+    every layout, and only the chains are the layouts' own.
 
     The samples are drawn in batches, every array carrying a leading sample
     axis.  The sample of seed s draws the first 2l+1 floats of
     ``numpy.random.default_rng(s).random()``, R first and then qubits 2l-1
     ... 0; each batch computes its seeds' floats up front in PCG64 lanes
     (``rng.uniforms``).  A sample's arithmetic is elementwise or along a
-    residue axis, so its record is the same whether it is drawn alone or in
-    any batch.  ``seeds`` is a range of consecutive seeds.
+    residue axis, so what it draws is the same whether it is drawn alone or
+    in any batch.  ``seeds`` is a range of consecutive seeds.
 
     Every stage runs on ``instance`` as given.  A stage whose arrays would
     exceed ``max_elements`` raises ``MemoryLimitError``: modexp counts the
     elements each layout's site tensors would hold if stored densely,
     "measure" the forward and right counts of one sample, and "qft" one
     sample's right counts plus its complex residue vector and branch pair.
-    These per-sample figures, a view's ``peak_elements``, count every R_j at
+    These per-sample figures, the run's ``peak_elements``, count every R_j at
     once, an upper bound.  A batch holds max(1, min(BATCH_ELEMENTS,
     max_elements) // E) samples, E being the larger of the "measure" and
-    "qft" figures, the same in every layout, so its arrays stay within
-    ``max_elements`` too.
+    "qft" figures, so its arrays stay within ``max_elements`` too.
 
-    A record holds only what it drew, its residue and s, and its batch's
-    index.  What follows from them is held once per call and shared by every
-    view, as the records are: ``classical``, the convergents, factors and
-    verified order of each distinct s, computed once per call, and
-    ``stage_seconds``, one dict per batch, each of its records' share of the
-    stage times: what runs once per call (build, modexp, and the maps,
-    exponents, forward counts and ranks of "measure") evenly over all
-    samples, the rest evenly over the batch.
+    Each sample leaves only what it drew, its residue and s, one entry in
+    each of two columns.  What follows from s is computed once per distinct
+    s (``classical``), and ``stage_seconds`` holds one dict per batch, each
+    of its samples' share of the stage times: what runs once per call
+    (build, modexp, and the maps, exponents, forward counts and ranks of
+    "measure") evenly over all samples, the rest evenly over the batch.
     """
     shared: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -555,26 +563,15 @@ def sample_runs(
     maps = lower.gate_maps()
     e = residue_exponents(lower, maps)
     r_probs = residue_counts(e, 2 * instance.l, lower.dim) / (1 << (2 * instance.l))
-    ranks = measure_ranks(lower, e)
+    run = SampleRun(instance, chains, measure_ranks(lower, e), peaks, [], [], batch, {}, [])
     shared["measure"] = time.perf_counter() - t0
 
-    records: list[SampleRecord] = []
-    classical: dict[int, tuple] = {}
-    stage_seconds: list[dict[str, float]] = []
-    calls = {
-        layout: SampleCall(
-            instance, layout, alpha_hat, profile,
-            RankProfile("measure", ranks,
-                        tuple(lab for lab in profile.layout if lab != LOWER_REGISTER)),
-            {**peaks, "modexp": tally}, records, classical, stage_seconds)
-        for layout, (alpha_hat, profile, tally) in chains.items()
-    }
-    for index, start in enumerate(range(0, len(seeds), batch)):
+    for start in range(0, len(seeds), batch):
         chunk = seeds[start : start + batch]
         t0 = time.perf_counter()
         u = uniforms(chunk.start, len(chunk), 2 * instance.l + 1)
         targets = draw_outcome(r_probs, u[:, 0], where="R")
-        residues = lower.residues[targets].tolist()
+        run.measured_residue += lower.residues[targets].tolist()
         d = (e[targets][:, None] - e) % lower.dim
         t1 = time.perf_counter()
         bits = graded_fourier(maps, dims, d, u[:, 1:])
@@ -582,16 +579,16 @@ def sample_runs(
         s_values = assemble_s(bits, instance.l).tolist()
         # samples of a small r repeat their s often (85 of 100 at n=21,
         # seeds 5000-5099)
-        for s in set(s_values).difference(classical):
-            classical[s] = _classical(instance, s)
+        for s in set(s_values).difference(run.classical):
+            run.classical[s] = _classical(instance, s)
+        run.measured_s += s_values
         seconds = {"measure": t1 - t0, "qft": t2 - t1, "classical": time.perf_counter() - t2}
-        stage_seconds.append({stage: dt / len(chunk) for stage, dt in seconds.items()})
-        records += (SampleRecord(t, s, index) for t, s in zip(residues, s_values))
+        run.stage_seconds.append({stage: dt / len(chunk) for stage, dt in seconds.items()})
     # what runs once per call is shared evenly over all samples
-    for share in stage_seconds:
+    for share in run.stage_seconds:
         for stage, dt in shared.items():
-            share[stage] = share.get(stage, 0.0) + dt / len(records)
-    return calls
+            share[stage] = share.get(stage, 0.0) + dt / len(seeds)
+    return run
 
 
 def _classical(instance: SemiprimeInstance, s: int):

@@ -15,13 +15,14 @@ and ``graded_ranks`` counts each sample's "measure" ranks from them, as
 references for the closed forms ``shor.sample_runs`` reads off the residues'
 exponents; ``reference_graded_ranks`` counts the dynamic right block's ranks
 by brute force, as a reference for their value in ``graded_ranks``.
-``record_dict`` rebuilds a record's schema-1 dict from a ``shor.SampleCall``
-and one of its records, and ``reference_sample_report`` builds a ``sample``
-report from those dicts as one dict, which one ``json.dumps`` call encodes,
-as a reference for the report that ``cli`` assembles from fragments.
-``sample_call`` is the view of a ``shor.sample_runs`` call for one layout
-alone, and ``sample_run`` draws the sample of one seed and returns its
-schema-1 dict, for tests that compare samples one by one.
+``record_dict`` rebuilds a record's schema-1 dict from a ``shor.SampleRun``,
+a layout and a sample index, and ``reference_sample_report`` builds a
+``sample`` report from those dicts as one dict, which one ``json.dumps`` call
+encodes, as a reference for the report that ``cli`` assembles from
+fragments.  ``sample_call`` is the ``shor.SampleRun`` of a
+``shor.sample_runs`` call for one layout alone, and ``sample_run`` draws the
+sample of one seed and returns its schema-1 dict, for tests that compare
+samples one by one.
 ``reference_sample_runs`` is the sampler as it was before its qubits of
 doubling gates became fair coins, its draws PCG64 lanes and its counts
 closed forms: full ``int32`` maps, the map recursions, a branch pair and a
@@ -39,7 +40,7 @@ import _dense
 from _dense import MpsState
 import shormps
 from shormps import __version__, cli, shor
-from shormps.mps import LOWER_REGISTER, RankProfile, draw_outcome
+from shormps.mps import LOWER_REGISTER, draw_outcome
 from shormps.numtheory import SemiprimeInstance
 from shormps.oracle import tvd_at_outcomes
 
@@ -223,7 +224,8 @@ def graded_modexp(instance, layout, max_elements=shor.MAX_ELEMENTS):
     """``shor.run_modexp`` for ``layout`` alone: (lower, alpha_hat, rank
     profile, element tally)."""
     lower = shor.LowerRegisterIndex(instance.n)
-    return (lower, *shor.run_modexp(lower, instance, (layout,), max_elements)[layout])
+    chain = shor.run_modexp(lower, instance, (layout,), max_elements)[layout]
+    return lower, chain.alpha_hat, chain.profile, chain.tally
 
 
 def reference_index(instance):
@@ -397,16 +399,16 @@ def identity_split_pair(block):
 # ------------------------------------------------------------------ sampling
 
 def sample_call(instance, layout, seeds: range, max_elements=shor.MAX_ELEMENTS):
-    """The ``shor.SampleCall`` of a ``shor.sample_runs`` call for ``layout``
+    """The ``shor.SampleRun`` of a ``shor.sample_runs`` call for ``layout``
     alone."""
-    return shor.sample_runs(instance, (layout,), seeds, max_elements)[layout]
+    return shor.sample_runs(instance, (layout,), seeds, max_elements)
 
 
 def sample_run(instance, layout, seed: int, max_elements=shor.MAX_ELEMENTS) -> dict:
     """The end-to-end sample of ``seed`` as its schema-1 dict: ``shor.sample_runs``
-    with one seed, whose records do not depend on how the seeds are batched."""
-    call = sample_call(instance, layout, range(seed, seed + 1), max_elements)
-    return record_dict(call, call.records[0])
+    with one seed, whose draws do not depend on how the seeds are batched."""
+    run = sample_call(instance, layout, range(seed, seed + 1), max_elements)
+    return record_dict(run, layout, 0)
 
 
 def reference_maps(lower) -> list[np.ndarray]:
@@ -444,65 +446,65 @@ def reference_fourier(maps, right, rngs, probs_seen=None) -> np.ndarray:
 
 
 def reference_sample_runs(instance, layout, rngs, probs_seen=None,
-                          max_elements=shor.MAX_ELEMENTS) -> shor.SampleCall:
+                          max_elements=shor.MAX_ELEMENTS) -> shor.SampleRun:
     """``shor.sample_runs`` for ``layout`` alone, with sample k drawing from
     ``rngs[k]``, a numpy ``Generator``, one ``random()`` call per draw, over
     ``reference_maps``, the map recursions ``forward_counts`` and
     ``right_counts``, and ``reference_fourier``, all samples in one batch and
-    with no element guard but modexp's (``max_elements``).  The "measure" ranks are counted per sample (``graded_ranks``),
-    and asserted equal for every sample; with no sample, they are those of
-    t = 1.  Its one batch has empty ``stage_seconds``, and s is read off the
-    bits here, first bit least significant."""
+    with no element guard but modexp's (``max_elements``).  The "measure"
+    ranks are counted per sample (``graded_ranks``), and asserted equal for
+    every sample; with no sample, they are those of t = 1.  All samples are
+    one batch, which has empty ``stage_seconds``, and s is read off the bits
+    here, first bit least significant."""
     rngs = list(rngs)
     lower = shor.LowerRegisterIndex(instance.n)
-    alpha_hat, modexp_profile, tally = shor.run_modexp(lower, instance, (layout,),
-                                                       max_elements)[layout]
-    labels = tuple(lab for lab in modexp_profile.layout if lab != LOWER_REGISTER)
+    chains = shor.run_modexp(lower, instance, (layout,), max_elements)
     dims = lower.dims[1:] + [lower.dim]
     held = sum(dims) + 1
-    peaks = {"build": 1, "modexp": tally, "measure": lower.dim + held,
+    peaks = {"build": 1, "measure": lower.dim + held,
              "qft": held + max(2 * (d_before + 2 * d) for d_before, d in zip(lower.dims, dims))}
     maps = reference_maps(lower)
     counts = forward_counts(lower, maps)
     targets = draw_outcome(counts / counts.sum(), _draws(rngs), where="R")
     right = right_counts(lower, maps, targets if rngs else [0])
-    ranks = graded_ranks(alpha_hat, right)
+    ranks = graded_ranks(chains[layout].alpha_hat, right)
     assert len(set(ranks)) == 1, ranks
-    call = shor.SampleCall(instance, layout, alpha_hat, modexp_profile,
-                           RankProfile("measure", ranks[0], labels), peaks, [], {}, [])
+    run = shor.SampleRun(instance, chains, ranks[0], peaks, [], [], max(len(rngs), 1), {}, [])
     if not rngs:
-        return call
-    call.stage_seconds.append({})
+        return run
+    run.stage_seconds.append({})
     bits = reference_fourier(maps, right, rngs, probs_seen)
     for residue, row in zip(lower.residues[targets].tolist(), bits.tolist()):
         s = sum(bit << k for k, bit in enumerate(row))
-        call.classical[s] = shor._classical(instance, s)
-        call.records.append(shor.SampleRecord(residue, s, 0))
-    return call
+        run.classical[s] = shor._classical(instance, s)
+        run.measured_residue.append(residue)
+        run.measured_s.append(s)
+    return run
 
 
 # -------------------------------------------------------- report reference
 
-def record_dict(call: shor.SampleCall, rec: shor.SampleRecord) -> dict:
-    """The schema-1 dict of ``rec``, a record of ``call``, from the call's
-    values, the record's, and the call's entries for its s and its batch."""
-    inst = call.instance
-    profiles = (call.modexp_profile, call.measure_profile, shor.QFT_PROFILE)
-    convergents, factors, verified_r = call.classical[rec.measured_s]
+def record_dict(run: shor.SampleRun, layout: str, k: int) -> dict:
+    """The schema-1 dict of sample ``k`` of ``run`` in ``layout``, from the
+    layout's chain, the sample's residue and s, and the run's entries for
+    that s and for the sample's batch, ``k // run.batch``."""
+    inst = run.instance
+    s = run.measured_s[k]
+    convergents, factors, verified_r = run.classical[s]
     return {
         "n": inst.n,
         "a": inst.a,
         "l": inst.l,
-        "layout": call.layout,
-        "alpha_hat": call.alpha_hat,
-        "measured_residue": rec.measured_residue,
-        "measured_s": rec.measured_s,
+        "layout": layout,
+        "alpha_hat": run.chains[layout].alpha_hat,
+        "measured_residue": run.measured_residue[k],
+        "measured_s": s,
         "convergents": convergents,
         "verified_r": verified_r,
         "factors": factors,
-        "rank_profiles": [dict(vars(prof)) for prof in profiles],
-        "peak_elements": call.peak_elements,
-        "stage_seconds": call.stage_seconds[rec.batch],
+        "rank_profiles": [dict(vars(prof)) for prof in run.rank_profiles(layout)],
+        "peak_elements": run.peaks(layout),
+        "stage_seconds": run.stage_seconds[k // run.batch],
     }
 
 
@@ -529,16 +531,17 @@ def reference_aggregate(records: list[dict], l: int, r: int | None) -> dict:
     return agg
 
 
-def reference_sample_report(argv: list[str], calls: dict, elapsed_seconds: float) -> dict:
+def reference_sample_report(argv: list[str], run: shor.SampleRun,
+                            elapsed_seconds: float) -> dict:
     """The report of ``shor-mps sample`` with ``argv`` (which names ``--a``)
-    as one dict, built from each layout's records (layout -> the
-    ``SampleCall`` that ``shor.sample_runs`` returned)."""
+    as one dict, built from each layout's records, read off ``run``, the
+    ``SampleRun`` that ``shor.sample_runs`` returned."""
     args = cli._parse(argv)
     inst = SemiprimeInstance(args.n, args.a, args.p, args.q)
     r = cli._reference_order(inst, args.dense_cap)
     per_layout = {}
-    for layout, call in calls.items():
-        dicts = [record_dict(call, rec) for rec in call.records]
+    for layout in run.chains:
+        dicts = [record_dict(run, layout, k) for k in range(len(run.measured_s))]
         per_layout[layout] = {"records": dicts,
                               "aggregate": reference_aggregate(dicts, inst.l, r)}
     return {

@@ -135,16 +135,15 @@ def test_criterion_6_sampling_distribution():
     # one batched call per instance: the sample of seed k draws the stream of
     # numpy.random.default_rng(k), as a sample_run call of its own would
     counts = np.zeros(1024)
-    for rec in sample_call(inst, "dynamic", range(20_000)).records:
-        counts[rec.measured_s] += 1
+    for s in sample_call(inst, "dynamic", range(20_000)).measured_s:
+        counts[s] += 1
     dist = _dense.tvd(oracle.exact_distribution(5, 6), counts)
 
     comb = SemiprimeInstance(15, 7)
     draws = 4000
     comb_counts = {0: 0, 256: 0, 512: 0, 768: 0}
     stray = 0
-    for rec in sample_call(comb, "dynamic", range(10**6, 10**6 + draws)).records:
-        s = rec.measured_s
+    for s in sample_call(comb, "dynamic", range(10**6, 10**6 + draws)).measured_s:
         if s in comb_counts:
             comb_counts[s] += 1
         else:

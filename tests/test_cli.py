@@ -243,18 +243,17 @@ def dumped(monkeypatch):
 
 
 @contextlib.contextmanager
-def captured_calls():
-    """The ``shor.SampleCall`` views of each ``cli.sample_runs`` call, by layout."""
-    calls = {}
+def captured_runs():
+    """The ``shor.SampleRun`` of each ``cli.sample_runs`` call, in call order."""
+    runs = []
     sample_runs = cli.sample_runs
 
     def recording(*args):
-        views = sample_runs(*args)
-        calls.update(views)
-        return views
+        runs.append(sample_runs(*args))
+        return runs[-1]
 
     with mock.patch.object(cli, "sample_runs", recording):
-        yield calls
+        yield runs
 
 
 class TestReportForm:
@@ -264,7 +263,7 @@ class TestReportForm:
     @pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=lambda argv: argv[0])
     def test_compact_and_same_content(self, argv, tmp_path, dumped):
         out = tmp_path / "r.json"
-        with captured_calls() as calls:
+        with captured_runs() as runs:
             assert run_cli(argv + ["--out", str(out)]) == 0
         text = out.read_text()
         report = json.loads(text)
@@ -272,7 +271,8 @@ class TestReportForm:
         assert report["schema"] == 1
         if argv[0] == "sample":
             # sample encodes its records apart from the rest of the report
-            obj = reference_sample_report(argv, calls, report["elapsed_seconds"])
+            [run] = runs
+            obj = reference_sample_report(argv, run, report["elapsed_seconds"])
         else:
             [obj] = dumped
         assert report == json.loads(json.dumps(obj, indent=1, sort_keys=True))
@@ -281,11 +281,12 @@ class TestReportForm:
         out = tmp_path / "r.json"
         # cmd_sample reads the clock before and after its samples
         start, stop = 10.0, 10.0 + 1 / 3
-        with captured_calls() as calls, \
+        with captured_runs() as runs, \
                 mock.patch.object(cli, "perf_counter", iter([start, stop]).__next__):
             assert run_cli(REPORT_COMMANDS[0] + ["--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        obj = reference_sample_report(REPORT_COMMANDS[0], calls, stop - start)
+        [run] = runs
+        obj = reference_sample_report(REPORT_COMMANDS[0], run, stop - start)
         for layout, block in obj["layouts"].items():
             parsed = report["layouts"][layout]
             for key in ("tvd_vs_oracle", "factor_success_rate"):
@@ -313,7 +314,7 @@ class TestRecordEncoding:
     @staticmethod
     def assert_reference_bytes(argv, tmp_path, sink="--out"):
         out = tmp_path / "r.json"
-        with captured_calls() as calls:
+        with captured_runs() as runs:
             if sink == "--out":
                 assert run_cli(argv + ["--out", str(out)]) == 0
                 text = out.read_text()
@@ -321,9 +322,10 @@ class TestRecordEncoding:
                 code, text, _ = run_captured(argv)
                 assert code == 0
         elapsed = json.loads(text)["elapsed_seconds"]
-        reference = reference_sample_report(argv, calls, elapsed)
+        [run] = runs
+        reference = reference_sample_report(argv, run, elapsed)
         assert text == json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
-        return calls
+        return run
 
     @settings(max_examples=60, deadline=None)
     @given(semiprime_and_base(), st.integers(0, 2**70),
@@ -349,10 +351,10 @@ class TestRecordEncoding:
         REPORT_COMMANDS[0],
     ], ids=["n1943", "factors"])
     def test_rows(self, argv, tmp_path):
-        calls = self.assert_reference_bytes(argv, tmp_path)
+        run = self.assert_reference_bytes(argv, tmp_path)
         if "--p" in argv:
-            assert any(factors and verified_r for call in calls.values()
-                       for _, factors, verified_r in call.classical.values())
+            assert any(factors and verified_r
+                       for _, factors, verified_r in run.classical.values())
 
 
 def run_captured(argv):
@@ -502,10 +504,23 @@ class TestBadInput:
             # the closed form's limit is checked before the table is allocated
             (["oracle", "--l", "33", "--r", "3", "--dense-cap", str(10**23)],
              "l=33 exceeds the closed form's limit l <= 32"),
+            # and before the order search: two safe primes, l = 62
+            (["oracle", "--n", "2305875188205085837", "--a", "3", "--p", "1073742623",
+              "--q", "2147512019"], "l=62 exceeds the closed form's limit l <= 32"),
+            # without factors the search would stop at its cap (exit 3)
+            (["oracle", "--n", "1000036000099", "--a", "2"],
+             "l=40 exceeds the closed form's limit l <= 32"),
+            (["oracle", "--n", "16351", "--a", "2"],
+             "table of 268435456 entries exceeds cap 67108864"),
         ],
     )
-    def test_exit_2_with_message(self, argv, message, capsys):
-        # message: the exact error line, or None to accept any one-line error
+    def test_exit_2_with_message(self, argv, message, capsys, monkeypatch):
+        # message: the exact error line, or None to accept any one-line error;
+        # every refusal comes before the order search
+        def banned(*args, **kwargs):
+            raise AssertionError("order search before the refusal")
+
+        monkeypatch.setattr(cli, "multiplicative_order", banned)
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -899,6 +914,9 @@ README_TABLE = readme_table()
 class TestReadmeTable:
     def test_rows(self):
         assert sorted(README_TABLE) == [11, 13, 14, 15, 16, 17, 20, 22, 24]
+        # verify-paper's rows are README's
+        for l, *row in cli.PUBLISHED_ORDER_DATA:
+            assert README_TABLE[l][:5] == tuple(row), l
 
     @pytest.mark.parametrize("l", sorted(README_TABLE), ids=lambda l: f"l{l}")
     def test_ranks_and_tallies(self, l, tmp_path):

@@ -46,9 +46,9 @@ def test_sample_records_equal_numpy_generators(tmp_path):
     layouts = json.loads(out.read_text())["layouts"]
     inst = SemiprimeInstance(247, 2)
     for layout in ("static", "dynamic"):
-        call = reference_sample_runs(inst, layout,
-                                     [np.random.default_rng(5 + k) for k in range(20)])
-        expected = json.loads(json.dumps([record_dict(call, rec) for rec in call.records]))
+        run = reference_sample_runs(inst, layout,
+                                    [np.random.default_rng(5 + k) for k in range(20)])
+        expected = json.loads(json.dumps([record_dict(run, layout, k) for k in range(20)]))
         got = layouts[layout]["records"]
         for rec in expected + got:
             del rec["stage_seconds"]

@@ -57,11 +57,11 @@ def seeds(first, count):
     return range(first, first + count)
 
 
-def without_timings(*calls):
-    """The records of ``calls``, in order, as schema-1 dicts without their
-    stage seconds."""
-    return [{k: v for k, v in record_dict(call, rec).items() if k != "stage_seconds"}
-            for call in calls for rec in call.records]
+def without_timings(*runs):
+    """The records of ``runs``, in order, each run's layout by layout, as
+    schema-1 dicts without their stage seconds."""
+    return [{key: v for key, v in record_dict(run, layout, k).items() if key != "stage_seconds"}
+            for run in runs for layout in run.chains for k in range(len(run.measured_s))]
 
 
 class TestBuildInitial:
@@ -553,10 +553,10 @@ class TestGradedSampler:
     def test_same_samples_as_dense_reference(self, n, a, layout):
         # one batch of 20 samples, each against the dense path on its own generator
         inst = SemiprimeInstance(n, a)
-        call = sample_call(inst, layout, range(20))
-        measure = call.measure_profile
-        for seed, rec in enumerate(call.records):
-            got = (rec.measured_residue, (measure.ranks, measure.layout), rec.measured_s)
+        run = sample_call(inst, layout, range(20))
+        _, measure, _ = run.rank_profiles(layout)
+        for seed, (residue, s) in enumerate(zip(run.measured_residue, run.measured_s)):
+            got = (residue, (measure.ranks, measure.layout), s)
             assert got == dense_reference(inst, layout, np.random.default_rng(seed)), seed
 
     def test_branch_gate_convention(self):
@@ -854,7 +854,7 @@ class TestSampleRun:
             return sample_call(inst, layout, seeds(seed, m), max_elements)
 
         free = run()
-        peak = max(free.peak_elements.values())
+        peak = max(free.peaks(layout).values())
         tight = run(peak)
         assert tight.instance == inst
         assert without_timings(tight) == without_timings(free)
@@ -862,7 +862,7 @@ class TestSampleRun:
             run(peak - 1)
         assert err.value.needed == peak
         # the graded stages hold less than modexp's final chain
-        assert err.value.stage == "modexp" and free.peak_elements["modexp"] == peak
+        assert err.value.stage == "modexp" and free.peaks(layout)["modexp"] == peak
 
     @settings(max_examples=40, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 40]),
@@ -889,12 +889,12 @@ class TestSampleRun:
         per_sample = sample_call(inst, "static", seeds(0, 1)).peak_elements
         bound = 2 * max(per_sample["measure"], per_sample["qft"])
         with mock.patch.object(shor, "BATCH_ELEMENTS", bound):
-            call = sample_call(inst, "static", seeds(0, 5))
-        shares = [call.stage_seconds[rec.batch] for rec in call.records]
+            run = sample_call(inst, "static", seeds(0, 5))
+        shares = [run.stage_seconds[k // run.batch] for k in range(len(run.measured_s))]
         assert [set(share) for share in shares] == [
             {"build", "modexp", "measure", "qft", "classical"}] * 5
         # modexp runs once per call and is shared evenly; batches of 2, 2, 1
-        assert [rec.batch for rec in call.records] == [0, 0, 1, 1, 2]
+        assert run.batch == 2 and len(run.stage_seconds) == 3
         assert len({share["modexp"] for share in shares}) == 1
         assert shares[0]["qft"] == shares[1]["qft"]
         assert all(dt >= 0 for share in shares for dt in share.values())
@@ -914,11 +914,11 @@ class TestSampleRun:
             return classical(instance, s)
 
         monkeypatch.setattr(shor, "_classical", counted)
-        call = sample_call(inst, "static", seeds(5000, m))
+        run = sample_call(inst, "static", seeds(5000, m))
         assert len(calls) == len(set(calls)) == distinct
-        assert set(call.classical) == set(calls)
-        assert len({rec.measured_s for rec in call.records}) == distinct
-        assert without_timings(call) == without_timings(*alone)
+        assert set(run.classical) == set(calls)
+        assert len(set(run.measured_s)) == distinct
+        assert without_timings(run) == without_timings(*alone)
 
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
     def test_records_share_what_repeats(self, layout):
@@ -926,51 +926,53 @@ class TestSampleRun:
         # of seed 5000 repeat their s
         inst = SemiprimeInstance(21, 2)
         with mock.patch.object(shor, "BATCH_ELEMENTS", 2 * 63):
-            views = shor.sample_runs(inst, shor.LAYOUTS, seeds(5000, 12))
-        call = views[layout]
-        other_view = views["dynamic" if layout == "static" else "static"]
-        # the views share the records and what follows from them
-        for field in ("records", "classical", "stage_seconds"):
-            assert getattr(call, field) is getattr(other_view, field)
-        records = call.records
+            run = shor.sample_runs(inst, shor.LAYOUTS, seeds(5000, 12))
+        # one run holds every layout's chain and one column per drawn value
+        assert list(run.chains) == list(shor.LAYOUTS)
+        assert len(run.measured_residue) == len(run.measured_s) == 12
+        records = [record_dict(run, layout, k) for k in range(12)]
         for k, rec in enumerate(records):
             for j in range(k + 1, len(records)):
                 # records of one batch share its stage share, of two batches not
-                assert (rec.batch == records[j].batch) == (k // 2 == j // 2)
-        assert len(call.stage_seconds) == 6
+                shared = rec["stage_seconds"] is records[j]["stage_seconds"]
+                assert shared == (k // 2 == j // 2)
+        assert run.batch == 2 and len(run.stage_seconds) == 6
         # one classical entry per s
-        assert set(call.classical) == {rec.measured_s for rec in records}
-        assert len(call.classical) < len(records)
+        assert set(run.classical) == set(run.measured_s)
+        assert len(run.classical) < len(run.measured_s)
         # what records share is immutable, or frozen
-        for convergents, _, _ in call.classical.values():
+        for convergents, _, _ in run.classical.values():
             assert isinstance(convergents, tuple)
             assert all(isinstance(pair, tuple) for pair in convergents)
-        for profile in (call.modexp_profile, call.measure_profile, shor.QFT_PROFILE):
+        for profile in run.rank_profiles(layout):
             with pytest.raises(FrozenInstanceError):
                 profile.ranks = ()
+        with pytest.raises(FrozenInstanceError):
+            run.chains[layout].tally = 0
 
     def test_no_generator_no_record(self):
-        calls = shor.sample_runs(SemiprimeInstance(21, 2), shor.LAYOUTS, range(0))
-        assert [call.records for call in calls.values()] == [[], []]
+        run = shor.sample_runs(SemiprimeInstance(21, 2), shor.LAYOUTS, range(0))
+        assert list(run.chains) == list(shor.LAYOUTS)
+        assert (run.measured_residue, run.measured_s, run.stage_seconds) == ([], [], [])
 
     def test_determinism(self):
         inst = SemiprimeInstance(21, 2)
         a = sample_call(inst, "dynamic", seeds(42, 1))
         b = sample_call(inst, "dynamic", seeds(42, 1))
-        [rec_a], [rec_b] = a.records, b.records
-        assert rec_a.measured_s == rec_b.measured_s
-        assert rec_a.measured_residue == rec_b.measured_residue
+        [s_a], [s_b] = a.measured_s, b.measured_s
+        assert s_a == s_b
+        assert a.measured_residue == b.measured_residue
         assert a.classical == b.classical
-        assert a.modexp_profile == b.modexp_profile
-        assert a.measure_profile == b.measure_profile
-        assert a.peak_elements == b.peak_elements
+        assert a.chains == b.chains
+        assert a.rank_profiles("dynamic") == b.rank_profiles("dynamic")
+        assert a.peaks("dynamic") == b.peaks("dynamic")
 
 
 class TestEndToEndDistribution:
     def test_tvd_smoke_n21(self):
         inst = SemiprimeInstance(21, 2)
         counts = np.zeros(1024)
-        for rec in sample_call(inst, "dynamic", seeds(10_000, 2000)).records:
-            counts[rec.measured_s] += 1
+        for s in sample_call(inst, "dynamic", seeds(10_000, 2000)).measured_s:
+            counts[s] += 1
         table = oracle.exact_distribution(5, 6)
         assert _dense.tvd(table, counts) < 0.08

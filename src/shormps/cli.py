@@ -18,14 +18,19 @@ both exit 0.  An unknown command or flag, a missing value, a non-integer for
 an integer flag, a value outside a flag's choices or a missing required
 ``--n`` exits 2 after one ``error:`` line on stderr.
 
-Exit codes: 0 success, 2 invalid input (an ``--out`` that cannot be written
-counts too, and is refused before the job runs), 3 resource limit exhausted
-(the element guard, an allocation the machine refuses, or the order search
-cap), 4 verification failure (``verify-paper`` finds a published row it
-cannot reproduce).  Commands and their helpers raise on failure, and
-``main`` alone maps every failure to its exit code and one ``error:`` line
-on stderr, never a traceback: ``_UsageError`` exits 2, and
-``MemoryLimitError``, ``OrderSearchCapError`` and ``MemoryError`` exit 3.
+Exit codes: 0 success, 1 standard output closed by its reader before the
+output was written (``head``, a pager that quits), with no message, 2
+invalid input (an ``--out`` that cannot be written counts too, and is
+refused before the job runs), 3 resource limit exhausted (the element
+guard, an allocation the machine refuses, or the order search cap), 4
+verification failure (``verify-paper`` finds a published row it cannot
+reproduce).  Commands and their helpers raise on failure, and ``main`` alone
+maps every failure to its exit code and one ``error:`` line on stderr,
+never a traceback: ``_UsageError`` exits 2, and ``MemoryLimitError``,
+``OrderSearchCapError`` and ``MemoryError`` exit 3.  A closed stdout
+(``BrokenPipeError``) exits 1 silently, with stdout pointed at
+``os.devnull`` so that the interpreter's flush at exit does not raise again
+(Python's ``signal`` docs, "Note on SIGPIPE").
 A ``ValueError`` counts as invalid input only where the flags build the
 instance and where ``oracle`` checks its table; anywhere else it is a fault
 of the program and propagates.
@@ -101,6 +106,7 @@ from .shor import (
 )
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
@@ -575,19 +581,26 @@ def main(argv=None) -> int:
     """Run one command; the one place where a failure becomes its exit code
     and one ``error:`` line on stderr.  Any other exception propagates."""
     try:
+        code = EXIT_OK
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if args is None:
-            return EXIT_OK
-        problem = _unwritable(args.out)
-        if problem:
-            raise _UsageError(f"cannot write {args.out}: {problem}")
-        handler = {
-            "sample": cmd_sample,
-            "verify-paper": cmd_verify_paper,
-            "profile": cmd_profile,
-            "oracle": cmd_oracle,
-        }[args.command]
-        return handler(args)
+        if args is not None:
+            problem = _unwritable(args.out)
+            if problem:
+                raise _UsageError(f"cannot write {args.out}: {problem}")
+            handler = {
+                "sample": cmd_sample,
+                "verify-paper": cmd_verify_paper,
+                "profile": cmd_profile,
+                "oracle": cmd_oracle,
+            }[args.command]
+            code = handler(args)
+        # a reader that closed stdout shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the rest of the output, and the flush at exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

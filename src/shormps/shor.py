@@ -30,11 +30,10 @@ a power of 1/sqrt(2), placed by the maps.  The modexp chain is therefore
 fixed by the gates' residue maps, the side of each qubit and the bond
 ranks, a charge-graded store in the sense of Singh, Pfeifer & Vidal
 (PRA 82, 050301 (2010)).  ``run_modexp`` keeps the labels and ranks, and R's
-residue index (``LowerRegisterIndex``) keeps the reached residues, each
-gate's multiplier and R's dimension before it; the maps follow from those,
-and only the sampler, which reads them, builds them.  The index holds the
-residues as an array and a lookup table of n ``int32`` entries from residue
-to index, so extending it, or building a map, is a few vectorized gathers
+residue index (``LowerRegisterIndex``) keeps the reached residues and R's
+dimension before each gate; no map is built, by modexp or by the sampler.
+The index holds the residues as an array and a lookup table of n ``int32``
+entries from residue to index, so extending it is a few vectorized gathers
 over the residues reached so far: O(r) work per gate, with no per-residue
 Python step, and a table of 4n bytes of which only the pages holding
 reached residues are ever touched.  The table bounds n below 2^31.  Left of
@@ -58,25 +57,30 @@ weight per group, and the outcome o of qubit j has probability
 sum_c |w_o[c]|^2 R_j[c], with no cross terms.  R is drawn from the forward
 counts f[c] = #{x < Q : a^x = c}.  Both counts are closed forms in one
 exponent e[c] per residue, a^(e[c]) = c (``residue_counts``), so no count is
-carried from gate to gate.  The Fourier transform is semiclassical
-(Griffiths & Niu, PRL 76, 3228 (1996)): the most significant unread qubit's
-controlled phases from the qubits already read collapse into one
-single-site phase ahead of its Hadamard.  A sample therefore costs O(l * r)
-and runs no SVD, density read or dense contraction, and every bond's
-Schmidt rank is a label count, the same for every sample
-(``measure_ranks``).  A gate that doubles R's residue set (``floor(log2
-beta) + alpha`` of them) has a shifted identity as its map, and its qubit is
-an exact fair coin, read with one comparison and no probability sum
-(``graded_fourier``).  Modexp's gates, the exponents, the forward counts
-and the ranks are the same for every sample of an instance and for both
-layouts, whose chains differ only in their labels, bonds and tally, so
-``sample_runs`` computes them once per call, for every layout it is asked
-for, and draws its samples together, each array carrying a leading sample
-axis, and every float a batch draws is computed up front from its seeds
-(``rng.uniforms``); sample k still draws only from its own seed's stream,
-so what it draws does not depend on the batch it is in.  A call returns one
-``SampleRun``: each layout's ``Chain``, and once for every layout what the
-samples drew, a column of residues and a column of s.
+carried from gate to gate, and the exponents follow from R's dimensions
+alone (``residue_exponents``): the sampler reads r, those dimensions and e,
+and modexp's index is freed before the first sample.  The Fourier transform
+is semiclassical (Griffiths & Niu, PRL 76, 3228 (1996)): the most
+significant unread qubit's controlled phases from the qubits already read
+collapse into one single-site phase ahead of its Hadamard.  A sample
+therefore costs O(l * r) and runs no SVD, density read or dense
+contraction, and every bond's Schmidt rank is a label count, the same for
+every sample (``measure_ranks``).  With r = 2^alpha * beta, beta odd, a gate
+that doubles R's residue set (``floor(log2 beta) + alpha`` of them) has a
+qubit that is an exact fair coin, read with one comparison and no
+probability sum, and every other gate has j >= alpha and runs on the beta
+exponents that are multiples of 2^alpha, where it is the cyclic shift y ->
+y + 2^(j - alpha) mod beta of y = e / 2^alpha (``graded_fourier``; README,
+"Exponent coordinates").  Modexp's gates, the exponents, the
+forward counts and the ranks are the same for every sample of an instance
+and for both layouts, whose chains differ only in their labels, bonds and
+tally, so ``sample_runs`` computes them once per call, for every layout it
+is asked for, and draws its samples together, each array carrying a
+leading sample axis, and every float a batch draws is computed up front
+from its seeds (``rng.uniforms``); sample k still draws only from its own
+seed's stream, so what it draws does not depend on the batch it is in.  A
+call returns one ``SampleRun``: each layout's ``Chain``, and once for every
+layout what the samples drew, a column of residues and a column of s.
 
 The same stages on a dense chain, with site tensors, a whole-chain density
 read, rank-revealing sweeps and single-site measurements, live in the test
@@ -130,11 +134,11 @@ class LowerRegisterIndex:
     (2^31): table entries then fit ``int32`` and the products in ``extend``
     fit ``int64``.
 
-    The index records every gate applied so far, in gate order (qubit 2l-1
-    first): its multiplier in ``mults`` and R's dimension before it in
-    ``dims``.  It stores no map: the table never renumbers a residue, so gate
-    k's map can be read off the final table (``gate_maps``), and only the
-    sampler reads maps.
+    The index records R's dimension before every gate applied so far, in
+    gate order (qubit 2l-1 first), in ``dims``, and stores no map and no
+    multiplier.  Only modexp reads it: the sampler reads ``dims`` and the
+    final dimension r, and frees the index before its first sample
+    (``sample_runs``).
     """
 
     def __init__(self, n: int):
@@ -144,7 +148,6 @@ class LowerRegisterIndex:
         self.residues = np.ones(1, dtype=np.int64)
         self._where = np.zeros(n, dtype=np.int32)
         self._where[1] = 1
-        self.mults: list[int] = []
         self.dims: list[int] = []
 
     @property
@@ -155,13 +158,12 @@ class LowerRegisterIndex:
         """Index of residue ``v`` in ``residues``, or -1 when not reached."""
         return int(self._where[v]) - 1
 
-    def record(self, mult: int) -> None:
-        """Record a gate with multiplier ``mult`` that reaches no new residue.
+    def record(self) -> None:
+        """Record a gate that reaches no new residue.
 
         The caller vouches for that (see ``run_modexp``); ``extend`` records
         every other gate itself.
         """
-        self.mults.append(mult)
         self.dims.append(self.dim)
 
     def extend(self, mult: int) -> None:
@@ -171,34 +173,13 @@ class LowerRegisterIndex:
         images of.  ``mult`` is a unit, so the images are distinct and each
         new one is appended once.
         """
-        self.record(mult)
+        self.record()
         img = self.residues * mult % self.n
         fresh = img[self._where[img] == 0]
         if fresh.size:
             self._where[fresh] = np.arange(self.dim + 1, self.dim + 1 + fresh.size,
                                            dtype=np.int32)
             self.residues = np.concatenate((self.residues, fresh))
-
-    def gate_maps(self) -> list[np.ndarray | slice]:
-        """Every recorded gate's multiplier map, in gate order.
-
-        Map k sends the index of each residue reached before gate k to the
-        index of its image, ``_where[residues[:D_k] * m_k % n] - 1`` with D_k
-        = ``dims[k]`` and m_k = ``mults[k]``.  Gate k's images are in the
-        table once it has run (an idle gate's already were), and the table
-        never renumbers a residue, so these are the indices the images had
-        when gate k ran.  The maps are ``int32``, as the table: at n=16351,
-        intp maps held at once raised the peak RSS by 30 MB.
-
-        A gate that doubles R's dimension (D_k to 2 D_k) reaches D_k fresh
-        images, which ``extend`` appends in the order of their sources, so
-        its map is ``arange(D_k, 2 D_k)``; it is returned as ``slice(D_k, 2
-        D_k)``, which indexes as a view and stores nothing, and its qubit is
-        a fair coin in the sampler (``graded_fourier``).
-        """
-        return [slice(d, 2 * d) if after == 2 * d
-                else self._where[self.residues[:d] * m % self.n] - 1
-                for m, d, after in zip(self.mults, self.dims, _dims_after(self))]
 
 
 # qubit 0 is read last and is the only site left once the transform ends
@@ -265,9 +246,9 @@ def run_modexp(
 
     Each gate creates upper qubit i in |+> next to R and scatters R's
     amplitude blocks through its multiplier map, so the chain is fixed by
-    the maps (``lower.gate_maps``), each qubit's side and the bond ranks.
-    Only the labels and ranks are kept, and ``lower`` records each gate's
-    multiplier and R's dimension before it; no map is built.  Side B puts
+    the maps, each qubit's side and the bond ranks.  Only the labels and
+    ranks are kept, and ``lower`` records R's dimension before each gate; no
+    map is built.  Side B puts
     the qubit left of R, with a bond of R's new dimension between them; side
     A puts it right of R, where the new bond next to R is twice R's old right
     bond (1 at the chain end).  Every bond is a Schmidt rank (see the module
@@ -311,7 +292,7 @@ def run_modexp(
         mult = pow(instance.a, 1 << i, instance.n)
         idle = plateau and lower.position(mult) >= 0
         if idle:
-            lower.record(mult)
+            lower.record()
         else:
             lower.extend(mult)
         d_new = lower.dim
@@ -341,30 +322,29 @@ def run_modexp(
 
 # --------------------------------------------------------------- graded sampler
 
-def _dims_after(lower: LowerRegisterIndex) -> list[int]:
-    # R's dimension after each gate: the dimension before the next one
-    return lower.dims[1:] + [lower.dim]
+def residue_exponents(dims: list[int]) -> np.ndarray:
+    """e[c] with a^(e[c]) = residue c of R's index, reduced mod r, from R's
+    dimensions alone: ``dims`` holds R's dimension before each gate, in gate
+    order, and after the last, r.
 
-
-def residue_exponents(lower: LowerRegisterIndex, maps: list[np.ndarray | slice]) -> np.ndarray:
-    """e[c] with a^(e[c]) = residue c of ``lower``, reduced mod r = ``lower.dim``.
-
-    ``maps`` are ``lower.gate_maps()``.  The gate of qubit i multiplies by
-    a^(2^i), and D is R's dimension before it: a slice(D, 2D) gives e[D:2D]
-    = e[:D] + 2^i, an array map P gives e[P[k]] = e[k] + 2^i for each fresh
-    image, P[k] >= D, and a gate that keeps D gives nothing.
+    The gate of qubit i multiplies by a^(2^i), so it sends exponent e to (e
+    + 2^i) mod r, and the index appends its new images in the order of their
+    sources (``LowerRegisterIndex.extend``).  A gate that doubles D appends
+    every image: e[D:2D] = (e[:D] + 2^i) mod r.  A gate that grows D
+    partially appends, in source order, the images whose exponent is not yet
+    reached, found with one r-sized mask.  A gate that keeps D appends
+    nothing.
     """
-    r = lower.dim
+    r = dims[-1]
     e = np.zeros(r, dtype=np.int64)
-    for i, perm, d, after in zip(reversed(range(len(maps))), maps, lower.dims, _dims_after(lower)):
+    for i, d, after in zip(reversed(range(len(dims) - 1)), dims, dims[1:]):
         if after == d:
             continue
-        step = (1 << i) % r
-        if isinstance(perm, slice):
-            e[perm] = (e[:d] + step) % r
-        else:
-            fresh = perm >= d
-            e[perm[fresh]] = (e[:d][fresh] + step) % r
+        images = (e[:d] + (1 << i) % r) % r
+        if after < 2 * d:
+            # "table": one r-sized mask of the reached exponents
+            images = images[~np.isin(images, e[:d], kind="table")]
+        e[d:after] = images
     return e
 
 
@@ -381,9 +361,11 @@ def residue_counts(offsets: np.ndarray, j: int, r: int) -> np.ndarray:
     return (offsets < part) + float(whole)
 
 
-def measure_ranks(lower: LowerRegisterIndex, e: np.ndarray) -> tuple[int, ...]:
+def measure_ranks(dims: list[int], e: np.ndarray) -> tuple[int, ...]:
     """Schmidt ranks of the upper-register chain once R has read a residue,
-    bonds from qubit 2l-1 down, from ``e = residue_exponents(lower, ...)``.
+    bonds from qubit 2l-1 down, from R's dimensions ``dims`` (before each
+    gate and after the last, as for ``residue_exponents``) and the exponents
+    ``e = residue_exponents(dims)``.
 
     The tuple is the same for every residue t that R reads and for both
     layouts, so it is counted once, at t = 1.  Proof: the bond above qubit
@@ -403,72 +385,85 @@ def measure_ranks(lower: LowerRegisterIndex, e: np.ndarray) -> tuple[int, ...]:
     """
     d = -e % e.size  # d_c at t = 1, whose exponent is 0
     return tuple(int(np.count_nonzero(d[:size] < 1 << j))
-                 for j, size in zip(reversed(range(1, len(lower.dims))), _dims_after(lower)))
+                 for j, size in zip(range(len(dims) - 2, 0, -1), dims[1:]))
 
 
-def residue_branches(w, perm, right_j, phase):
-    """Both outcomes of qubit j for residue vectors ``w`` (last axis).
+def residue_branches(w, shift: int, right_j, phase, out) -> np.ndarray:
+    """Both outcomes of qubit j for weight vectors ``w`` over Z_beta (last
+    axis), written into ``out``, axes (..., outcome, y).
 
-    ``w`` runs over the residues reached by the qubits above j.  Bit 0 keeps
-    each residue and bit 1 moves it through j's multiplier map ``perm``; the
-    gate H diag(1, exp(-i pi phase)) then mixes the two at each residue.
-    Returns the branches, axes (..., outcome, residue), and their
-    probabilities sum_c |branch[c]|^2 R_j[c], axes (..., outcome).  Leading
-    axes of ``w``, ``right_j`` and ``phase`` broadcast; the arithmetic is
-    elementwise or along the residue axis, so each leading index comes out
-    the same whatever the others hold.
+    Bit 0 keeps each weight and bit 1 moves it by qubit j's gate, the cyclic
+    shift y -> y + ``shift`` mod beta; the gate H diag(1, exp(-i pi phase))
+    then mixes the two at each y.  Returns the branches' probabilities
+    sum_y |branch[y]|^2 R_j[y], axes (..., outcome).  Leading
+    axes of ``w``, ``right_j``, ``phase`` and ``out`` broadcast; the
+    arithmetic is elementwise or along the last axis, so each leading index
+    comes out the same whatever the others hold.
     """
-    split = np.zeros(w.shape[:-1] + (2, right_j.shape[-1]), dtype=np.complex128)
-    split[..., 0, : w.shape[-1]] = w
-    split[..., 1, perm] = w * np.exp(-1j * np.pi * np.asarray(phase))[..., None]
-    branches = np.empty_like(split)
-    np.add(split[..., 0, :], split[..., 1, :], out=branches[..., 0, :])
-    np.subtract(split[..., 0, :], split[..., 1, :], out=branches[..., 1, :])
-    branches *= SQRT_HALF
+    moved = out[..., 1, :]
+    moved[..., shift:] = w[..., : w.shape[-1] - shift]
+    moved[..., :shift] = w[..., w.shape[-1] - shift :]
+    moved *= np.exp(-1j * np.pi * np.asarray(phase))[..., None]
+    np.add(w, moved, out=out[..., 0, :])
+    np.subtract(w, moved, out=moved)
+    out *= SQRT_HALF
     weight = np.asarray(right_j)[..., None, :]
-    return branches, ((branches.real**2 + branches.imag**2) * weight).sum(axis=-1)
+    return ((out.real**2 + out.imag**2) * weight).sum(axis=-1)
 
 
-def graded_fourier(maps: list[np.ndarray | slice], dims: list[int], d: np.ndarray,
+def graded_fourier(dims: list[int], e: np.ndarray, e_t: np.ndarray,
                    floats: np.ndarray) -> np.ndarray:
     """Semiclassical Fourier transform of the upper register, graded by residue.
 
     Reads qubits 2l-1 ... 0, most significant first, as the dense
     reference's ``apply_lnn_qft`` does, keeping one complex weight per
     residue reached by the qubits read so far, for every sample at once:
-    ``maps`` are the gates' multiplier maps (``lower.gate_maps()``), ``dims``
-    R's dimension after each gate, ``d`` the samples' offsets d_c = (e_t -
-    e_c) mod r, from which qubit j's right counts R_j are built as it reads
-    them (``residue_counts``), and ``floats`` the samples' uniforms in [0,
-    1), axes (sample, measurement order), one per qubit.  Returns the bits,
-    axes (sample, measurement order).
+    ``dims`` are R's dimensions (before each gate and after the last, r),
+    ``e`` the residues' exponents (``residue_exponents``), ``e_t`` the
+    exponent of each sample's residue t, and ``floats`` the samples'
+    uniforms in [0, 1), axes (sample, measurement order), one per qubit.
+    Returns the bits, axes (sample, measurement order).
 
-    A qubit whose map is a slice(D, 2D) is a fair coin, bit for bit (README,
-    "Fair coins"): its bit is u >= 1/2, and its state w followed by +-w
-    exp(-i pi phase), with no sums, no normalization and no branch pair.
-    Once every remaining map is a slice, no later qubit reads the weights,
-    and the remaining bits are u >= 1/2 alone.
+    With r = 2^alpha * beta, beta odd, the gates fall into three runs
+    (README, "Exponent coordinates").  The leading gates that
+    double R's dimension D are fair coins, bit for bit (README, "Fair
+    coins"): the bit is u >= 1/2, and the state w, in index order, is
+    followed by +-w exp(-i pi phase), with no sums, no normalization and no
+    branch pair.  From the first gate that does not double down to qubit
+    alpha, every gate has j >= alpha, the qubits read reach the beta
+    exponents that are multiples of 2^alpha, and the gate sends y = e /
+    2^alpha to y + 2^(j - alpha) mod beta.  So the weights are placed once
+    at y = e[:D] / 2^alpha in a beta-long vector, and each of these qubits
+    is drawn from its branch pair (``residue_branches``), with R_j[y] built
+    from the samples' offsets (e_t - 2^alpha y) mod r (``residue_counts``).
+    The last alpha gates double D again, so no later qubit reads the
+    weights, and their bits are u >= 1/2 alone.
     """
     rows = np.arange(floats.shape[0])
-    r = d.shape[-1]
-    top = len(maps)
+    r = dims[-1]
+    top = len(dims) - 1
+    alpha = (r & -r).bit_length() - 1
+    beta = r >> alpha
     bits = (floats >= 0.5).astype(np.int64)
-    # past the last array map every qubit is a fair coin, and no weight is read
-    read = max((k + 1 for k, perm in enumerate(maps) if not isinstance(perm, slice)), default=0)
-    w = (1.0 / np.sqrt(residue_counts(d[:, :1], top, r))).astype(np.complex128)
+    w = (1.0 / np.sqrt(residue_counts(e_t[:, None], top, r))).astype(np.complex128)
     phase = np.zeros(rows.size)  # sum_k b_k / 2^(k-j) over the qubits k > j read so far
-    for depth in range(read):
-        perm = maps[depth]
-        if isinstance(perm, slice):
-            bit = bits[:, depth]
-            moved = w * ((1 - 2 * bit) * np.exp(-1j * np.pi * phase))[:, None]
-            w = np.concatenate((w, moved), axis=-1)
-        else:
-            j = top - 1 - depth
-            right_j = residue_counts(d[:, : dims[depth]], j, r)
-            branches, probs = residue_branches(w, perm, right_j, phase)
-            bit = bits[:, depth] = draw_outcome(probs, floats[:, depth], where=f"qubit {j}")
-            w = branches[rows, bit] / np.sqrt(probs[rows, bit])[:, None]
+    depth = 0
+    while dims[depth + 1] == 2 * dims[depth]:
+        bit = bits[:, depth]
+        w = np.concatenate((w, w * ((1 - 2 * bit) * np.exp(-1j * np.pi * phase))[:, None]), axis=-1)
+        phase = (phase + bit) / 2
+        depth += 1
+    placed = np.zeros((rows.size, beta), dtype=np.complex128)
+    placed[:, e[: dims[depth]] >> alpha] = w
+    w = placed
+    offsets = (e_t[:, None] - (np.arange(beta) << alpha)) % r
+    branches = np.empty((rows.size, 2, beta), dtype=np.complex128)
+    for depth in range(depth, top - alpha):
+        j = top - 1 - depth
+        probs = residue_branches(w, (1 << (j - alpha)) % beta,
+                                 residue_counts(offsets, j, r), phase, branches)
+        bit = bits[:, depth] = draw_outcome(probs, floats[:, depth], where=f"qubit {j}")
+        w = branches[rows, bit] / np.sqrt(probs[rows, bit])[:, None]
         phase = (phase + bit) / 2
     return bits
 
@@ -503,14 +498,15 @@ def sample_runs(
 
     Modexp runs once for every layout and keeps only R's residue index and
     each layout's ``Chain``, its labels and bond ranks (``run_modexp``); no
-    site tensor is built.  The gates' multiplier maps are then built once per
-    call (``gate_maps``; a gate that doubles R's dimension gets a slice, and
-    its qubit is a fair coin), and from them the residues' exponents e
-    (``residue_exponents``).  R and the Fourier transform are drawn from
-    those alone (see the module docstring): R from its forward counts, read
-    off e once per call, and each qubit from one complex weight per residue
-    and its right counts, built from one row of offsets d_c = (e_t - e_c)
-    mod r per sample (``residue_counts``).  The "measure" ranks are the same
+    site tensor is built.  Of the index the sampler keeps R's dimensions
+    alone, and the index is freed before the first sample.  The residues'
+    exponents e follow from those dimensions once per call
+    (``residue_exponents``), and R and the Fourier transform are drawn from
+    e alone (see the module docstring): R from its forward counts, read off
+    e once per call, so that its residue is a^(e_t) mod n, and each qubit
+    from one complex weight per residue and its right counts, built from one
+    beta-long row of offsets per sample (``graded_fourier``,
+    ``residue_counts``).  The "measure" ranks are the same
     for every sample and both layouts, counted once per call
     (``measure_ranks``); the "qft" chain ends as one site (``QFT_PROFILE``).
     None of this depends on the layout, so the samples are drawn once for
@@ -538,43 +534,43 @@ def sample_runs(
     each of two columns.  What follows from s is computed once per distinct
     s (``classical``), and ``stage_seconds`` holds one dict per batch, each
     of its samples' share of the stage times: what runs once per call
-    (build, modexp, and the maps, exponents, forward counts and ranks of
+    (build, modexp, and the exponents, forward counts and ranks of
     "measure") evenly over all samples, the rest evenly over the batch.
     """
-    shared: dict[str, float] = {}
     t0 = time.perf_counter()
     lower = LowerRegisterIndex(instance.n)
-    shared["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     chains = run_modexp(lower, instance, layouts, max_elements)
-    shared["modexp"] = time.perf_counter() - t0
+    # R's dimension before each gate and after the last, r: all the sampler
+    # reads of the index, whose table and residues go here
+    dims = lower.dims + [lower.dim]
+    del lower
+    shared = {"build": t1 - t0, "modexp": time.perf_counter() - t1}
 
-    dims = _dims_after(lower)
-    held = sum(dims) + 1  # right counts R_0 ... R_2l
-    peaks = {"build": 1}  # R alone, of dimension 1
-    peaks["measure"] = lower.dim + held
-    _guard("measure", peaks["measure"], max_elements)
-    # complex units: the residue vector and its two branches
-    peaks["qft"] = held + max(2 * (d_before + 2 * d) for d_before, d in zip(lower.dims, dims))
-    _guard("qft", peaks["qft"], max_elements)
+    r = dims[-1]
+    held = sum(dims[1:]) + 1  # right counts R_0 ... R_2l
+    # build: R alone, of dimension 1; qft in complex units: the residue
+    # vector and its two branches
+    peaks = {"build": 1, "measure": r + held,
+             "qft": held + max(2 * (d + 2 * after) for d, after in zip(dims, dims[1:]))}
+    for stage in ("measure", "qft"):
+        _guard(stage, peaks[stage], max_elements)
     batch = max(1, min(BATCH_ELEMENTS, max_elements) // max(peaks["measure"], peaks["qft"]))
 
     t0 = time.perf_counter()
-    maps = lower.gate_maps()
-    e = residue_exponents(lower, maps)
-    r_probs = residue_counts(e, 2 * instance.l, lower.dim) / (1 << (2 * instance.l))
-    run = SampleRun(instance, chains, measure_ranks(lower, e), peaks, [], [], batch, {}, [])
+    e = residue_exponents(dims)
+    r_probs = residue_counts(e, 2 * instance.l, r) / (1 << (2 * instance.l))
+    run = SampleRun(instance, chains, measure_ranks(dims, e), peaks, [], [], batch, {}, [])
     shared["measure"] = time.perf_counter() - t0
 
     for start in range(0, len(seeds), batch):
         chunk = seeds[start : start + batch]
         t0 = time.perf_counter()
         u = uniforms(chunk.start, len(chunk), 2 * instance.l + 1)
-        targets = draw_outcome(r_probs, u[:, 0], where="R")
-        run.measured_residue += lower.residues[targets].tolist()
-        d = (e[targets][:, None] - e) % lower.dim
+        e_t = e[draw_outcome(r_probs, u[:, 0], where="R")]
+        run.measured_residue += [pow(instance.a, x, instance.n) for x in e_t.tolist()]
         t1 = time.perf_counter()
-        bits = graded_fourier(maps, dims, d, u[:, 1:])
+        bits = graded_fourier(dims, e, e_t, u[:, 1:])
         t2 = time.perf_counter()
         s_values = assemble_s(bits, instance.l).tolist()
         # samples of a small r repeat their s often (85 of 100 at n=21,

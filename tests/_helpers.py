@@ -9,9 +9,13 @@ the input of the dense measurement and transform in ``_dense``.
 ``ReferenceIndex`` is R's residue index kept one residue at a time through a
 dict, with every gate's map taken from that dict as the gate runs: the dense
 chain's index, and through ``reference_index`` the reference for the
-table-based ``shor.LowerRegisterIndex`` and its maps.  ``forward_counts``
-and ``right_counts`` are the map recursions of the sampler's integer counts,
-and ``graded_ranks`` counts each sample's "measure" ranks from them, as
+table-based ``shor.LowerRegisterIndex`` and for ``reference_maps``, which
+reads every gate's map off a finished ``shor.LowerRegisterIndex``, since the
+package builds none.  ``reference_exponents`` walks those maps to the
+residues' exponents, the reference for ``shor.residue_exponents``, which
+reads them off R's dimensions alone.  ``forward_counts`` and
+``right_counts`` are the map recursions of the sampler's integer counts, and
+``graded_ranks`` counts each sample's "measure" ranks from them, as
 references for the closed forms ``shor.sample_runs`` reads off the residues'
 exponents; ``reference_graded_ranks`` counts the dynamic right block's ranks
 by brute force, as a reference for their value in ``graded_ranks``.
@@ -24,11 +28,13 @@ fragments.  ``sample_call`` is the ``shor.SampleRun`` of a
 sample of one seed and returns its schema-1 dict, for tests that compare
 samples one by one.
 ``reference_sample_runs`` is the sampler as it was before its qubits of
-doubling gates became fair coins, its draws PCG64 lanes and its counts
-closed forms: full ``int32`` maps, the map recursions, a branch pair and a
-draw for every qubit, per-sample ranks, and one ``random()`` call per draw
-on numpy ``Generator``s, as the reference for ``shor.sample_runs``; it
-shares no count with the code it checks.
+doubling gates became fair coins, its draws PCG64 lanes, its counts closed
+forms and its gates cyclic shifts of exponents: full ``int32`` maps, the map
+recursions, a branch pair scattered through its gate's map
+(``reference_branches``) and a draw for every qubit, per-sample ranks, and
+one ``random()`` call per draw on numpy ``Generator``s, as the reference for
+``shor.sample_runs``; it shares no count and no gate with the code it
+checks.
 """
 
 import os
@@ -69,9 +75,8 @@ class ReferenceIndex:
 
     ``gate(mult)`` looks up the image of each residue reached so far in the
     dict, appends it when new, and returns the map from old residue indices
-    to the indices of their images as ``int32``, the form
-    ``shor.LowerRegisterIndex.gate_maps`` must match byte for byte where it
-    returns an array (``assert_gate_map``); ``maps`` keeps every gate's map.
+    to the indices of their images as ``int32``, the form ``reference_maps``
+    must match byte for byte; ``maps`` keeps every gate's map.
     ``residues``, ``dim`` and ``position`` read as those of
     ``shor.LowerRegisterIndex`` do, so the dense stages take either.
     """
@@ -234,7 +239,8 @@ def reference_index(instance):
     Gates run for qubits 2l-1 ... 0, most significant first, as in either
     layout (the maps do not depend on it), through a ``ReferenceIndex``.
     Returns the residues as a list and the maps as ``int32`` arrays, the form
-    ``shor.LowerRegisterIndex`` must match byte for byte.
+    ``shor.LowerRegisterIndex`` and ``reference_maps`` must match byte for
+    byte.
     """
     index = ReferenceIndex(instance.n)
     for i in reversed(range(2 * instance.l)):
@@ -242,29 +248,12 @@ def reference_index(instance):
     return index.order, index.maps
 
 
-def assert_gate_map(got, want: np.ndarray, d_after: int) -> None:
-    """``got``, a map of ``shor.LowerRegisterIndex.gate_maps``, against the
-    reference map ``want`` of a gate after which R has dimension ``d_after``.
-
-    A gate that doubles R's dimension D has the reference map arange(D, 2D),
-    and ``gate_maps`` gives it as slice(D, 2D); every other gate's map is the
-    reference's, byte for byte.
-    """
-    d = want.size
-    if d_after == 2 * d:
-        assert want.tobytes() == np.arange(d, 2 * d, dtype=np.int32).tobytes()
-        assert got == slice(d, 2 * d)
-    else:
-        assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.int32
-        assert got.tobytes() == want.tobytes()
-
-
 def forward_counts(lower, maps) -> np.ndarray:
     """f[c] = #{x < Q : a^x = c} over R's residue index, from the gates' maps.
 
-    ``maps`` are ``lower.gate_maps()`` or ``reference_maps(lower)``, arrays or
-    slices.  Each gate keeps every exponent (control bit 0) and moves a copy
-    through its multiplier map (control bit 1): f <- pad(f) + scatter(f, P).
+    ``maps`` are ``reference_maps(lower, a)``.  Each gate keeps every
+    exponent (control bit 0) and moves a copy through its multiplier map
+    (control bit 1): f <- pad(f) + scatter(f, P).
     The reference for the closed form ``shor.sample_runs`` reads off the
     residues' exponents.
     """
@@ -411,13 +400,48 @@ def sample_run(instance, layout, seed: int, max_elements=shor.MAX_ELEMENTS) -> d
     return record_dict(run, layout, 0)
 
 
-def reference_maps(lower) -> list[np.ndarray]:
-    """Every gate's multiplier map of ``lower`` after its modexp as an
-    ``int32`` array, doubling gates included, from its residues through a
-    lookup table built here."""
+def reference_maps(lower, a: int) -> list[np.ndarray]:
+    """Every gate's multiplier map of ``lower`` after its modexp of base
+    ``a`` as an ``int32`` array, doubling gates included, from its residues
+    through a lookup table built here; the gate of qubit i multiplies by
+    a^(2^i) mod n."""
     where = np.zeros(lower.n, dtype=np.int32)
     where[lower.residues] = np.arange(lower.dim, dtype=np.int32)
-    return [where[lower.residues[:d] * m % lower.n] for m, d in zip(lower.mults, lower.dims)]
+    mults = [pow(a, 1 << i, lower.n) for i in reversed(range(len(lower.dims)))]
+    return [where[lower.residues[:d] * m % lower.n] for m, d in zip(mults, lower.dims)]
+
+
+def reference_exponents(lower, maps) -> np.ndarray:
+    """e[c] with a^(e[c]) = residue c of ``lower``, reduced mod r =
+    ``lower.dim``, walked through the gates' maps ``maps``
+    (``reference_maps``): the gate of qubit i multiplies by a^(2^i), so each
+    fresh image P[k] >= D of a map P, D being R's dimension before the gate,
+    gets e[P[k]] = e[k] + 2^i, and a gate that keeps D gives nothing.  The
+    reference for ``shor.residue_exponents``."""
+    r = lower.dim
+    e = np.zeros(r, dtype=np.int64)
+    for i, perm, d in zip(reversed(range(len(maps))), maps, lower.dims):
+        fresh = perm >= d
+        e[perm[fresh]] = (e[:d][fresh] + (1 << i) % r) % r
+    return e
+
+
+def reference_branches(w, perm, right_j, phase):
+    """``shor.residue_branches`` over R's residue index: ``w`` runs over the
+    residues reached by the qubits above j (last axis), bit 0 keeps each
+    residue and bit 1 scatters it through j's multiplier map ``perm``, and
+    the gate H diag(1, exp(-i pi phase)) mixes the two at each residue.
+    Returns the branches, axes (..., outcome, residue), and their
+    probabilities sum_c |branch[c]|^2 R_j[c], axes (..., outcome)."""
+    split = np.zeros(w.shape[:-1] + (2, right_j.shape[-1]), dtype=np.complex128)
+    split[..., 0, : w.shape[-1]] = w
+    split[..., 1, perm] = w * np.exp(-1j * np.pi * np.asarray(phase))[..., None]
+    branches = np.empty_like(split)
+    np.add(split[..., 0, :], split[..., 1, :], out=branches[..., 0, :])
+    np.subtract(split[..., 0, :], split[..., 1, :], out=branches[..., 1, :])
+    branches *= shor.SQRT_HALF
+    weight = np.asarray(right_j)[..., None, :]
+    return branches, ((branches.real**2 + branches.imag**2) * weight).sum(axis=-1)
 
 
 def _draws(rngs) -> np.ndarray:
@@ -425,9 +449,11 @@ def _draws(rngs) -> np.ndarray:
 
 
 def reference_fourier(maps, right, rngs, probs_seen=None) -> np.ndarray:
-    """``shor.graded_fourier`` without fair coins, over the right counts
-    ``right`` (``right_counts``): every qubit's branch pair and probability
-    row, and one ``rngs[k].random()`` per qubit of sample k.  ``probs_seen``,
+    """``shor.graded_fourier`` without fair coins or shifts, over the gates'
+    maps ``maps`` (``reference_maps``) and the right counts ``right``
+    (``right_counts``): every qubit's branch pair scattered through its map
+    (``reference_branches``) and probability row, and one
+    ``rngs[k].random()`` per qubit of sample k.  ``probs_seen``,
     when given, collects each qubit's rows, axes (sample, outcome), in
     measurement order."""
     rows = np.arange(len(rngs))
@@ -435,7 +461,7 @@ def reference_fourier(maps, right, rngs, probs_seen=None) -> np.ndarray:
     phase = np.zeros(rows.size)
     bits = np.empty((rows.size, len(maps)), dtype=np.int64)
     for depth, (perm, right_j) in enumerate(zip(maps, reversed(right[:-1]))):
-        branches, probs = shor.residue_branches(w, perm, right_j, phase)
+        branches, probs = reference_branches(w, perm, right_j, phase)
         if probs_seen is not None:
             probs_seen.append(probs.copy())
         bit = draw_outcome(probs, _draws(rngs), where=f"qubit {len(maps) - 1 - depth}")
@@ -463,7 +489,7 @@ def reference_sample_runs(instance, layout, rngs, probs_seen=None,
     held = sum(dims) + 1
     peaks = {"build": 1, "measure": lower.dim + held,
              "qft": held + max(2 * (d_before + 2 * d) for d_before, d in zip(lower.dims, dims))}
-    maps = reference_maps(lower)
+    maps = reference_maps(lower, instance.a)
     counts = forward_counts(lower, maps)
     targets = draw_outcome(counts / counts.sum(), _draws(rngs), where="R")
     right = right_counts(lower, maps, targets if rngs else [0])

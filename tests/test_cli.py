@@ -415,13 +415,13 @@ class TestLayoutsShareOneRun:
         # a sample of n=21 holds 63 elements: 5 samples in batches of 2, 2, 1
         counts = self.count_calls(
             monkeypatch, (shor.LowerRegisterIndex, "__init__"), (shor, "run_modexp"),
-            (shor.LowerRegisterIndex, "gate_maps"), (shor, "residue_exponents"),
+            (shor, "residue_exponents"), (shor, "measure_ranks"),
             (shor, "graded_fourier"), (cli, "tvd_at_outcomes"))
         monkeypatch.setattr(shor, "BATCH_ELEMENTS", 2 * 63)
         assert run_cli(["sample", "--n", "21", "--a", "2", "--samples", "5", "--layout",
                         "both", "--out", str(tmp_path / "r.json")]) == 0
-        assert counts == {"__init__": 1, "run_modexp": 1, "gate_maps": 1,
-                          "residue_exponents": 1, "graded_fourier": 3,
+        assert counts == {"__init__": 1, "run_modexp": 1, "residue_exponents": 1,
+                          "measure_ranks": 1, "graded_fourier": 3,
                           "tvd_at_outcomes": 1}
         # what the layouts share, each s's classical results and each batch's
         # seconds, is encoded once per call: both encodes only its second
@@ -1005,3 +1005,20 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["r"] == 2
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # a reader that stops after 100 bytes, as head -c 100 does: the
+        # report is far larger than the pipe's buffer, so the child is still
+        # writing when the pipe closes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shormps.cli", "sample", "--n", "21", "--a", "2",
+             "--samples", "2000", "--layout", "both"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait()
+        assert head.startswith(b'{"command":"sample"') and len(head) == 100
+        assert err == b""
+        assert code == cli.EXIT_PIPE == 1

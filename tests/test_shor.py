@@ -1,6 +1,7 @@
 """Pipeline stages: modexp layouts, plateau detection, measurement, and the
 semiclassical QFT, which measures each qubit as soon as its phase is known."""
 
+import weakref
 from dataclasses import FrozenInstanceError
 from math import gcd
 from unittest import mock
@@ -10,7 +11,6 @@ import pytest
 from _helpers import (
     BEYOND_PAPER_ROWS,
     apply_controlled_modexp,
-    assert_gate_map,
     build_initial,
     dense_modexp,
     forward_counts,
@@ -19,8 +19,11 @@ from _helpers import (
     mps_as_canonical_dense,
     rank_oracle_for_bond,
     record_dict,
+    reference_branches,
+    reference_exponents,
     reference_graded_ranks,
     reference_index,
+    reference_maps,
     reference_sample_runs,
     right_counts,
     sample_call,
@@ -55,6 +58,12 @@ def seeded(first, count):
 def seeds(first, count):
     """The seed range first, first+1, ..., first+count-1."""
     return range(first, first + count)
+
+
+def sampler_dims(lower):
+    """R's dimension before each gate and after the last, as
+    ``shor.sample_runs`` keeps them of its index."""
+    return lower.dims + [lower.dim]
 
 
 def without_timings(*runs):
@@ -147,25 +156,31 @@ class TestModexpProperties:
                 assert rank == want, (layout, bond)
 
 
-def assert_matches_reference_index(lower, reference):
-    """``lower`` after a whole modexp equals ``reference_index``'s result byte
-    for byte: residues in order, and every map, a slice(D, 2D) where the
-    gate doubles R's dimension D (``assert_gate_map``)."""
+def assert_matches_reference_index(lower, reference, a):
+    """``lower`` after a whole modexp of base ``a`` equals
+    ``reference_index``'s result byte for byte: residues in order, R's
+    dimension before every gate, and every map that ``reference_maps`` reads
+    off it, which is arange(D, 2D) where the gate doubles R's dimension D."""
     residues, maps = reference
     assert lower.residues.dtype == np.int64
     assert lower.residues.tolist() == residues
-    got = lower.gate_maps()
+    assert lower.dims == [perm.size for perm in maps]
+    got = reference_maps(lower, a)
     assert len(got) == len(maps)
     dims_after = [perm.size for perm in maps[1:]] + [len(residues)]
     for perm, want, d_after in zip(got, maps, dims_after):
-        assert_gate_map(perm, want, d_after)
+        assert perm.dtype == want.dtype == np.int32
+        assert perm.tobytes() == want.tobytes()
+        d = want.size
+        if d_after == 2 * d:
+            assert want.tobytes() == np.arange(d, 2 * d, dtype=np.int32).tobytes()
 
 
 def assert_skips_only_idle_gates(instance, layout, reference):
     """A whole modexp equals ``reference`` (``reference_index``) byte for
-    byte, records every gate's multiplier and R's dimension before it, and
-    calls ``extend`` on every gate but the idle ones (no new residue) after
-    the first.  Returns (lower, idle gates, gates ``extend`` skipped)."""
+    byte, records R's dimension before every gate, and calls ``extend``, with
+    the gate's multiplier, on every gate but the idle ones (no new residue)
+    after the first.  Returns (lower, idle gates, gates ``extend`` skipped)."""
     lower = shor.LowerRegisterIndex(instance.n)
     extended = []
 
@@ -180,9 +195,9 @@ def assert_skips_only_idle_gates(instance, layout, reference):
     idle = [k for k, d in enumerate(dims[1:] + [len(residues)]) if d == dims[k]]
     mults = [pow(instance.a, 1 << i, instance.n)
              for i in reversed(range(2 * instance.l))]
-    assert lower.mults == mults and lower.dims == dims
+    assert lower.dims == dims
     assert extended == [m for k, m in enumerate(mults) if k not in idle[1:]]
-    assert_matches_reference_index(lower, reference)
+    assert_matches_reference_index(lower, reference, instance.a)
     return lower, len(idle), len(mults) - len(extended)
 
 
@@ -227,7 +242,7 @@ class TestResidueIndex:
             residues = lower.residues
             mult = pow(inst.a, 1 << i, inst.n)
             assert lower.extend(mult) is None
-            assert (lower.mults[k], lower.dims[k]) == (mult, residues.size)
+            assert lower.dims[k] == residues.size
             # the residues reached before, then the new images in source order
             img = residues * mult % inst.n
             assert np.array_equal(lower.residues[: residues.size], residues)
@@ -237,9 +252,10 @@ class TestResidueIndex:
                 idle += 1
                 assert lower.residues is residues
         assert idle == 15
-        for perm, mult, dim in zip(lower.gate_maps(), lower.mults, lower.dims):
+        mults = [pow(inst.a, 1 << i, inst.n) for i in reversed(range(2 * inst.l))]
+        for perm, mult, dim in zip(reference_maps(lower, inst.a), mults, lower.dims):
             assert np.array_equal(lower.residues[perm], lower.residues[:dim] * mult % inst.n)
-        assert_matches_reference_index(lower, reference_index(inst))
+        assert_matches_reference_index(lower, reference_index(inst), inst.a)
 
     @pytest.mark.parametrize("n", [0, 1, shor.MAX_SIMULATED_MODULUS,
                                    shor.MAX_SIMULATED_MODULUS + 1, 1 << 62])
@@ -263,7 +279,7 @@ class TestGradedModexp:
         assert alpha_hat == dense_alpha
         assert lower.residues.dtype == dense_lower.residues.dtype
         assert np.array_equal(lower.residues, dense_lower.residues)
-        assert_matches_reference_index(lower, (dense_lower.order, dense_lower.maps))
+        assert_matches_reference_index(lower, (dense_lower.order, dense_lower.maps), inst.a)
 
         limit = data.draw(st.integers(1, tally), label="max_elements")
         try:
@@ -287,8 +303,9 @@ class TestGradedModexp:
         monkeypatch.setattr(np, "einsum", banned)
         rec = sample_run(SemiprimeInstance(247, 2), layout, 0)
         assert rec["peak_elements"]["build"] == 1
-        # only the sampler reads the gates' maps
-        monkeypatch.setattr(shor.LowerRegisterIndex, "gate_maps", banned)
+        # only the sampler reads the exponents and runs the transform
+        monkeypatch.setattr(shor, "residue_exponents", banned)
+        monkeypatch.setattr(shor, "graded_fourier", banned)
         out = tmp_path / "p.json"
         assert cli.main(["profile", "--n", "247", "--a", "2", "--layout", layout,
                          "--out", str(out)]) == 0
@@ -523,10 +540,11 @@ def dense_reference(inst, layout, rng, forced_residue=None):
     return residue, profile, shor.assemble_s(_dense.apply_lnn_qft(state, rng), inst.l)
 
 
-def graded_law(lower):
-    """Pr(s), summed over every outcome path of the graded sampler: each R
-    residue, then both bits of every qubit, renormalized as the sampler does."""
-    maps = lower.gate_maps()
+def graded_law(lower, a):
+    """Pr(s), summed over every outcome path of the reference sampler: each R
+    residue, then both bits of every qubit, renormalized as the sampler does,
+    over the gates' maps of base ``a`` (``reference_maps``)."""
+    maps = reference_maps(lower, a)
     counts = forward_counts(lower, maps)
     big_q = counts.sum()
     law = np.zeros(int(big_q))
@@ -537,7 +555,7 @@ def graded_law(lower):
         phase = np.zeros(1)
         s = np.zeros(1, dtype=np.int64)
         for depth, (perm, right_j) in enumerate(zip(maps, reversed(right[:-1]))):
-            branches, probs = shor.residue_branches(w, perm, right_j, phase)
+            branches, probs = reference_branches(w, perm, right_j, phase)
             path, bit = np.nonzero(probs > 0)
             w = branches[path, bit] / np.sqrt(probs[path, bit])[:, None]
             prob = prob[path] * probs[path, bit]
@@ -561,13 +579,18 @@ class TestGradedSampler:
 
     def test_branch_gate_convention(self):
         # sampled states are real, so only a complex weight pins the phase sign
+        # the package's cyclic shift by 1 over Z_3 and the reference's scatter
+        # through the map [1, 2] move the same weights
         w = np.array([0.6, 0.8j])
         right_j = np.array([1.0, 2.0, 3.0])
-        branches, probs = shor.residue_branches(w, np.array([1, 2]), right_j, 0.25)
         split = np.array([[0.6, 0.8j, 0.0], [0.0, 0.6, 0.8j]])
         want = _dense.hadamard() @ np.diag([1.0, np.exp(-0.25j * np.pi)]) @ split
-        np.testing.assert_allclose(branches, want, atol=1e-15)
-        np.testing.assert_allclose(probs, np.abs(want) ** 2 @ right_j, atol=1e-15)
+        out = np.empty((2, 3), dtype=np.complex128)
+        probs = shor.residue_branches(np.append(w, 0.0), 1, right_j, 0.25, out)
+        for branches, probs in ((out, probs),
+                                reference_branches(w, np.array([1, 2]), right_j, 0.25)):
+            np.testing.assert_allclose(branches, want, atol=1e-15)
+            np.testing.assert_allclose(probs, np.abs(want) ** 2 @ right_j, atol=1e-15)
 
     @pytest.mark.parametrize("layout", ["static", "dynamic"])
     @pytest.mark.parametrize("n, a", [(21, 2), (247, 2)])
@@ -590,7 +613,7 @@ class TestGradedSampler:
         lower, _, _, _ = graded_modexp(inst, "static")
         x = np.arange(1 << (2 * inst.l))
         residues = np.array([lower.position(pow(2, int(k), 21)) for k in x])
-        maps = lower.gate_maps()
+        maps = reference_maps(lower, inst.a)
         assert np.array_equal(forward_counts(lower, maps), np.bincount(residues))
         t = lower.position(11)
         right = right_counts(lower, maps, t)
@@ -602,18 +625,19 @@ class TestGradedSampler:
     @settings(max_examples=20, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 30]).filter(lambda c: c[0] < 128))
     def test_path_sum_is_exact_law(self, case):
-        # the sampler reads only modexp's maps, which both layouts share; the
-        # enumeration costs O(r * l * Q * r), so n stays below 2^7
+        # the sampler reads only R's dimensions, and the reference modexp's
+        # maps, both of which the layouts share; the enumeration costs
+        # O(r * l * Q * r), so n stays below 2^7
         inst = SemiprimeInstance(*case)
         lower = graded_modexp(inst, "static")[0]
         other = graded_modexp(inst, "dynamic")[0]
-        maps, other_maps = lower.gate_maps(), other.gate_maps()
+        assert sampler_dims(lower) == sampler_dims(other)
+        maps, other_maps = reference_maps(lower, inst.a), reference_maps(other, inst.a)
         assert len(maps) == len(other_maps)
-        assert all(p == q if isinstance(p, slice) else np.array_equal(p, q)
-                   for p, q in zip(maps, other_maps))
+        assert all(np.array_equal(p, q) for p, q in zip(maps, other_maps))
         r = multiplicative_order(inst.a, inst.n)
         want = oracle.exact_distribution(inst.l, r)
-        assert np.max(np.abs(graded_law(lower) - want)) <= 1e-12
+        assert np.max(np.abs(graded_law(lower, inst.a) - want)) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 20]), st.data())
@@ -621,14 +645,15 @@ class TestGradedSampler:
         inst = SemiprimeInstance(*case)
         for layout in ("static", "dynamic"):
             lower, alpha_hat, _, _ = graded_modexp(inst, layout)
-            maps = lower.gate_maps()
+            maps = reference_maps(lower, inst.a)
             residue = data.draw(st.sampled_from(lower.residues.tolist()))
             (ranks,) = graded_ranks(alpha_hat, right_counts(lower, maps, [lower.position(residue)]))
             _, (want, _), _ = dense_reference(inst, layout, np.random.default_rng(0),
                                               forced_residue=residue)
             assert ranks == want, layout
             # the package's one tuple per call, counted at t = 1
-            assert shor.measure_ranks(lower, shor.residue_exponents(lower, maps)) == want
+            dims = sampler_dims(lower)
+            assert shor.measure_ranks(dims, shor.residue_exponents(dims)) == want
 
     @settings(max_examples=30, deadline=None)
     @given(semiprime_and_base(ODD_PRIMES), st.data())
@@ -637,7 +662,8 @@ class TestGradedSampler:
         lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic")
         residues = data.draw(st.lists(st.sampled_from(lower.residues.tolist()),
                                       min_size=1, max_size=4))
-        right = right_counts(lower, lower.gate_maps(), [lower.position(c) for c in residues])
+        right = right_counts(lower, reference_maps(lower, inst.a),
+                             [lower.position(c) for c in residues])
         assert graded_ranks(alpha_hat, right) == reference_graded_ranks(
             lower, inst, alpha_hat, residues, right)
 
@@ -651,7 +677,7 @@ class TestGradedSampler:
         lower, alpha_hat, _, _ = graded_modexp(inst, "dynamic", max_elements=1 << 44)
         assert alpha_hat == alpha
         residues = [int(lower.residues[-1])]
-        right = right_counts(lower, lower.gate_maps(), [lower.dim - 1])
+        right = right_counts(lower, reference_maps(lower, a), [lower.dim - 1])
         ranks = graded_ranks(alpha_hat, right)
         assert ranks == reference_graded_ranks(lower, inst, alpha_hat, residues, right)
         assert ranks[0][len(ranks[0]) - alpha + 1:] == (1,) * (alpha - 1)
@@ -668,16 +694,31 @@ def supports_in_closed_form(lower, l, alpha):
 
 class TestClosedForms:
     """The exponents, counts and ranks the sampler reads in closed form,
-    against the map recursions ``forward_counts`` and ``right_counts`` and
-    the per-sample supports ``graded_ranks`` (``tests/_helpers.py``), which
-    the package does not share.  Counts are compared bit for bit, which holds
-    while Q / r < 2^53; on every instance here Q / r < 2^27."""
+    against the map walk ``reference_exponents``, the map recursions
+    ``forward_counts`` and ``right_counts`` and the per-sample supports
+    ``graded_ranks`` (``tests/_helpers.py``), which the package does not
+    share.  Counts are compared bit for bit, which holds while Q / r < 2^53;
+    on every instance here Q / r < 2^27."""
 
     @staticmethod
     def exponents(inst, layout="static"):
         lower, alpha_hat, _, _ = graded_modexp(inst, layout, 1 << 44)
-        maps = lower.gate_maps()
-        return lower, alpha_hat, maps, shor.residue_exponents(lower, maps)
+        maps = reference_maps(lower, inst.a)
+        return lower, alpha_hat, maps, shor.residue_exponents(sampler_dims(lower))
+
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta", ROWS, ids=ROW_IDS)
+    def test_exponents_equal_the_map_walk(self, l, n, a, r, alpha, beta):
+        lower, _, maps, e = self.exponents(SemiprimeInstance(n, a))
+        want = reference_exponents(lower, maps)
+        assert e.dtype == want.dtype and e.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(semiprime_and_base(), st.sampled_from(["static", "dynamic"]))
+    def test_exponents_equal_the_map_walk_on_random_instances(self, case, layout):
+        inst = SemiprimeInstance(*case)
+        lower, _, maps, e = self.exponents(inst, layout)
+        want = reference_exponents(lower, maps)
+        assert e.dtype == want.dtype and e.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("l, n, a, r, alpha, beta", ROWS, ids=ROW_IDS)
     def test_exponents_reach_their_residues(self, l, n, a, r, alpha, beta):
@@ -697,11 +738,18 @@ class TestClosedForms:
         r = lower.dim
         want = forward_counts(lower, maps)
         assert shor.residue_counts(e, 2 * inst.l, r).tobytes() == want.tobytes()
+        alpha = two_adic_split(r)[0]
+        y = e >> alpha
         for t in sorted({0, 1, r // 3, r - 1}):
-            d = (e[[t]][:, None] - e) % r  # as sample_runs builds it for one sample
+            d = (e[[t]][:, None] - e) % r  # the offsets d_c of residue t, in index order
+            # and in the coordinate y = e / 2^alpha, as graded_fourier builds them
+            offsets = (e[[t]][:, None] - (np.arange(r >> alpha) << alpha)) % r
             for j, want in enumerate(right_counts(lower, maps, [t])):
                 got = shor.residue_counts(d[:, : want.shape[-1]], j, r)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, j)
+                if j >= alpha and want.shape[-1] == r >> alpha:
+                    got = shor.residue_counts(offsets, j, r)[:, y[: want.shape[-1]]]
+                    assert got.tobytes() == want.tobytes(), (t, j)
 
     @settings(max_examples=40, deadline=None)
     @given(semiprime_and_base([p for p in ODD_PRIMES if p < 30]),
@@ -711,7 +759,7 @@ class TestClosedForms:
         lower, alpha_hat, maps, e = self.exponents(inst, layout)
         residues = lower.residues.tolist()
         assert all(pow(inst.a, int(x), inst.n) == c for x, c in zip(e.tolist(), residues))
-        ranks = shor.measure_ranks(lower, e)
+        ranks = shor.measure_ranks(sampler_dims(lower), e)
         right = right_counts(lower, maps, range(lower.dim))
         assert set(graded_ranks(alpha_hat, right)) == {ranks}
         alpha = two_adic_split(lower.dim)[0]
@@ -722,22 +770,69 @@ class TestClosedForms:
                              ids=[f"l{row[0]}" for row in cli.PUBLISHED_ORDER_DATA])
     def test_ranks_are_the_supports_on_published_rows(self, l, n, a, r, alpha, beta, layout):
         lower, alpha_hat, maps, e = self.exponents(SemiprimeInstance(n, a), layout)
-        ranks = shor.measure_ranks(lower, e)
+        ranks = shor.measure_ranks(sampler_dims(lower), e)
         assert ranks == supports_in_closed_form(lower, l, alpha)
         for t in (0, r // 2, r - 1):
             assert graded_ranks(alpha_hat, right_counts(lower, maps, [t])) == [ranks], t
 
 
+def assert_shift_lemma(inst):
+    """The gate structure ``shor.graded_fourier`` relies on, with r = 2^alpha
+    beta: every gate j < alpha doubles R's dimension D; every gate j >= alpha
+    reads exponents that are multiples of 2^alpha, and its reference map
+    sends each exponent e to (e + 2^j) mod r, the cyclic shift y -> y +
+    2^(j - alpha) mod beta of y = e / 2^alpha; and from the first gate that
+    does not double down to j = alpha, D = beta after every gate.  Returns
+    the depth of that first gate."""
+    lower = graded_modexp(inst, "static", 1 << 44)[0]
+    dims = sampler_dims(lower)
+    r = dims[-1]
+    alpha, beta = two_adic_split(r)
+    e = shor.residue_exponents(dims)
+    top = 2 * inst.l
+    first = next(k for k in range(top) if dims[k + 1] != 2 * dims[k])
+    assert top - 1 - first >= alpha
+    for depth, (perm, d, after) in enumerate(zip(reference_maps(lower, inst.a), dims, dims[1:])):
+        j = top - 1 - depth
+        if j < alpha:
+            assert after == 2 * d, j
+            continue
+        assert not np.any(e[:d] % (1 << alpha)), j
+        assert np.array_equal(e[perm], (e[:d] + (1 << j) % r) % r), j
+        assert np.array_equal(e[perm] >> alpha, ((e[:d] >> alpha) + (1 << (j - alpha))) % beta)
+        if depth >= first:
+            assert after == beta, j
+    return first
+
+
+class TestShiftLemma:
+    @pytest.mark.parametrize("l, n, a, r, alpha, beta",
+                             cli.PUBLISHED_ORDER_DATA + [BEYOND_PAPER_ROWS[2]],
+                             ids=[f"l{row[0]}" for row in cli.PUBLISHED_ORDER_DATA]
+                             + ["l19"])
+    def test_published_rows(self, l, n, a, r, alpha, beta):
+        # the leading doubling gates reach 2^first residues, just below beta
+        first = assert_shift_lemma(SemiprimeInstance(n, a))
+        assert 1 << first <= beta < 2 << first
+
+    @settings(max_examples=100, deadline=None)
+    @given(semiprime_and_base())
+    def test_random_instances(self, case):
+        assert_shift_lemma(SemiprimeInstance(*case))
+
+
 class TestFairCoins:
     """A doubling gate's qubit is an exact fair coin, and the sampler that
-    reads it as one, with PCG64 lanes, draws the records of the reference
-    sampler (``reference_sample_runs``: full maps, a branch pair for every
-    qubit, numpy Generators)."""
+    reads it as one, with PCG64 lanes and its other gates as cyclic shifts,
+    draws the records of the reference sampler (``reference_sample_runs``:
+    full maps, a branch pair scattered through its map for every qubit,
+    numpy Generators)."""
 
     @staticmethod
     def assert_slice_rows_are_fair(inst, layout, first, count):
-        lower = graded_modexp(inst, layout, 1 << 44)[0]
-        coins = [isinstance(perm, slice) for perm in lower.gate_maps()]
+        # the rows of the gates that double R's dimension
+        dims = sampler_dims(graded_modexp(inst, layout, 1 << 44)[0])
+        coins = [after == 2 * d for d, after in zip(dims, dims[1:])]
         probs_seen = []
         reference_sample_runs(inst, layout, seeded(first, count), probs_seen, 1 << 44)
         assert len(probs_seen) == len(coins)
@@ -949,6 +1044,29 @@ class TestSampleRun:
                 profile.ranks = ()
         with pytest.raises(FrozenInstanceError):
             run.chains[layout].tally = 0
+
+    def test_index_is_freed_before_sampling(self, monkeypatch):
+        # the sampler reads r, R's dimensions and the exponents alone, so the
+        # index, with its 4n-byte table, is gone before the first batch
+        indexes = []
+        init = shor.LowerRegisterIndex.__init__
+
+        def tracked(self, n):
+            init(self, n)
+            indexes.append(weakref.ref(self))
+
+        alive = []
+        fourier = shor.graded_fourier
+
+        def spy(*args):
+            alive.append([ref() is not None for ref in indexes])
+            return fourier(*args)
+
+        monkeypatch.setattr(shor.LowerRegisterIndex, "__init__", tracked)
+        monkeypatch.setattr(shor, "graded_fourier", spy)
+        run = shor.sample_runs(SemiprimeInstance(247, 2), shor.LAYOUTS, seeds(0, 3))
+        assert len(indexes) == 1 and alive == [[False]]
+        assert len(run.measured_s) == 3
 
     def test_no_generator_no_record(self):
         run = shor.sample_runs(SemiprimeInstance(21, 2), shor.LAYOUTS, range(0))
